@@ -99,6 +99,15 @@ func TestTimelineEnabledSteadyState(t *testing.T) {
 	}
 }
 
+// TestGPUReRateZeroAlloc pins the fluid simulator's re-rate at zero: two
+// co-resident kernels on overlapping masks are re-rated on every SM-health
+// toggle — an advance, the per-kernel SM shares, the backend demands, the
+// bandwidth water-filling and an in-place move of both completion events.
+func TestGPUReRateZeroAlloc(t *testing.T) {
+	s, g := benchReRate()
+	pinAllocs(t, "gpusim re-rate", 0, func() { reRate(s, g) })
+}
+
 // TestSchedDecideZeroAlloc pins the full water-filling re-rate —
 // percentile predictions, level search, decision — at zero steady-state
 // allocations.

@@ -31,6 +31,7 @@ import (
 func BenchmarkHotPaths(b *testing.B) {
 	b.Run("sim/post-step", benchSimPostStep)
 	b.Run("sim/at-cancel", benchSimAtCancel)
+	b.Run("gpusim/rerate", benchGPUReRate)
 	b.Run("sched/decide", benchSchedDecide)
 	b.Run("sched/sort-waiting", benchSchedSortWaiting)
 	b.Run("resource/rebuild", benchResourceRebuild)
@@ -64,7 +65,8 @@ func benchSimPostStep(b *testing.B) {
 }
 
 // benchSimAtCancel measures the handle-returning schedule path plus a
-// cancel, the pattern gpusim uses for retargetable completions.
+// cancel. gpusim pays the At half once per launch and moves the handle
+// with Reschedule on every later re-rate (gpusim/rerate).
 func benchSimAtCancel(b *testing.B) {
 	s := sim.New()
 	fn := func() {}
@@ -74,6 +76,47 @@ func benchSimAtCancel(b *testing.B) {
 		e := s.After(1e-6, fn)
 		s.Cancel(e)
 		s.Step()
+	}
+}
+
+// benchReRate sets up two co-resident kernels on overlapping masks of an
+// A100, sized never to finish within a benchmark run.
+func benchReRate() (*sim.Simulation, *gpusim.GPU) {
+	s := sim.New()
+	g := gpusim.New(s, gpusim.A100())
+	prefill := g.NewStream(smmask.Range(0, 64))
+	decode := g.NewStream(smmask.Range(40, 108))
+	g.Launch(prefill, gpusim.Kernel{Name: "gemm", FLOPs: 1e21, Bytes: 1e15, Grid: 216}, nil)
+	g.Launch(decode, gpusim.Kernel{Name: "attn", FLOPs: 1e18, Bytes: 1e18, Grid: 64}, nil)
+	s.Run(1e-3) // let both launch overheads elapse: both kernels resident
+	return s, g
+}
+
+// reRate advances the clock by a microsecond and toggles one shared SM
+// between healthy and half speed, re-rating both resident kernels. A
+// health change also refreshes each kernel's bandwidth-occupancy factor,
+// which a kernel start or finish does not pay.
+func reRate(s *sim.Simulation, g *gpusim.GPU) {
+	s.PostAfter(1e-6, func() {})
+	s.Step()
+	h := 0.5
+	if g.SMHealth(50) < 1 {
+		h = 1
+	}
+	g.SetSMHealth(50, 1, h)
+}
+
+// benchGPUReRate measures one steady-state re-rate of the fluid simulator
+// (advance + per-kernel SM shares + backend demands + bandwidth
+// water-filling + completion reschedules), the work every kernel start
+// and finish pays.
+func benchGPUReRate(b *testing.B) {
+	s, g := benchReRate()
+	reRate(s, g) // allocate the health vector and the demand scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reRate(s, g)
 	}
 }
 

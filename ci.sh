@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # ci.sh — the full verification gate, in dependency order: formatting,
-# vet, build, tests, race detector, the serial-vs-parallel concurrency
+# vet, build, tests (the root module and bench/), race detector, the serial-vs-parallel concurrency
 # equivalence gate, the hot-path allocation contract (AllocsPerRun pins
 # + hotalloc lint), a short fuzz pass over the SM-mask set algebra, and
 # the bulletlint determinism contract (see DESIGN.md, "Determinism
@@ -29,6 +29,13 @@ go build ./...
 
 step "go test -shuffle=on ./..."
 go test -shuffle=on ./...
+
+step "go -C bench test ./..."
+# bench/ is a module of its own, so the root test pass does not reach
+# it. Its golden check pins every deterministic benchmark counter and
+# simulated metric (bench/golden.json), the bit-identity bar for any
+# change to the simulator's hot paths.
+go -C bench test ./...
 
 step "go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
@@ -243,7 +250,7 @@ rm -f "$res_cover"
 step "allocation contract: steady-state AllocsPerRun pins"
 # The hot-path allocation contract (DESIGN.md, "Allocation contract"):
 # the sim event push/pop cycle, disabled-timeline call sites, the
-# water-filling re-rate, partition rebuilds, pressure gates, and
+# water-filling re-rate, the gpusim re-rate, partition rebuilds, pressure gates, and
 # in-place percentiles must allocate nothing at steady state; the After
 # handle and per-request KV sequence header are pinned at exactly one.
 # Run the pins explicitly so an allocation regression fails CI by name

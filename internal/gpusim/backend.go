@@ -21,6 +21,9 @@ import "repro/internal/units"
 //   - Demand is called at every rate recomputation, i.e. on every kernel
 //     start and finish while the kernel is resident; it must not mutate
 //     backend state (only Begin may).
+//   - Demand reads the kernel's compute share from l.meff, which
+//     recompute fills for the current resident set and SM health before
+//     it calls any backend. Backends must not recompute it.
 type LatencyBackend interface {
 	// Name identifies the backend ("analytic", "sampled", "hierarchy").
 	Name() string
@@ -71,7 +74,6 @@ func (AnalyticBackend) Begin(*GPU, *launch) {}
 
 // Demand implements LatencyBackend with the analytic fluid model.
 func (AnalyticBackend) Demand(g *GPU, l *launch) KernelDemand {
-	meff := g.effectiveSMs(l)
-	nominal, _ := g.soloRate(l, meff, g.overlapFraction(l))
+	nominal, _ := g.soloRate(l, l.meff, g.overlapFraction(l))
 	return KernelDemand{Rate: nominal, BW: l.k.Bytes.AtRate(nominal), Volume: l.k.Bytes}
 }

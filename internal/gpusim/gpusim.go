@@ -22,9 +22,11 @@
 package gpusim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/smmask"
@@ -90,6 +92,24 @@ type launch struct {
 	// the analytic model; the ratio of modelled to sampled latency for the
 	// sampled backend).
 	scale float64
+	// bwOcc is the bandwidth-access factor of the kernel's resident SMs,
+	// min(1, (health-weighted SMs / NumSMs)^BWScaleExp). It depends only
+	// on the mask and SM health, so it is computed when the kernel becomes
+	// resident and again whenever SetSMHealth changes health.
+	bwOcc float64
+	// meff is the kernel's compute share under the current resident set
+	// and SM health (effectiveSMs). recompute fills it before it asks the
+	// backend for any demand; membership and health change only between
+	// an advance and a recompute, so it stays valid until the next one.
+	meff units.SMs
+	// acct is the accounting slot of the kernel's tag, looked up once
+	// when it becomes resident.
+	acct *tagAcct
+	// onBegin and onFinish are g.beginResident(l) and g.finish(l), bound
+	// once when the struct is first allocated and kept across reuse (see
+	// GPU.free). The completion event keeps onFinish across every
+	// reschedule.
+	onBegin, onFinish func()
 }
 
 // minComputeWeight keeps even pure-copy kernels consuming some issue
@@ -117,6 +137,7 @@ func (r KernelRecord) Duration() sim.Time { return r.End - r.Start }
 type Stream struct {
 	gpu   *GPU
 	id    int
+	lane  string // timeline lane of the stream's kernel spans; set on first use
 	mask  smmask.Mask
 	queue []*launch
 	// waiters fire when the stream drains.
@@ -165,38 +186,36 @@ type GPU struct {
 
 	lastUpdate sim.Time
 
+	// demands is recompute's water-filling scratch, reused across calls.
+	demands []demand
+	// free holds retired launches for reuse; nothing references a launch
+	// once finish has fired its done callback.
+	free []*launch
+
 	// Accounting integrals.
 	flopsDone   units.FLOPs
 	bytesDone   units.Bytes
 	smBusyTime  units.SMSeconds // ∫ Σ_i m_eff_i dt  (SM·seconds of occupancy)
 	anyBusyTime sim.Time        // wall time with ≥1 resident kernel
-	lastAnyBusy bool
-	tagFlops    map[string]units.FLOPs
-	tagBytes    map[string]units.Bytes
-	tagTime     map[string]units.SMSeconds // SM·seconds per tag
+	tags        map[string]*tagAcct
 
 	// Trace receives a record per completed kernel when non-nil.
 	Trace func(KernelRecord)
-
-	// Sampler, when non-nil, is called at every rate recomputation with
-	// the instantaneous utilization, enabling timeline figures.
-	Sampler func(t sim.Time, u Utilization)
 
 	// TL, when non-nil, records per-kernel spans (one lane per stream)
 	// and occupancy/throughput counter samples on the shared timeline.
 	TL *timeline.Recorder
 }
 
-// Utilization is an instantaneous snapshot of device activity.
-type Utilization struct {
-	// Compute is achieved FLOP rate / peak FLOPs.
-	Compute float64
-	// Bandwidth is achieved byte rate / peak bandwidth.
-	Bandwidth float64
-	// BusySMs is the number of SMs occupied by resident kernels.
-	BusySMs units.SMs
-	// Resident is the number of kernels currently executing.
-	Resident int
+// tagAcct holds the accounting integrals of one kernel tag.
+type tagAcct struct {
+	flops  units.FLOPs
+	bytes  units.Bytes
+	smTime units.SMSeconds // SM·seconds
+	// seen marks a tag that has integrated work at least once; Stats
+	// reports only those, so a tag whose kernels never progressed is
+	// absent rather than zero.
+	seen bool
 }
 
 // New creates a GPU attached to the simulation.
@@ -205,12 +224,10 @@ func New(s *sim.Simulation, spec Spec) *GPU {
 		panic(fmt.Sprintf("gpusim: invalid NumSMs %d", spec.NumSMs))
 	}
 	return &GPU{
-		Spec:     spec,
-		sim:      s,
-		backend:  AnalyticBackend{},
-		tagFlops: make(map[string]units.FLOPs),
-		tagBytes: make(map[string]units.Bytes),
-		tagTime:  make(map[string]units.SMSeconds),
+		Spec:    spec,
+		sim:     s,
+		backend: AnalyticBackend{},
+		tags:    make(map[string]*tagAcct),
 	}
 }
 
@@ -266,6 +283,9 @@ func (g *GPU) SetSMHealth(first, n int, h float64) {
 	for i := first; i < first+n; i++ {
 		g.health[i] = h
 	}
+	for _, l := range g.running {
+		l.bwOcc = g.bwOccupancy(l)
+	}
 	g.recompute()
 }
 
@@ -308,7 +328,11 @@ func (g *GPU) maskHealth(m smmask.Mask) float64 {
 		return float64(m.Count())
 	}
 	total := 0.0
-	m.ForEach(func(i int) { total += g.health[i] })
+	for w, word := range m {
+		for ; word != 0; word &= word - 1 {
+			total += g.health[w*64+bits.TrailingZeros64(word)]
+		}
+	}
 	return total
 }
 
@@ -334,11 +358,33 @@ func (g *GPU) Launch(st *Stream, k Kernel, done func(KernelRecord)) {
 		(k.FLOPs == 0 && k.Bytes == 0 && k.CommBytes == 0) {
 		panic(fmt.Sprintf("gpusim: kernel %q has no work", k.Name))
 	}
-	l := &launch{k: k, done: done, stream: st}
+	l := g.newLaunch()
+	l.k, l.done, l.stream = k, done, st
 	st.queue = append(st.queue, l)
 	if len(st.queue) == 1 {
 		g.startHead(st)
 	}
+}
+
+// newLaunch returns a zeroed launch, reusing a retired one when possible.
+func (g *GPU) newLaunch() *launch {
+	if n := len(g.free); n > 0 {
+		l := g.free[n-1]
+		g.free[n-1] = nil
+		g.free = g.free[:n-1]
+		return l
+	}
+	l := &launch{}
+	l.onBegin = func() { g.beginResident(l) }
+	l.onFinish = func() { g.finish(l) }
+	return l
+}
+
+// retire resets a finished launch, dropping its references, and returns
+// it to the free list.
+func (g *GPU) retire(l *launch) {
+	*l = launch{onBegin: l.onBegin, onFinish: l.onFinish}
+	g.free = append(g.free, l)
 }
 
 // Synchronize invokes fn once every kernel currently queued on the stream
@@ -362,7 +408,7 @@ func (g *GPU) startHead(st *Stream) {
 	if l.overhead > 0 {
 		// CPU launch gap: the kernel becomes resident after the
 		// overhead elapses.
-		g.sim.PostAfter(l.overhead, func() { g.beginResident(l) })
+		g.sim.PostAfter(l.overhead, l.onBegin)
 		return
 	}
 	g.beginResident(l)
@@ -385,9 +431,21 @@ func (g *GPU) beginResident(l *launch) {
 	l.startTime = g.sim.Now()
 	l.weight = g.computeIntensity(l.k)
 	l.scale = 1
+	l.bwOcc = g.bwOccupancy(l)
+	l.acct = g.tagSlot(l.k.Tag)
 	g.backend.Begin(g, l)
 	g.running = append(g.running, l)
 	g.recompute()
+}
+
+// tagSlot returns the accounting slot of a tag, creating it on first use.
+func (g *GPU) tagSlot(tag string) *tagAcct {
+	a := g.tags[tag]
+	if a == nil {
+		a = &tagAcct{}
+		g.tags[tag] = a
+	}
+	return a
 }
 
 // computeIntensity estimates how compute-bound a kernel is: the fraction
@@ -425,7 +483,11 @@ func (g *GPU) finish(l *launch) {
 	if len(st.queue) == 0 || st.queue[0] != l {
 		panic("gpusim: finished kernel is not at stream head")
 	}
-	st.queue = st.queue[1:]
+	// Shift rather than reslice so the queue's storage is reused: streams
+	// drain every batch and stay a few dozen kernels deep.
+	n := copy(st.queue, st.queue[1:])
+	st.queue[n] = nil
+	st.queue = st.queue[:n]
 
 	rec := KernelRecord{
 		Name:     l.k.Name,
@@ -450,16 +512,17 @@ func (g *GPU) finish(l *launch) {
 	if len(st.queue) > 0 {
 		g.startHead(st)
 	} else if len(st.waiters) > 0 {
-		ws := st.waiters
-		st.waiters = nil
-		for _, w := range ws {
+		for i, w := range st.waiters {
 			g.sim.PostAfter(0, w)
+			st.waiters[i] = nil
 		}
+		st.waiters = st.waiters[:0]
 	}
 	g.recompute()
 	if l.done != nil {
 		l.done(rec)
 	}
+	g.retire(l)
 }
 
 // emitKernelSpan records one completed kernel on its stream's timeline
@@ -482,14 +545,17 @@ func (g *GPU) emitKernelSpan(st *Stream, l *launch, rec KernelRecord) {
 		)
 	}
 	args = append(args, timeline.F("overlap", g.overlapFraction(l)))
-	g.TL.Span(streamLane(st.id), rec.Name, rec.Start, rec.End, args...)
+	if st.lane == "" {
+		st.lane = fmt.Sprintf("stream%02d", st.id)
+	}
+	g.TL.Span(st.lane, rec.Name, rec.Start, rec.End, args...)
 }
 
-// streamLane names the timeline lane of a stream.
-func streamLane(id int) string { return fmt.Sprintf("stream%02d", id) }
-
 // advance integrates work done at the current rates since lastUpdate and
-// decrements remaining fractions.
+// decrements remaining fractions. It reads each kernel's compute share
+// from l.meff, which the last recompute left valid for the interval.
+//
+//bullet:hotpath
 func (g *GPU) advance() {
 	now := g.sim.Now()
 	dt := now - g.lastUpdate
@@ -511,11 +577,12 @@ func (g *GPU) advance() {
 		l.remaining -= done
 		g.flopsDone += units.Scale(l.k.FLOPs, done)
 		g.bytesDone += units.Scale(l.k.Bytes, done)
-		meff := g.effectiveSMs(l)
-		g.smBusyTime += meff.Times(dt)
-		g.tagFlops[l.k.Tag] += units.Scale(l.k.FLOPs, done)
-		g.tagBytes[l.k.Tag] += units.Scale(l.k.Bytes, done)
-		g.tagTime[l.k.Tag] += meff.Times(dt)
+		g.smBusyTime += l.meff.Times(dt)
+		a := l.acct
+		a.flops += units.Scale(l.k.FLOPs, done)
+		a.bytes += units.Scale(l.k.Bytes, done)
+		a.smTime += l.meff.Times(dt)
+		a.seen = true
 	}
 }
 
@@ -524,7 +591,8 @@ func (g *GPU) advance() {
 // bandwidth is split in proportion to the sharers' compute intensities,
 // so a memory-bound kernel co-resident with a GEMM costs the GEMM little
 // compute (the warp scheduler interleaves around its DRAM stalls).
-// Degraded SMs contribute only their health fraction.
+// Degraded SMs contribute only their health fraction. recompute is the
+// only caller; everything else reads the result from l.meff.
 func (g *GPU) effectiveSMs(l *launch) units.SMs {
 	// Fast path: no overlap with any other resident kernel.
 	overlapped := false
@@ -537,20 +605,26 @@ func (g *GPU) effectiveSMs(l *launch) units.SMs {
 	if !overlapped {
 		return units.SMs(g.maskHealth(l.mask))
 	}
+	// Per SM in ascending order: the sharers' weights are summed in
+	// resident order starting from l's own, exactly as the float results
+	// are pinned.
 	eff := units.SMs(0)
-	l.mask.ForEach(func(i int) {
-		total := l.weight
-		for _, o := range g.running {
-			if o != l && o.mask.Has(i) {
-				total += o.weight
+	for w, word := range l.mask {
+		for ; word != 0; word &= word - 1 {
+			bit := word & -word
+			total := l.weight
+			for _, o := range g.running {
+				if o != l && o.mask[w]&bit != 0 {
+					total += o.weight
+				}
 			}
+			share := l.weight / total
+			if g.health != nil {
+				share *= g.health[w*64+bits.TrailingZeros64(word)]
+			}
+			eff += units.SMs(share)
 		}
-		share := l.weight / total
-		if g.health != nil {
-			share *= g.health[i]
-		}
-		eff += units.SMs(share)
-	})
+	}
 	return eff
 }
 
@@ -578,7 +652,7 @@ func (g *GPU) overlapFraction(l *launch) float64 {
 // partitioned kernels only contend for DRAM, which the water-filling
 // handles separately.
 func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec, bwCap units.BytesPerSec) {
-	spec := g.Spec
+	spec := &g.Spec
 	frac := units.Ratio(meff, units.SMs(spec.NumSMs))
 	if frac <= 0 {
 		// Every SM under the mask is dead: drain in-flight work at the
@@ -594,16 +668,10 @@ func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec
 	computeCap := units.Scale(units.Scale(units.Scale(spec.PeakFLOPS, effPeak), frac), pc)
 	// Wave quantization is a placement effect of the mask size, not the
 	// contended share, so it uses the mask's SM count. Bandwidth access
-	// likewise scales with occupancy — the health-weighted SMs the kernel
-	// is resident on (degraded SMs issue proportionally fewer memory
-	// requests), not its contended compute share.
+	// likewise scales with occupancy (l.bwOcc), not the contended compute
+	// share.
 	wave := 1 - WaveIdleRatio(l.k.Grid, l.maskCount)
-	occ := g.maskHealth(l.mask)
-	if occ <= 0 {
-		occ = deadDrainSMs
-	}
-	occFrac := occ / float64(spec.NumSMs)
-	bwCap = units.Scale(units.Scale(spec.PeakBW, math.Min(1, math.Pow(occFrac, spec.BWScaleExp))), pb)
+	bwCap = units.Scale(units.Scale(spec.PeakBW, l.bwOcc), pb)
 
 	rc := units.Inf[units.PerSec](1)
 	if l.k.FLOPs > 0 {
@@ -620,27 +688,52 @@ func (g *GPU) soloRate(l *launch, meff units.SMs, ov float64) (rate units.PerSec
 	return units.Min(units.Min(rc, rb), rl), bwCap
 }
 
+// demand is one resident kernel's water-filling input.
+type demand struct {
+	l       *launch
+	nominal units.PerSec
+	bytes   units.BytesPerSec // bytes/s at nominal rate
+	volume  units.Bytes       // effective DRAM bytes per execution
+}
+
+// cmpDemandBytes orders demands by ascending bandwidth. The sort only
+// tests for a negative result, which cmp.Compare gives exactly when `<`
+// holds, so the permutation is the one a `<` less function produces.
+func cmpDemandBytes(a, b demand) int { return cmp.Compare(a.bytes, b.bytes) }
+
+// bwOccupancy returns the bandwidth-access factor of l's mask: access
+// scales with occupancy, the health-weighted SMs the kernel is resident on
+// (degraded SMs issue proportionally fewer memory requests), super-
+// linearly by Spec.BWScaleExp and capped at the full device.
+func (g *GPU) bwOccupancy(l *launch) float64 {
+	occ := g.maskHealth(l.mask)
+	if occ <= 0 {
+		occ = deadDrainSMs
+	}
+	occFrac := occ / float64(g.Spec.NumSMs)
+	return math.Min(1, math.Pow(occFrac, g.Spec.BWScaleExp))
+}
+
 // recompute re-derives every resident kernel's rate from the current mix
-// and reschedules completion events. Called after any membership change.
+// and reschedules completion events. Called after any membership or
+// health change.
+//
+//bullet:hotpath
 func (g *GPU) recompute() {
 	totalBW := g.Spec.PeakBW
 
-	type demand struct {
-		l       *launch
-		nominal units.PerSec
-		bytes   units.BytesPerSec // bytes/s at nominal rate
-		volume  units.Bytes       // effective DRAM bytes per execution
-	}
-	demands := make([]demand, 0, len(g.running))
+	demands := g.demands[:0]
 	for _, l := range g.running {
+		l.meff = g.effectiveSMs(l)
 		d := g.backend.Demand(g, l)
 		demands = append(demands, demand{l, d.Rate, d.BW, d.Volume})
 	}
+	g.demands = demands
 
 	// Max–min fair bandwidth allocation with per-kernel caps: kernels
 	// demanding less than an equal share keep their full rate; the rest
 	// split the remainder evenly, iterating as shares free up.
-	sort.Slice(demands, func(i, j int) bool { return demands[i].bytes < demands[j].bytes })
+	slices.SortFunc(demands, cmpDemandBytes)
 	remaining := totalBW
 	left := len(demands)
 	for idx, d := range demands {
@@ -655,13 +748,15 @@ func (g *GPU) recompute() {
 		demands[idx].l.rate = rate
 	}
 
-	// Reschedule completions.
+	// Reschedule completions. Moving the pending event in place takes the
+	// same next sequence number a fresh At would, so firing order is
+	// unchanged.
 	now := g.sim.Now()
 	instFlops, instBytes, busySMs := units.FLOPsPerSec(0), units.BytesPerSec(0), units.SMs(0)
 	for _, l := range g.running {
 		instFlops += l.k.FLOPs.AtRate(l.rate)
 		instBytes += l.k.Bytes.AtRate(l.rate)
-		busySMs += g.effectiveSMs(l)
+		busySMs += l.meff
 		var eta sim.Time
 		if l.rate <= 0 {
 			eta = units.Inf[units.Seconds](1)
@@ -671,19 +766,14 @@ func (g *GPU) recompute() {
 		if units.IsInf(eta, 1) {
 			panic(fmt.Sprintf("gpusim: kernel %q stalled with zero rate", l.k.Name))
 		}
-		l := l
-		if l.complete != nil {
-			g.sim.Cancel(l.complete)
+		if l.complete == nil {
+			// The launch's one allocation on this path: its completion
+			// handle (sim.At's suppressed &Event). Every later re-rate
+			// moves the same event.
+			l.complete = g.sim.At(eta, l.onFinish)
+		} else {
+			g.sim.Reschedule(l.complete, eta)
 		}
-		l.complete = g.sim.At(eta, func() { g.finish(l) })
-	}
-	if g.Sampler != nil {
-		g.Sampler(now, Utilization{
-			Compute:   units.Ratio(instFlops, g.Spec.PeakFLOPS),
-			Bandwidth: units.Ratio(instBytes, g.Spec.PeakBW),
-			BusySMs:   busySMs,
-			Resident:  len(g.running),
-		})
 	}
 	if g.TL != nil {
 		g.TL.Counter("gpu", "occupancy", now,
@@ -709,17 +799,15 @@ type Stats struct {
 // Stats returns accumulated counters up to the current simulation time.
 func (g *GPU) Stats() Stats {
 	g.advance()
-	cpF := make(map[string]units.FLOPs, len(g.tagFlops))
-	for k, v := range g.tagFlops {
-		cpF[k] = v
-	}
-	cpB := make(map[string]units.Bytes, len(g.tagBytes))
-	for k, v := range g.tagBytes {
-		cpB[k] = v
-	}
-	cpT := make(map[string]units.SMSeconds, len(g.tagTime))
-	for k, v := range g.tagTime {
-		cpT[k] = v
+	cpF := make(map[string]units.FLOPs, len(g.tags))
+	cpB := make(map[string]units.Bytes, len(g.tags))
+	cpT := make(map[string]units.SMSeconds, len(g.tags))
+	for tag, a := range g.tags {
+		if a.seen {
+			cpF[tag] = a.flops
+			cpB[tag] = a.bytes
+			cpT[tag] = a.smTime
+		}
 	}
 	return Stats{
 		FLOPs:       g.flopsDone,

@@ -3,11 +3,13 @@ package gpusim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 	"repro/internal/smmask"
+	"repro/internal/timeline"
 	"repro/internal/units"
 )
 
@@ -387,12 +389,8 @@ func TestPropertyBandwidthConserved(t *testing.T) {
 	f := func(seed int64) bool {
 		s := sim.New()
 		g := New(s, TestGPU())
-		maxBW := 0.0
-		g.Sampler = func(_ sim.Time, u Utilization) {
-			if u.Bandwidth > maxBW {
-				maxBW = u.Bandwidth
-			}
-		}
+		rec := timeline.New(0)
+		g.TL = rec
 		rng := rand.New(rand.NewSource(seed))
 		n := rng.Intn(6) + 2
 		for i := 0; i < n; i++ {
@@ -409,7 +407,7 @@ func TestPropertyBandwidthConserved(t *testing.T) {
 			}, nil)
 		}
 		s.RunAll(100000)
-		return maxBW <= 1.0+1e-9
+		return slices.Max(gpuCounter(rec, "throughput", "bandwidth")) <= 1.0+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -33,8 +33,7 @@ func (HierarchyBackend) Begin(*GPU, *launch) {}
 // cache-interference inflation and with DRAM traffic inflated by the
 // extra misses.
 func (HierarchyBackend) Demand(g *GPU, l *launch) KernelDemand {
-	meff := g.effectiveSMs(l)
-	nominal, _ := g.soloRate(l, meff, g.overlapFraction(l))
+	nominal, _ := g.soloRate(l, l.meff, g.overlapFraction(l))
 	infl := cacheInflation(g, l)
 	// Compute-bound kernels hide extra DRAM latency behind arithmetic:
 	// the slowdown is the inflation weighted by the kernel's memory-bound

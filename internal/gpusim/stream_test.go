@@ -1,35 +1,51 @@
 package gpusim
 
 import (
+	"slices"
 	"testing"
 
-	"repro/internal/sim"
 	"repro/internal/smmask"
-	"repro/internal/units"
+	"repro/internal/timeline"
 )
 
-func TestSamplerObservesConcurrency(t *testing.T) {
-	s, g := newTestGPU()
-	var maxResident int
-	var sawBusySMs units.SMs
-	g.Sampler = func(_ sim.Time, u Utilization) {
-		if u.Resident > maxResident {
-			maxResident = u.Resident
+// gpuCounter returns the value of arg key on every "gpu" lane counter
+// sample named name, in recording order.
+func gpuCounter(rec *timeline.Recorder, name, key string) []float64 {
+	var out []float64
+	for _, e := range rec.Events() {
+		if e.Kind != timeline.KindCounter || e.Lane != "gpu" || e.Name != name {
+			continue
 		}
-		if u.BusySMs > sawBusySMs {
-			sawBusySMs = u.BusySMs
+		for _, a := range e.Args {
+			switch {
+			case a.Key != key:
+			case a.Kind == timeline.ArgInt:
+				out = append(out, float64(a.I))
+			default:
+				out = append(out, a.F)
+			}
 		}
 	}
+	return out
+}
+
+// TestOccupancyCounterObservesConcurrency reads the per-re-rate occupancy
+// samples: two kernels on disjoint halves of the device are co-resident
+// and together occupy every SM.
+func TestOccupancyCounterObservesConcurrency(t *testing.T) {
+	s, g := newTestGPU()
+	rec := timeline.New(0)
+	g.TL = rec
 	a := g.NewStream(smmask.Range(0, 4))
 	b := g.NewStream(smmask.Range(4, 8))
 	g.Launch(a, Kernel{FLOPs: 1e11, Bytes: 1, Grid: 4}, nil)
 	g.Launch(b, Kernel{FLOPs: 1e11, Bytes: 1, Grid: 4}, nil)
 	s.RunAll(1000)
-	if maxResident != 2 {
-		t.Fatalf("max resident = %d, want 2", maxResident)
+	if got := slices.Max(gpuCounter(rec, "occupancy", "resident")); got != 2 {
+		t.Fatalf("max resident = %v, want 2", got)
 	}
-	if sawBusySMs != 8 {
-		t.Fatalf("busy SMs = %v, want 8", sawBusySMs)
+	if got := slices.Max(gpuCounter(rec, "occupancy", "busySMs")); got != 8 {
+		t.Fatalf("busy SMs = %v, want 8", got)
 	}
 }
 
