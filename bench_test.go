@@ -1,11 +1,13 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation. Each benchmark prints its table once (so `go test -bench=.`
-// output doubles as the reproduction report) and then measures the
+// evaluation and the extension studies. BenchmarkExperiments walks
+// experiments.Registry, one sub-benchmark per id; each prints its table
+// once, exactly as `bulletbench -exp <id>` does, so `go test -bench=.`
+// output doubles as the reproduction report, and then measures the
 // regeneration cost.
 //
 // Run `go test -bench=. -benchmem` for everything, or select one, e.g.
-// `go test -bench=Figure11 -benchtime=1x`. Under -short the end-to-end
-// sweeps shrink to their quick configurations.
+// `go test -bench=Experiments/fig11 -benchtime=1x`. Under -short each
+// experiment runs its `bulletbench -quick` parameters.
 package repro
 
 import (
@@ -25,135 +27,26 @@ func wallTimer() func() float64 {
 	return func() float64 { return time.Since(start).Seconds() }
 }
 
-// printOnce emits the rendered table on the first iteration only. It
-// deliberately does NOT reset the timer: the regeneration work dominates
-// the print by orders of magnitude, and resetting after a long first
-// iteration would make the framework scale b.N up on the heavy sweeps.
-func printOnce(b *testing.B, i int, render func() string) {
-	if i == 0 {
-		fmt.Println(render())
-	}
-}
-
-// BenchmarkTable1WaveQuantization regenerates Table 1: theoretical SM
-// idle ratios from wave quantization per operator and sequence length.
-func BenchmarkTable1WaveQuantization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1()
-		printOnce(b, i, func() string { return experiments.RenderTable1(rows) })
-	}
-}
-
-// BenchmarkFigure2PrefillBreakdown regenerates Fig. 2: per-operator
-// execution time and compute/bandwidth utilization of isolated prefill.
-func BenchmarkFigure2PrefillBreakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, sums := experiments.Figure2()
-		printOnce(b, i, func() string { return experiments.RenderFigure2(rows, sums) })
-	}
-}
-
-// BenchmarkFigure4ChunkedPrefill regenerates Fig. 4: per-chunk latency
-// and utilization of a 16k-token chunked prefill at 1k/2k budgets.
-func BenchmarkFigure4ChunkedPrefill(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4()
-		printOnce(b, i, func() string { return experiments.RenderFigure4(r) })
-	}
-}
-
-// BenchmarkFigure7PartialSMScaling regenerates Fig. 7: speedup of prefill
-// and decode phases on partial SM allocations.
-func BenchmarkFigure7PartialSMScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure7()
-		printOnce(b, i, func() string { return experiments.RenderFigure7(rows) })
-	}
-}
-
-// BenchmarkFigure10WorkloadCDF regenerates Fig. 10: the input/output
-// length distributions of the three workloads.
-func BenchmarkFigure10WorkloadCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure10(4000, 42)
-		printOnce(b, i, func() string { return experiments.RenderFigure10(rows) })
-	}
-}
-
-// BenchmarkFigure11EndToEnd regenerates Fig. 11: the full
-// latency/throughput/SLO comparison of Bullet against vLLM-1024,
-// SGLang-1024/2048 and NanoFlow across three workloads and rate sweeps.
-func BenchmarkFigure11EndToEnd(b *testing.B) {
-	cfg := experiments.DefaultE2EConfig()
-	if testing.Short() {
-		cfg = experiments.QuickE2EConfig()
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure11(cfg)
-		printOnce(b, i, func() string { return experiments.RenderFigure11(rows) })
-	}
-}
-
-// BenchmarkFigure12Timeline regenerates Fig. 12: Bullet's dynamic SM
-// provisioning timeline vs SGLang-2048's hybrid-batch budget occupancy on
-// a bursty Azure-Code trace.
-func BenchmarkFigure12Timeline(b *testing.B) {
-	n := 250
-	if testing.Short() {
-		n = 80
-	}
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure12(3.5, n, 42, 48)
-		printOnce(b, i, func() string { return experiments.RenderFigure12(r) })
-	}
-}
-
-// BenchmarkFigure13FixedSMSensitivity regenerates Fig. 13: fixed
-// prefill-SM quotas versus dynamic provisioning.
-func BenchmarkFigure13FixedSMSensitivity(b *testing.B) {
-	n := 250
-	if testing.Short() {
-		n = 80
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure13(workload.AzureCode, 5, n, 42)
-		printOnce(b, i, func() string { return experiments.RenderFigure13(rows) })
-	}
-}
-
-// BenchmarkFigure14Ablation regenerates Fig. 14: the Naive / w+Partition
-// / w+Scheduler / full component ablation.
-func BenchmarkFigure14Ablation(b *testing.B) {
-	n := 250
-	if testing.Short() {
-		n = 80
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Figure14(experiments.DefaultFigure14Rates(), n, 42)
-		printOnce(b, i, func() string { return experiments.RenderFigure14(rows) })
-	}
-}
-
-// BenchmarkFigure15EstimatorAccuracy regenerates Fig. 15: offline fit
-// quality and online SLO-compliance classification accuracy of the
-// performance estimator.
-func BenchmarkFigure15EstimatorAccuracy(b *testing.B) {
-	n := 200
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure15(n, 42)
-		printOnce(b, i, func() string { return experiments.RenderFigure15(r) })
-	}
-}
-
-// BenchmarkTable3Overheads regenerates Table 3: control-plane CPU
-// overheads (metadata, prediction, decision, re-configuration).
-func BenchmarkTable3Overheads(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(2000, wallTimer())
-		printOnce(b, i, func() string { return experiments.RenderTable3(rows) })
+// BenchmarkExperiments regenerates each registered experiment. The table
+// prints on the first iteration only, and the timer is deliberately not
+// reset after it: the regeneration work dominates the print by orders of
+// magnitude, and resetting after a long first iteration would make the
+// framework scale b.N up on the heavy sweeps.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.ID, func(b *testing.B) {
+			p := e.Full
+			if testing.Short() {
+				p = e.Quick
+			}
+			p.Clock = wallTimer()
+			for i := 0; i < b.N; i++ {
+				out := e.Run(p)
+				if i == 0 {
+					fmt.Printf("===== %s =====\n%s\n", e.ID, out)
+				}
+			}
+		})
 	}
 }
 
@@ -178,91 +71,14 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkExtensionKnobs sweeps Bullet's own design knobs (layer-group
-// size, SM granularity, metadata latency, estimator configuration,
-// arrival burstiness) — the ablation benches DESIGN.md calls out beyond
-// the paper's figures.
-func BenchmarkExtensionKnobs(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		lg := experiments.AblationLayerGroup(workload.AzureCode, 4, n, 42)
-		st := experiments.AblationSMStep(workload.AzureCode, 4, n, 42)
-		ml := experiments.AblationMetadataLatency(workload.AzureCode, 4, n, 42)
-		es := experiments.AblationEstimator(workload.AzureCode, 4, n, 42)
-		cv := experiments.AblationBurstiness(workload.AzureCode, 4, n, 42)
-		printOnce(b, i, func() string {
-			return experiments.RenderKnobRows("layer-group sweep", lg) + "\n" +
-				experiments.RenderKnobRows("SM-step sweep", st) + "\n" +
-				experiments.RenderKnobRows("metadata-latency sweep", ml) + "\n" +
-				experiments.RenderKnobRows("estimator sweep", es) + "\n" +
-				experiments.RenderKnobRows("burstiness sweep", cv)
-		})
-	}
-}
-
-// BenchmarkExtensionDisagg compares Bullet against DistServe-style
-// prefill/decode disaggregation (2 GPUs, NVLink/PCIe).
-func BenchmarkExtensionDisagg(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtDisagg(workload.AzureCode, []float64{3, 4, 5}, n, 42)
-		printOnce(b, i, func() string { return experiments.RenderExtDisagg(rows) })
-	}
-}
-
-// BenchmarkExtensionCrossDevice checks the orchestration generalizes from
-// the A100 profile to the H100 profile.
-func BenchmarkExtensionCrossDevice(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtCrossDevice(workload.ShareGPT, 12, n, 42)
-		printOnce(b, i, func() string { return experiments.RenderExtCrossDevice(rows) })
-	}
-}
-
-// BenchmarkExtensionPrefixCache studies RadixAttention-style shared-prefix
-// reuse (an extension beyond the paper).
-func BenchmarkExtensionPrefixCache(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtPrefixCache(workload.AzureCode, 4, n, 42, []float64{0, 0.5, 0.9})
-		printOnce(b, i, func() string { return experiments.RenderExtPrefixCache(rows) })
-	}
-}
-
-// BenchmarkExtensionCluster studies horizontal scale-out of Bullet
-// replicas behind a least-loaded router.
-func BenchmarkExtensionCluster(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtCluster(workload.AzureCode, 9, n, 42)
-		printOnce(b, i, func() string { return experiments.RenderExtCluster(rows) })
-	}
-}
-
 // BenchmarkClusterSweepParallelism pins the forkjoin speedup claim: the
 // replica sweep (cluster sizes 1/2/4) run serially (workers=1) versus
 // through the harness default (GOMAXPROCS-bounded workers). By the
-// concurrency contract the two produce byte-identical tables — the gate
-// in ci.sh diffs them — so the only thing allowed to differ is the
-// wall-clock this benchmark measures. Each sub-benchmark reports the
-// simulated-request completion rate; BENCH_cluster_sweep.json records a
-// measured run.
+// concurrency contract the two produce byte-identical tables — the
+// cluster row of cmd/bulletsim's TestGolden checks both widths — so the
+// only thing allowed to differ is the wall-clock this benchmark
+// measures. Each sub-benchmark reports the simulated-request completion
+// rate; BENCH_cluster_sweep.json records a measured run.
 func BenchmarkClusterSweepParallelism(b *testing.B) {
 	n := 150
 	if testing.Short() {
@@ -279,78 +95,4 @@ func BenchmarkClusterSweepParallelism(b *testing.B) {
 	}
 	b.Run("serial", run(1))
 	b.Run("parallel", run(0))
-}
-
-// BenchmarkExtensionTensorParallel studies Megatron tensor parallelism
-// under Bullet (sharded kernels + NVLink allreduces).
-func BenchmarkExtensionTensorParallel(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtTensorParallel(workload.AzureCode, 4, n, 42)
-		printOnce(b, i, func() string { return experiments.RenderExtTensorParallel(rows) })
-	}
-}
-
-// BenchmarkExtensionFaults studies resilience under injected SM
-// degradation: dynamic Bullet vs MuxServe-style static splits on one
-// shared trace and fault schedule.
-func BenchmarkExtensionFaults(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtFaults(workload.AzureCode, 4, n, 42,
-			[]float64{0, 0.1, 0.2}, experiments.FaultSystems)
-		printOnce(b, i, func() string { return experiments.RenderExtFaults(rows) })
-	}
-}
-
-// BenchmarkExtensionFidelity studies the latency-model sensitivity of
-// Algorithm 1: the analytic, sampled, and L2-hierarchy backends serve
-// one shared trace and the divergence of orchestration decisions and
-// estimator error are measured against the analytic reference.
-func BenchmarkExtensionFidelity(b *testing.B) {
-	n := 240
-	if testing.Short() {
-		n = 120
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtFidelity(workload.AzureCode, 5, n, 42)
-		crows := experiments.ExtFidelityCluster(workload.AzureCode, 8, n, 42, 0)
-		printOnce(b, i, func() string { return experiments.RenderExtFidelity(rows, crows) })
-	}
-}
-
-// BenchmarkExtensionPressure studies graceful degradation under KV
-// memory pressure: the admission gate and decode preemption subsystem
-// vs the no-preemption baseline across an overload sweep with injected
-// KV-capacity shrinks.
-func BenchmarkExtensionPressure(b *testing.B) {
-	n := 200
-	if testing.Short() {
-		n = 80
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtPressure(workload.AzureCode, []float64{4, 8, 12}, n, 42, true)
-		printOnce(b, i, func() string { return experiments.RenderExtPressure(rows) })
-	}
-}
-
-// BenchmarkExtensionChaos studies router-tier resilience under a
-// correlated link-failure storm: circuit breakers, dispatch timeouts,
-// hedged re-dispatch, and per-class token buckets vs the naive router
-// over the same bit-identical chaos schedule.
-func BenchmarkExtensionChaos(b *testing.B) {
-	n := 240
-	if testing.Short() {
-		n = 120
-	}
-	for i := 0; i < b.N; i++ {
-		rows := experiments.ExtChaos(workload.AzureCode, 10, n, 7, 0)
-		printOnce(b, i, func() string { return experiments.RenderExtChaos(rows) })
-	}
 }

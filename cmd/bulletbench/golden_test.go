@@ -6,23 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
-// quickGoldenExps is every experiment the quick-suite golden covers: the
-// full -quick sweep minus table3 (wall-clock microbenchmarks, inherently
-// nondeterministic) and minus ext-fidelity and ext-chaos (added after
-// the golden was captured; their determinism is pinned by
-// TestExtFidelityDeterminism and TestExtChaosDeterminism, and ext-chaos
-// additionally by cmd/bulletsim's TestGoldenChaos).
-const quickGoldenExps = "table1,fig2,fig4,fig7,fig10,fig11,fig12,fig13,fig14,fig15," +
-	"ext-knobs,ext-disagg,ext-device,ext-prefix,ext-cluster,ext-knee,ext-tp,ext-faults,ext-pressure"
-
-// TestGoldenQuickSuite pins the deterministic portion of the -quick
-// suite byte for byte against a capture recorded before the
-// latency-backend refactor (DESIGN.md §15): the analytic backend
-// extraction must not move a single byte of any table. Skipped under
-// the race detector — the suite is pure rendering of already-raced
-// experiment code and costs minutes there.
+// TestGoldenQuickSuite pins the -quick suite byte for byte: every
+// registered experiment except table3, whose output is wall-clock time.
+// Skipped under the race detector — the suite is pure rendering of
+// already-raced experiment code and costs minutes there.
 func TestGoldenQuickSuite(t *testing.T) {
 	if raceEnabled {
 		t.Skip("quick-suite golden skipped under -race (covered by the plain test pass)")
@@ -34,8 +25,14 @@ func TestGoldenQuickSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ids []string
+	for _, id := range experiments.IDs() {
+		if id != "table3" {
+			ids = append(ids, id)
+		}
+	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-quick", "-exp", quickGoldenExps}, &out, &errb); code != 0 {
+	if code := run([]string{"-quick", "-exp", strings.Join(ids, ",")}, &out, &errb); code != 0 {
 		t.Fatalf("quick suite exit %d\nstderr: %s", code, errb.String())
 	}
 	if !bytes.Equal(out.Bytes(), want) {

@@ -14,10 +14,8 @@
 //	go run ./cmd/bulletlint -json ./...      # one JSON object per finding
 //	go run ./cmd/bulletlint -rules maporder,unitsafe ./...  # run a subset
 //
-// -rules selects a comma-separated subset of the suite. Retired rule
-// names (nogoroutine) are accepted as aliases for their successors
-// (harnessonly) with a deprecation notice on stderr; unknown names are a
-// usage error (exit 2).
+// -rules selects a comma-separated subset of the suite; unknown names
+// are a usage error (exit 2).
 //
 // With -json each finding is one object per line — {"file", "line",
 // "rule", "message", "suppressed"} — and findings silenced by
@@ -60,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzer rules and exit")
 	jsonOut := fs.Bool("json", false, "print one JSON object per finding (suppressed findings included)")
-	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all; retired names are accepted as aliases)")
+	rules := fs.String("rules", "", "comma-separated subset of rules to run (default: all)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: bulletlint [-list] [-json] [-rules r1,r2] [packages]\n")
 		fs.PrintDefaults()
@@ -71,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	analyzers := lint.DefaultAnalyzers()
 	if *rules != "" {
-		selected, err := selectRules(analyzers, *rules, stderr)
+		selected, err := selectRules(analyzers, *rules)
 		if err != nil {
 			return fatal(stderr, err)
 		}
@@ -139,10 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // selectRules resolves a comma-separated rule selection against the
-// suite, preserving suite order, deduplicating, and canonicalizing
-// retired aliases (with a deprecation notice on stderr). Unknown names
-// are an error.
-func selectRules(all []lint.Analyzer, spec string, stderr io.Writer) ([]lint.Analyzer, error) {
+// suite, preserving suite order and deduplicating. Unknown names are an
+// error.
+func selectRules(all []lint.Analyzer, spec string) ([]lint.Analyzer, error) {
 	byName := map[string]lint.Analyzer{}
 	for _, a := range all {
 		byName[a.Name()] = a
@@ -152,10 +149,6 @@ func selectRules(all []lint.Analyzer, spec string, stderr io.Writer) ([]lint.Ana
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
-		}
-		if canon, ok := lint.RuleAliases[name]; ok {
-			fmt.Fprintf(stderr, "bulletlint: rule %q is deprecated; running its successor %q\n", name, canon)
-			name = canon
 		}
 		if _, ok := byName[name]; !ok {
 			return nil, fmt.Errorf("unknown rule %q (see -list)", name)

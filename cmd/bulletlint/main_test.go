@@ -140,9 +140,8 @@ func TestRunUsageAndLoadErrorsExitTwo(t *testing.T) {
 }
 
 // TestRulesSelection covers the -rules flag: subset selection changes
-// which findings fire, the retired nogoroutine name is accepted as an
-// alias for harnessonly with a deprecation notice, and unknown names are
-// a usage error.
+// which findings fire, and unknown names — including the retired
+// nogoroutine rule — are a usage error.
 func TestRulesSelection(t *testing.T) {
 	chdir(t, dirtyModule(t))
 
@@ -165,23 +164,15 @@ func TestRulesSelection(t *testing.T) {
 
 	out.Reset()
 	errb.Reset()
-	if code := run([]string{"-rules", "nogoroutine", "-list"}, &out, &errb); code != 0 {
-		t.Fatalf("-rules nogoroutine -list: exit %d, want 0\nstderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "deprecated") {
-		t.Errorf("alias produced no deprecation notice on stderr: %q", errb.String())
-	}
-	if !strings.Contains(out.String(), "harnessonly") {
-		t.Errorf("alias did not resolve to harnessonly:\n%s", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-rules", "nosuchrule"}, &out, &errb); code != 2 {
-		t.Fatalf("-rules nosuchrule: exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "unknown rule") {
-		t.Errorf("stderr = %q, want unknown-rule error", errb.String())
+	for _, name := range []string{"nogoroutine", "nosuchrule"} {
+		out.Reset()
+		errb.Reset()
+		if code := run([]string{"-rules", name}, &out, &errb); code != 2 {
+			t.Fatalf("-rules %s: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errb.String(), "unknown rule") {
+			t.Errorf("-rules %s: stderr = %q, want unknown-rule error", name, errb.String())
+		}
 	}
 }
 

@@ -6,12 +6,10 @@
 //	bulletsim -system bullet -dataset azure-code -rate 5 -n 300 -seed 42
 //	bulletsim -system sglang-1024 -dataset sharegpt -rate 16 -json
 //	bulletsim -system bullet -backend sampled       # pluggable latency model
-//	bulletsim -system bullet -trace out.trace.json   # chrome://tracing file
 //	bulletsim -system bullet -trace-out out.json     # deterministic timeline trace
 //	bulletsim -system bullet -faults -fault-rate 0.1 -fault-seed 7
-//	bulletsim -pressure -dataset azure-code -rate 4 -n 200
-//	bulletsim -qos -dataset azure-code -rate 4 -n 200
-//	bulletsim -chaos -dataset azure-code -rate 10 -n 120
+//	bulletsim -exp ext-pressure -dataset azure-code -rate 4 -n 200
+//	bulletsim -exp ext-chaos -dataset azure-code -rate 10 -n 120 -workers 4
 //	bulletsim -list
 //
 // With -backend the Bullet variant runs on a non-default per-kernel
@@ -26,29 +24,12 @@
 // injected into the run and the resilience accounting is printed
 // alongside the summary. Only Bullet variants support fault injection.
 //
-// With -pressure the memory-pressure overload sweep runs instead of a
-// single experiment: offered load at -rate, 2×, and 3×, with a shared
-// KV-capacity-shrink fault schedule per rate, comparing plain Bullet,
-// the admission-gate ablation, and the full pressure subsystem
-// (admission control + decode preemption + recompute/retransfer
-// recovery). Output is byte-identical across runs of the same flags.
-//
-// With -qos the multi-tenant QoS overload sweep runs: a mixed
-// premium/standard/best-effort trace at -rate, 2×, and 3×, comparing
-// static-batch Bullet against the SLO-feedback QoS controller
-// (internal/qos), plus a 2-replica cluster arm at the top rate whose
-// table is byte-identical serial vs parallel. Output is byte-identical
-// across runs of the same flags.
-//
-// With -chaos the router-resilience storm study runs: a seeded Markov
-// calm/storm process generates a correlated link-failure schedule
-// (black-holed and degraded replica links, router blips, graceful
-// drains, rack-style cascades) over a 4-replica cluster, and the same
-// storm replays twice — once with the naive router and once with the
-// resilience layer (circuit breakers, dispatch timeouts, hedged
-// re-dispatch, per-class token buckets; DESIGN.md §16). Output is
-// byte-identical across runs of the same flags and at every -workers
-// value.
+// With -exp any registered experiment (the ids bulletbench -list prints)
+// runs instead of a single serving run, parameterized by -dataset, -rate,
+// -n, -seed and -workers; rate sweeps such as ext-pressure and ext-qos
+// cover -rate, 2× and 3×. Output is byte-identical across runs of the
+// same flags and at every -workers value (except table3, which times
+// the host).
 package main
 
 import (
@@ -57,8 +38,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
+	"time"
 
 	"repro/bullet"
 	"repro/internal/core"
@@ -67,7 +48,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/serving"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -82,27 +62,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bulletsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		system     = fs.String("system", "bullet", "serving system (see -list)")
-		dataset    = fs.String("dataset", "sharegpt", "workload dataset")
-		rate       = fs.Float64("rate", 8, "offered load in requests/second")
-		n          = fs.Int("n", 300, "number of requests")
-		seed       = fs.Int64("seed", 42, "trace random seed")
-		backend    = fs.String("backend", "", "per-kernel latency backend: analytic, sampled or hierarchy (Bullet systems only)")
-		bkSeed     = fs.Int64("backend-seed", 1, "sampled-backend draw seed")
-		asJSON     = fs.Bool("json", false, "emit the full result as JSON")
-		traceFile  = fs.String("trace", "", "write a Chrome trace-event file (Bullet systems only)")
-		traceOut   = fs.String("trace-out", "", "write a deterministic timeline trace (Perfetto-loadable Chrome JSON)")
-		withFault  = fs.Bool("faults", false, "inject a deterministic fault schedule (Bullet systems only)")
-		faultRate  = fs.Float64("fault-rate", 0.1, "SM-degradation and engine-stall rates, events/s of virtual time")
-		faultSeed  = fs.Int64("fault-seed", 1, "fault schedule random seed")
-		pressSweep = fs.Bool("pressure", false, "run the memory-pressure overload sweep (rate, 2x, 3x) and print the ext-pressure table")
-		qosSweep   = fs.Bool("qos", false, "run the multi-tenant QoS overload sweep (rate, 2x, 3x) and print the ext-qos tables")
-		chaosRun   = fs.Bool("chaos", false, "run the router-resilience storm study (naive vs resilient router) and print the ext-chaos table")
-		clSweep    = fs.Bool("cluster-sweep", false, "run the 1/2/4-replica scale-out sweep through the fork/join harness and print the ext-cluster table")
-		workers    = fs.Int("workers", 0, "fork/join width for -cluster-sweep (0 = GOMAXPROCS default, 1 = serial)")
-		list       = fs.Bool("list", false, "list systems and datasets, then exit")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
+		system    = fs.String("system", "bullet", "serving system (see -list)")
+		dataset   = fs.String("dataset", "sharegpt", "workload dataset")
+		rate      = fs.Float64("rate", 8, "offered load in requests/second")
+		n         = fs.Int("n", 300, "number of requests")
+		seed      = fs.Int64("seed", 42, "trace random seed")
+		backend   = fs.String("backend", "", "per-kernel latency backend: analytic, sampled or hierarchy (Bullet systems only)")
+		bkSeed    = fs.Int64("backend-seed", 1, "sampled-backend draw seed")
+		asJSON    = fs.Bool("json", false, "emit the full result as JSON")
+		traceOut  = fs.String("trace-out", "", "write a deterministic timeline trace (Perfetto-loadable Chrome JSON)")
+		withFault = fs.Bool("faults", false, "inject a deterministic fault schedule (Bullet systems only)")
+		faultRate = fs.Float64("fault-rate", 0.1, "SM-degradation and engine-stall rates, events/s of virtual time")
+		faultSeed = fs.Int64("fault-seed", 1, "fault schedule random seed")
+		exp       = fs.String("exp", "", "run a registered experiment instead of one serving run (see -list)")
+		workers   = fs.Int("workers", 0, "fork/join width of -exp cluster arms (0 = GOMAXPROCS default, 1 = serial)")
+		list      = fs.Bool("list", false, "list systems, datasets and experiments, then exit")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf   = fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -132,6 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "datasets:", strings.Join(bullet.Datasets(), ", "))
 		fmt.Fprintln(stdout, "models:  ", strings.Join(bullet.Models(), ", "))
 		fmt.Fprintln(stdout, "backends: analytic, sampled, hierarchy (Bullet systems only)")
+		fmt.Fprintln(stdout, "experiments:", strings.Join(experiments.IDs(), ", "))
 		return 0
 	}
 
@@ -142,36 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *traceFile != "" {
-		if err := runTraced(*system, *dataset, *rate, *n, *seed, *traceFile, stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *pressSweep {
-		if err := runPressure(*dataset, *rate, *n, *seed, stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *qosSweep {
-		if err := runQoS(*dataset, *rate, *n, *seed, *workers, stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *chaosRun {
-		if err := runChaos(*dataset, *rate, *n, *seed, *workers, stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *clSweep {
-		if err := runClusterSweep(*dataset, *rate, *n, *seed, *workers, stdout); err != nil {
+	if *exp != "" {
+		if err := runExperiment(*exp, *dataset, *rate, *n, *seed, *workers, stdout); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -279,66 +228,21 @@ func runFaulty(system, dataset string, rate float64, n int, seed int64, faultRat
 	return nil
 }
 
-// runPressure sweeps offered load from -rate to 3× past it with the
-// ext-pressure study: a shared trace and a shared KV-capacity-shrink
-// fault schedule per rate, contrasting plain Bullet (no preemption),
-// the admission-gate-only ablation, and the full memory-pressure
-// subsystem. The output is deterministic: the same flags always print
-// byte-identical tables.
-func runPressure(dataset string, rate float64, n int, seed int64, stdout io.Writer) error {
+// runExperiment runs a registered experiment with its parameters taken
+// from the command line and prints its rendered tables.
+func runExperiment(id, dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
+	e, ok := experiments.Lookup(id)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(experiments.IDs(), ", "))
+	}
 	d, err := workload.ByName(dataset)
 	if err != nil {
 		return err
 	}
-	rates := []float64{rate, 2 * rate, 3 * rate}
-	rows := experiments.ExtPressure(d, rates, n, seed, true)
-	fmt.Fprint(stdout, experiments.RenderExtPressure(rows))
-	return nil
-}
-
-// runQoS sweeps a mixed-tenant workload from -rate to 3× past it with
-// the ext-qos study (static batching vs the SLO-feedback controller,
-// per-tenant rows), then runs the 2-replica cluster arm at the top rate.
-// The output is deterministic: the same flags always print byte-identical
-// tables, and the cluster arm is byte-identical at every -workers value.
-func runQoS(dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	rates := []float64{rate, 2 * rate, 3 * rate}
-	rows := experiments.ExtQoS(d, rates, n, seed, workload.DefaultTenantMix())
-	fmt.Fprint(stdout, experiments.RenderExtQoS(rows))
-	cl := experiments.ExtQoSCluster(d, 3*rate, n, seed, workers)
-	fmt.Fprint(stdout, experiments.RenderExtQoSCluster(cl))
-	return nil
-}
-
-// runChaos replays the same correlated link-failure storm over a
-// 4-replica cluster twice — naive router vs the router-resilience
-// layer — and prints the ext-chaos table. Deterministic: the same
-// flags print byte-identical tables at every -workers value.
-func runChaos(dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	rows := experiments.ExtChaos(d, rate, n, seed, workers)
-	fmt.Fprint(stdout, experiments.RenderExtChaos(rows))
-	return nil
-}
-
-// runClusterSweep runs the 1/2/4-replica scale-out study through the
-// forkjoin harness. By the concurrency contract the table is
-// byte-identical at every -workers value and every GOMAXPROCS — the
-// equivalence ci.sh pins by diffing a serial run against a parallel one.
-func runClusterSweep(dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	rows := experiments.ExtClusterN(d, rate, n, seed, workers)
-	fmt.Fprint(stdout, experiments.RenderExtCluster(rows))
+	fmt.Fprint(stdout, e.Run(experiments.Params{
+		Dataset: d, Rate: rate, N: n, Seed: seed, Workers: workers,
+		Clock: func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
+	}))
 	return nil
 }
 
@@ -365,55 +269,5 @@ func runTimeline(system, dataset string, rate float64, n int, seed int64, path s
 		res.System, res.Summary.Requests, res.Makespan.Float())
 	fmt.Fprint(stdout, rec.Summary())
 	fmt.Fprintf(stdout, "wrote %s (open at ui.perfetto.dev)\n", path)
-	return nil
-}
-
-// runTraced executes the run with full kernel/decision tracing and writes
-// a Chrome trace-event file viewable at chrome://tracing or Perfetto.
-func runTraced(system, dataset string, rate float64, n int, seed int64, path string, stdout io.Writer) error {
-	spec, cfg := experiments.Platform()
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	env := serving.NewEnv(spec, cfg, dataset)
-
-	var rec trace.Recorder
-	rec.MaxEvents = 2_000_000
-	env.GPU.Trace = rec.KernelHook()
-
-	sys := experiments.NewSystem(system, env)
-	if b, ok := sys.(*core.Bullet); ok {
-		hook := rec.DecisionHook()
-		b.Prefill.OnDecision = hook
-		b.Decode.OnDecision = hook
-	}
-	env.OnComplete = func(m metrics.Request) {
-		rec.AddRequest(m.ID, m.Arrival, m.FirstToken, m.Finish, m.InputTokens, m.OutputTokens)
-	}
-	res := env.Run(sys, workload.Generate(d, rate, n, seed))
-
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChromeTrace(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "system %s: %d requests, %.1fs makespan\n", res.System, res.Summary.Requests, res.Makespan)
-	sum := rec.Summary()
-	lanes := make([]string, 0, len(sum))
-	for lane := range sum {
-		lanes = append(lanes, lane)
-	}
-	sort.Strings(lanes)
-	for _, lane := range lanes {
-		fmt.Fprintf(stdout, "  lane %-10s %s\n", lane, sum[lane])
-	}
-	if rec.Dropped > 0 {
-		fmt.Fprintf(stdout, "  (%d events dropped past the %d-event cap)\n", rec.Dropped, rec.MaxEvents)
-	}
-	fmt.Fprintf(stdout, "wrote %s (open at chrome://tracing)\n", path)
 	return nil
 }

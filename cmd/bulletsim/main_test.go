@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -30,28 +31,36 @@ func goldenRun(t *testing.T, args []string, golden string) {
 	}
 }
 
-func TestGoldenDefault(t *testing.T) {
-	goldenRun(t, nil, "default.golden")
+// goldens are the checked-in captures of run(). Rows marked parallel
+// also run at -workers 4 under GOMAXPROCS(4) and must match the same
+// file: the serial ≡ parallel contract (DESIGN.md §11), which the -race
+// test pass then checks under the race detector too.
+var goldens = []struct {
+	name     string
+	args     []string
+	parallel bool
+}{
+	{"default", nil, false},
+	{"pressure", []string{"-exp", "ext-pressure", "-dataset", "azure-code", "-rate", "4", "-n", "60", "-seed", "11"}, false},
+	{"qos", []string{"-exp", "ext-qos", "-dataset", "azure-code", "-rate", "10", "-n", "120", "-seed", "11", "-workers", "1"}, true},
+	{"chaos", []string{"-exp", "ext-chaos", "-dataset", "azure-code", "-rate", "10", "-n", "120", "-seed", "7", "-workers", "1"}, true},
+	{"cluster", []string{"-exp", "ext-cluster", "-workers", "1", "-dataset", "azure-code", "-rate", "8", "-n", "80", "-seed", "7"}, true},
 }
 
-func TestGoldenPressure(t *testing.T) {
-	goldenRun(t, []string{"-pressure", "-dataset", "azure-code", "-rate", "4", "-n", "60", "-seed", "11"},
-		"pressure.golden")
-}
-
-func TestGoldenQoS(t *testing.T) {
-	goldenRun(t, []string{"-qos", "-dataset", "azure-code", "-rate", "10", "-n", "120", "-seed", "11", "-workers", "1"},
-		"qos.golden")
-}
-
-func TestGoldenChaos(t *testing.T) {
-	goldenRun(t, []string{"-chaos", "-dataset", "azure-code", "-rate", "10", "-n", "120", "-seed", "7", "-workers", "1"},
-		"chaos.golden")
-}
-
-func TestGoldenClusterSweep(t *testing.T) {
-	goldenRun(t, []string{"-cluster-sweep", "-workers", "1", "-dataset", "azure-code", "-rate", "8", "-n", "80", "-seed", "7"},
-		"cluster.golden")
+func TestGolden(t *testing.T) {
+	for _, g := range goldens {
+		t.Run(g.name, func(t *testing.T) {
+			goldenRun(t, g.args, g.name+".golden")
+		})
+		if !g.parallel {
+			continue
+		}
+		t.Run(g.name+"-workers4", func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			// A repeated flag overrides the earlier -workers 1.
+			goldenRun(t, append(g.args[:len(g.args):len(g.args)], "-workers", "4"), g.name+".golden")
+		})
+	}
 }
 
 // TestGoldenQuickstart pins the README's quickstart example — the first
@@ -90,6 +99,16 @@ func TestBackendSampledReplay(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "bullet+sampled") {
 		t.Errorf("sampled run did not report the sampled system name:\n%s", a.String())
+	}
+}
+
+func TestUnknownExperimentFails(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-exp", "no-such-id"}, &out, &errb); code != 1 {
+		t.Fatalf("unknown experiment exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), `unknown experiment "no-such-id"`) || !strings.Contains(errb.String(), "ext-qos") {
+		t.Errorf("stderr = %q, want the unknown id and the valid ids", errb.String())
 	}
 }
 

@@ -6,7 +6,6 @@
 //
 //	GET  /v1/systems            list runnable systems
 //	GET  /v1/datasets           list workload generators
-//	GET  /v1/experiments        list regenerable paper experiments
 //	POST /v1/run                run one experiment {system,dataset,rate,n,seed}
 //	POST /v1/compare            run several systems on one trace
 //	GET  /healthz               liveness

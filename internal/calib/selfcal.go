@@ -10,7 +10,7 @@ import (
 	"repro/internal/units"
 )
 
-// calibTag marks measured kernels so interferer records are skipped.
+// calibTag marks the measured kernels.
 const calibTag = "calib"
 
 // SelfCalOptions scales the self-calibration sweep.
@@ -115,16 +115,10 @@ func measure(spec gpusim.Spec, ks []gpusim.Kernel, m smmask.Mask, interferer *gp
 		g.Launch(bg, *interferer, nil)
 	}
 	st := g.NewStream(m)
-	next := 0
-	g.Trace = func(r gpusim.KernelRecord) {
-		if r.Tag != calibTag {
-			return
-		}
-		dst = append(dst, Row{Op: r.Name, Tokens: ks[next].Tokens, Latency: r.Duration()})
-		next++
-	}
 	for _, k := range ks {
-		g.Launch(st, k, nil)
+		g.Launch(st, k, func(r gpusim.KernelRecord) {
+			dst = append(dst, Row{Op: r.Name, Tokens: k.Tokens, Latency: r.Duration()})
+		})
 	}
 	s.RunAll(1 << 20)
 	return dst

@@ -16,7 +16,7 @@ import (
 // nondeterministically shows up here as a diff.
 //
 // It runs cleanly under -race as well: the simulation core is
-// single-threaded by contract (the nogoroutine lint rule), so there is
+// single-threaded by contract (the harnessonly lint rule), so there is
 // nothing to race.
 func TestSchedulerDoubleRunDeterminism(t *testing.T) {
 	for _, sys := range []string{"bullet", "bullet-naive", "sglang-1024"} {

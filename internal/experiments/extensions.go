@@ -295,19 +295,14 @@ type ClusterRow struct {
 	SLOAttainment float64
 }
 
-// ExtCluster scales Bullet horizontally: 1, 2 and 4 replicas behind a
-// least-loaded router at a rate that saturates a single GPU. Rows run
-// through the forkjoin harness at the default width.
-func ExtCluster(d workload.Dataset, rate float64, n int, seed int64) []ClusterRow {
-	return ExtClusterN(d, rate, n, seed, 0)
-}
-
-// ExtClusterN is ExtCluster with an explicit fork/join width: the outer
-// width bounds how many sweep rows run concurrently, and each row's
-// cluster advances its replicas serially (one nested level of
-// parallelism is enough; rows outnumber spare cores). workers == 1
-// reproduces the fully serial sweep byte for byte — the equivalence
-// ci.sh pins via the bulletsim -cluster-sweep gate.
+// ExtClusterN scales Bullet horizontally: 1, 2 and 4 replicas behind a
+// least-loaded router at a rate that saturates a single GPU. The
+// fork/join width bounds how many sweep rows run concurrently (0 selects
+// the GOMAXPROCS default), and each row's cluster advances its replicas
+// serially (one nested level of parallelism is enough; rows outnumber
+// spare cores). workers == 1 reproduces the fully serial sweep byte for
+// byte — the equivalence cmd/bulletsim's cluster golden pins at 1 and 4
+// workers.
 func ExtClusterN(d workload.Dataset, rate float64, n int, seed int64, workers int) []ClusterRow {
 	spec, cfg := Platform()
 	// Profile once before forking so the rows share the memoized fit

@@ -162,7 +162,7 @@ func TestPrefixCacheDeterminism(t *testing.T) {
 }
 
 func TestExtCluster(t *testing.T) {
-	rows := ExtCluster(workload.AzureCode, 9, 60, 10)
+	rows := ExtClusterN(workload.AzureCode, 9, 60, 10, 0)
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -43,7 +43,7 @@ func Figure2() ([]Figure2Row, []Figure2Summary) {
 		}
 		perOp := map[string]agg{}
 		var order []string
-		g.Trace = func(r gpusim.KernelRecord) {
+		record := func(r gpusim.KernelRecord) {
 			op := opGroup(r.Name)
 			a, seen := perOp[op]
 			if !seen {
@@ -56,7 +56,7 @@ func Figure2() ([]Figure2Row, []Figure2Summary) {
 		}
 		st := g.NewStream(smmask.Full(spec.NumSMs))
 		for _, k := range cfg.PrefillLayerKernels(seq, 0, "prefill") {
-			g.Launch(st, k, nil)
+			g.Launch(st, k, record)
 		}
 		var layerTime sim.Time
 		g.Synchronize(st, func() { layerTime = s.Now() })

@@ -123,12 +123,12 @@ func runSampledScenario(seed int64) []KernelRecord {
 	g := New(s, TestGPU())
 	g.SetBackend(NewSampledBackend(testTable(), seed))
 	var recs []KernelRecord
-	g.Trace = func(r KernelRecord) { recs = append(recs, r) }
+	record := func(r KernelRecord) { recs = append(recs, r) }
 	a := g.NewStream(g.FullMask())
 	b := g.NewStream(g.FullMask().Prefix(4))
 	for i := 0; i < 6; i++ {
-		g.Launch(a, Kernel{Name: "gemm", FLOPs: 1e9, Bytes: 1e6, Grid: 8, Tokens: 64 << i}, nil)
-		g.Launch(b, Kernel{Name: "copy", Bytes: 1e7, Tokens: 128}, nil)
+		g.Launch(a, Kernel{Name: "gemm", FLOPs: 1e9, Bytes: 1e6, Grid: 8, Tokens: 64 << i}, record)
+		g.Launch(b, Kernel{Name: "copy", Bytes: 1e7, Tokens: 128}, record)
 	}
 	s.RunAll(10000)
 	return recs
@@ -184,12 +184,12 @@ func TestHierarchyIdentityWithoutL2(t *testing.T) {
 		g := New(s, spec)
 		g.SetBackend(backend)
 		var recs []KernelRecord
-		g.Trace = func(r KernelRecord) { recs = append(recs, r) }
+		record := func(r KernelRecord) { recs = append(recs, r) }
 		a := g.NewStream(g.FullMask())
 		b := g.NewStream(g.FullMask().Prefix(4))
 		for i := 0; i < 4; i++ {
-			g.Launch(a, Kernel{Name: "gemm", FLOPs: 1e9, Bytes: 2e6, Grid: 8}, nil)
-			g.Launch(b, Kernel{Name: "copy", Bytes: 1e7}, nil)
+			g.Launch(a, Kernel{Name: "gemm", FLOPs: 1e9, Bytes: 2e6, Grid: 8}, record)
+			g.Launch(b, Kernel{Name: "copy", Bytes: 1e7}, record)
 		}
 		s.RunAll(10000)
 		return recs

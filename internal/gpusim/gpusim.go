@@ -199,9 +199,6 @@ type GPU struct {
 	anyBusyTime sim.Time        // wall time with ≥1 resident kernel
 	tags        map[string]*tagAcct
 
-	// Trace receives a record per completed kernel when non-nil.
-	Trace func(KernelRecord)
-
 	// TL, when non-nil, records per-kernel spans (one lane per stream)
 	// and occupancy/throughput counter samples on the shared timeline.
 	TL *timeline.Recorder
@@ -499,9 +496,6 @@ func (g *GPU) finish(l *launch) {
 		Bytes:    l.k.Bytes,
 		Grid:     l.k.Grid,
 		WaveIdle: WaveIdleRatio(l.k.Grid, l.maskCount),
-	}
-	if g.Trace != nil {
-		g.Trace(rec)
 	}
 	if g.TL != nil {
 		g.emitKernelSpan(st, l, rec)

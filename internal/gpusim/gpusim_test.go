@@ -354,10 +354,10 @@ func TestUtilizationAccounting(t *testing.T) {
 func TestTraceRecords(t *testing.T) {
 	s, g := newTestGPU()
 	var recs []KernelRecord
-	g.Trace = func(r KernelRecord) { recs = append(recs, r) }
+	record := func(r KernelRecord) { recs = append(recs, r) }
 	st := g.NewStream(g.FullMask())
-	g.Launch(st, Kernel{Name: "x", FLOPs: 1e12, Bytes: 1, Grid: 8}, nil)
-	g.Launch(st, Kernel{Name: "y", Bytes: 1e11}, nil)
+	g.Launch(st, Kernel{Name: "x", FLOPs: 1e12, Bytes: 1, Grid: 8}, record)
+	g.Launch(st, Kernel{Name: "y", Bytes: 1e11}, record)
 	s.RunAll(1000)
 	if len(recs) != 2 || recs[0].Name != "x" || recs[1].Name != "y" {
 		t.Fatalf("trace = %+v", recs)

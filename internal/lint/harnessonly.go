@@ -18,10 +18,8 @@ import (
 // interleaving leak into results and destroy the bit-reproducibility the
 // experiments rely on.
 //
-// The rule supersedes the retired core-only "nogoroutine" rule; that
-// name still works as a deprecated alias in ignore directives and rule
-// selections. cmd/ mains and examples/ stay out of scope — they talk to
-// the real world by design.
+// cmd/ mains and examples/ stay out of scope — they talk to the real
+// world by design.
 type HarnessOnly struct{}
 
 func (HarnessOnly) Name() string { return "harnessonly" }

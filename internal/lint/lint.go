@@ -14,9 +14,7 @@
 //     iteration is banned outright
 //   - maporder:    no map iteration whose order can leak into results
 //   - harnessonly: goroutines, channels, select, and sync are permitted
-//     only inside the audited internal/forkjoin harness (supersedes the
-//     retired core-only "nogoroutine" rule, whose name survives as an
-//     alias in directives and rule selections)
+//     only inside the audited internal/forkjoin harness
 //   - replicaisolation: forkjoin task bodies own only state they created
 //     and their root[i] task-index slot; writes to captured or
 //     package-level state are findings
@@ -105,8 +103,7 @@ func (p *Package) InInternal() bool {
 }
 
 // corePackages is the deterministic simulation core: DESIGN.md specifies
-// these as a single-threaded actor model driven solely by sim events, so
-// the nogoroutine rule bans all concurrency constructs inside them.
+// these as a single-threaded actor model driven solely by sim events.
 var corePackages = map[string]bool{
 	"internal/sim":        true,
 	"internal/gpusim":     true,
@@ -166,15 +163,6 @@ func DefaultAnalyzers() []Analyzer {
 // walk) use to see callee bodies in other packages.
 type ModuleAware interface {
 	SetModule(pkgs []*Package)
-}
-
-// RuleAliases maps retired rule names to their successors. Directives
-// and rule selections written against the old name keep working: an
-// alias suppresses (or selects) its successor's findings.
-var RuleAliases = map[string]string{
-	// nogoroutine banned concurrency in the simulation core only; it was
-	// subsumed by the module-wide harnessonly contract.
-	"nogoroutine": "harnessonly",
 }
 
 // Run applies every analyzer to every package, drops findings suppressed
@@ -280,9 +268,6 @@ func collectIgnores(p *Package) (ignoreSet, []Finding) {
 				}
 				for _, r := range strings.Split(fields[0], ",") {
 					rules[r] = true
-					if canon, ok := RuleAliases[r]; ok {
-						rules[canon] = true
-					}
 				}
 			}
 		}

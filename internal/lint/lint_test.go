@@ -264,9 +264,7 @@ func TestUnitSafeSkipsUnitsPackage(t *testing.T) {
 // TestSuppressionPerRule drives every analyzer through one minimal
 // violation twice: bare (the rule must fire) and with a //lint:ignore
 // directive on the line above (the finding must come back Suppressed and
-// be dropped by Run). The last case pins the deprecated-alias contract:
-// an ignore written against the retired "nogoroutine" name suppresses
-// harnessonly findings.
+// be dropped by Run).
 func TestSuppressionPerRule(t *testing.T) {
 	cases := []struct {
 		rule     string // rule expected to fire
@@ -350,12 +348,6 @@ func f(n int) []int {
 		out = append(out, i)
 	}
 	return out
-}
-`},
-		{"harnessonly", "nogoroutine", `package fixture
-
-func f(fn func()) {
-	go fn()
 }
 `},
 	}

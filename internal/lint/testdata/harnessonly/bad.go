@@ -1,8 +1,8 @@
 //linttest:path repro/internal/serving
 
 // Known-bad inputs for the harnessonly rule: the concurrency-construct
-// ban is module-wide (here an internal package OUTSIDE the old
-// nogoroutine core scope), not just the simulation core.
+// ban is module-wide, not just the simulation core (this internal
+// package sits outside it).
 package fixture
 
 import "sync" // want harnessonly
