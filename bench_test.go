@@ -66,7 +66,7 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			experiments.RunOneTraced("bullet", workload.AzureCode, 5, n, 3, 0)
+			experiments.RunOneTraced("bullet", workload.AzureCode, 5, n, 3)
 		}
 	})
 }

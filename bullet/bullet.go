@@ -146,12 +146,7 @@ func New(cfg Config) (*Server, error) {
 	if _, err := workload.ByName(cfg.Dataset); err != nil {
 		return nil, fmt.Errorf("bullet: unknown dataset %q (have %v)", cfg.Dataset, Datasets())
 	}
-	switch cfg.Backend {
-	case "", gpusim.BackendAnalytic, gpusim.BackendSampled, gpusim.BackendHierarchy:
-	default:
-		return nil, fmt.Errorf("bullet: unknown backend %q (have analytic, sampled, hierarchy)", cfg.Backend)
-	}
-	// Validate the system name eagerly by building a throwaway instance.
+	// Validate system and backend eagerly by building a throwaway instance.
 	if err := validateSystem(cfg, mc, cfg.Dataset); err != nil {
 		return nil, err
 	}
@@ -165,22 +160,10 @@ func validateSystem(cfg Config, mc model.Config, dataset string) (err error) {
 		}
 	}()
 	env := serving.NewEnv(gpusim.A100(), mc, dataset)
-	_, err = newSystem(cfg, env)
-	return err
-}
-
-// newSystem builds the configured system on an environment, routing
-// through the backend-aware constructor when a latency backend override
-// is set.
-func newSystem(cfg Config, env *serving.Env) (serving.System, error) {
-	if cfg.Backend == "" || cfg.Backend == gpusim.BackendAnalytic {
-		return experiments.NewSystem(cfg.System, env), nil
+	if _, err := experiments.NewSystemWithBackend(cfg.System, env, cfg.Backend, cfg.BackendSeed); err != nil {
+		return fmt.Errorf("bullet: %w", err)
 	}
-	sys, err := experiments.NewSystemWithBackend(cfg.System, env, cfg.Backend, cfg.BackendSeed)
-	if err != nil {
-		return nil, fmt.Errorf("bullet: %w", err)
-	}
-	return sys, nil
+	return nil
 }
 
 // GenerateTrace produces a Poisson trace from a built-in dataset.
@@ -247,9 +230,9 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 		wl.Rate = float64(n) / (reqs[n-1].Arrival + 1e-9)
 	}
 	env := serving.NewEnv(gpusim.A100(), s.modelC, s.dataset)
-	sys, err := newSystem(s.cfg, env)
+	sys, err := experiments.NewSystemWithBackend(s.cfg.System, env, s.cfg.Backend, s.cfg.BackendSeed)
 	if err != nil {
-		return Result{}, err
+		return Result{}, fmt.Errorf("bullet: %w", err)
 	}
 	res := env.Run(sys, wl)
 	return convert(res, env.SLO), nil

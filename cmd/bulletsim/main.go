@@ -23,6 +23,8 @@
 // engine stalls at -fault-rate events/s each, seeded by -fault-seed) is
 // injected into the run and the resilience accounting is printed
 // alongside the summary. Only Bullet variants support fault injection.
+// -trace-out works on any system and composes with -faults and
+// -backend: the trace records the run those flags describe.
 //
 // With -exp any registered experiment (the ids bulletbench -list prints)
 // runs instead of a single serving run, parameterized by -dataset, -rate,
@@ -42,12 +44,14 @@ import (
 	"time"
 
 	"repro/bullet"
+	"repro/internal/baselines/chunked"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/prof"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -61,24 +65,25 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bulletsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var o serveFlags
+	fs.StringVar(&o.System, "system", "bullet", "serving system (see -list)")
+	fs.StringVar(&o.Dataset, "dataset", "sharegpt", "workload dataset")
+	fs.Float64Var(&o.rate, "rate", 8, "offered load in requests/second")
+	fs.IntVar(&o.n, "n", 300, "number of requests")
+	fs.Int64Var(&o.seed, "seed", 42, "trace random seed")
+	fs.StringVar(&o.Backend, "backend", "", "per-kernel latency backend: analytic, sampled or hierarchy (Bullet systems only)")
+	fs.Int64Var(&o.BackendSeed, "backend-seed", 1, "sampled-backend draw seed")
+	fs.BoolVar(&o.json, "json", false, "emit the full result as JSON")
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a deterministic timeline trace (Perfetto-loadable Chrome JSON)")
+	fs.BoolVar(&o.faults, "faults", false, "inject a deterministic fault schedule (Bullet systems only)")
+	fs.Float64Var(&o.faultRate, "fault-rate", 0.1, "SM-degradation and engine-stall rates, events/s of virtual time")
+	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault schedule random seed")
 	var (
-		system    = fs.String("system", "bullet", "serving system (see -list)")
-		dataset   = fs.String("dataset", "sharegpt", "workload dataset")
-		rate      = fs.Float64("rate", 8, "offered load in requests/second")
-		n         = fs.Int("n", 300, "number of requests")
-		seed      = fs.Int64("seed", 42, "trace random seed")
-		backend   = fs.String("backend", "", "per-kernel latency backend: analytic, sampled or hierarchy (Bullet systems only)")
-		bkSeed    = fs.Int64("backend-seed", 1, "sampled-backend draw seed")
-		asJSON    = fs.Bool("json", false, "emit the full result as JSON")
-		traceOut  = fs.String("trace-out", "", "write a deterministic timeline trace (Perfetto-loadable Chrome JSON)")
-		withFault = fs.Bool("faults", false, "inject a deterministic fault schedule (Bullet systems only)")
-		faultRate = fs.Float64("fault-rate", 0.1, "SM-degradation and engine-stall rates, events/s of virtual time")
-		faultSeed = fs.Int64("fault-seed", 1, "fault schedule random seed")
-		exp       = fs.String("exp", "", "run a registered experiment instead of one serving run (see -list)")
-		workers   = fs.Int("workers", 0, "fork/join width of -exp cluster arms (0 = GOMAXPROCS default, 1 = serial)")
-		list      = fs.Bool("list", false, "list systems, datasets and experiments, then exit")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
+		exp     = fs.String("exp", "", "run a registered experiment instead of one serving run (see -list)")
+		workers = fs.Int("workers", 0, "fork/join width of -exp cluster arms (0 = GOMAXPROCS default, 1 = serial)")
+		list    = fs.Bool("list", false, "list systems, datasets and experiments, then exit")
+		cpuProf = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a post-GC heap profile to this file on exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -112,34 +117,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *traceOut != "" {
-		if err := runTimeline(*system, *dataset, *rate, *n, *seed, *traceOut, stdout); err != nil {
+	if *exp != "" && o.traceOut == "" {
+		if err := runExperiment(*exp, o.Dataset, o.rate, o.n, o.seed, *workers, stdout); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
 
-	if *exp != "" {
-		if err := runExperiment(*exp, *dataset, *rate, *n, *seed, *workers, stdout); err != nil {
+	if o.faults || o.traceOut != "" {
+		if err := runInstrumented(o, stdout, stderr); err != nil {
 			return fail(err)
 		}
 		return 0
 	}
 
-	if *withFault {
-		if err := runFaulty(*system, *dataset, *rate, *n, *seed, *faultRate, *faultSeed, *asJSON, stdout); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	srv, err := bullet.New(bullet.Config{
-		System: *system, Dataset: *dataset, Backend: *backend, BackendSeed: *bkSeed,
-	})
+	srv, err := bullet.New(o.Config)
 	if err != nil {
 		return fail(err)
 	}
-	tr, err := bullet.GenerateTrace(*dataset, *rate, *n, *seed)
+	tr, err := bullet.GenerateTrace(o.Dataset, o.rate, o.n, o.seed)
 	if err != nil {
 		return fail(err)
 	}
@@ -148,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	if *asJSON {
+	if o.json {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -156,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	printSummary(stdout, *dataset, *rate, *n, *seed, res)
+	printSummary(stdout, o.Dataset, o.rate, o.n, o.seed, res)
 	return 0
 }
 
@@ -171,35 +167,72 @@ func printSummary(w io.Writer, dataset string, rate float64, n int, seed int64, 
 	fmt.Fprintf(w, "makespan        %.1f s\n", res.Makespan)
 }
 
-// runFaulty executes the run with a generated fault schedule injected
-// and prints the resilience accounting alongside the usual summary.
-func runFaulty(system, dataset string, rate float64, n int, seed int64, faultRate float64, faultSeed int64, asJSON bool, stdout io.Writer) error {
-	spec, cfg := experiments.Platform()
-	d, err := workload.ByName(dataset)
+// serveFlags are the flags that shape one serving run.
+type serveFlags struct {
+	bullet.Config
+	traceOut        string
+	rate, faultRate float64
+	n               int
+	seed, faultSeed int64
+	json, faults    bool
+}
+
+// runInstrumented executes one serving run built by the backend-aware
+// constructor. -faults injects a generated fault schedule and prints the
+// resilience accounting; -trace-out attaches the timeline recorder to
+// every layer and writes a deterministic Chrome trace-event file (the
+// same flags always produce a byte-identical trace, loadable at
+// ui.perfetto.dev). Under -json the timeline summary goes to stderr.
+func runInstrumented(o serveFlags, stdout, stderr io.Writer) error {
+	d, err := workload.ByName(o.Dataset)
 	if err != nil {
 		return err
 	}
-	env := serving.NewEnv(spec, cfg, dataset)
-	sys := experiments.NewSystem(system, env)
-	b, ok := sys.(*core.Bullet)
-	if !ok {
-		return fmt.Errorf("-faults requires a Bullet variant, got %q", system)
+	spec, cfg := experiments.Platform()
+	env := serving.NewEnv(spec, cfg, o.Dataset)
+	sys, err := experiments.NewSystemWithBackend(o.System, env, o.Backend, o.BackendSeed)
+	if err != nil {
+		return err
 	}
-	// Cover the arrival span plus drain slack with faults.
-	horizon := units.Scale(units.Over(units.Seconds(float64(n)), rate), 1.5)
-	fcfg := faults.DefaultConfig(spec.NumSMs, horizon)
-	fcfg.Seed = faultSeed
-	fcfg.DegradeRate = faultRate
-	fcfg.StallRate = faultRate
-	inj := faults.NewInjector(env.Sim, faults.Generate(fcfg))
-	b.AttachFaults(inj, core.DefaultWatchdog())
-	inj.Arm()
-	res := env.Run(sys, workload.Generate(d, rate, n, seed))
-	rl := b.Resilience()
-	rl.FaultsInjected = inj.Injected()
-	rl.Downtime = inj.ScheduledDowntime()
+	b, isBullet := sys.(*core.Bullet)
+	var inj *faults.Injector
+	if o.faults {
+		if !isBullet {
+			return fmt.Errorf("-faults requires a Bullet variant, got %q", o.System)
+		}
+		// Cover the arrival span plus drain slack with faults.
+		horizon := units.Scale(units.Over(units.Seconds(float64(o.n)), o.rate), 1.5)
+		fcfg := faults.DefaultConfig(spec.NumSMs, horizon)
+		fcfg.Seed = o.faultSeed
+		fcfg.DegradeRate = o.faultRate
+		fcfg.StallRate = o.faultRate
+		inj = faults.NewInjector(env.Sim, faults.Generate(fcfg))
+		b.AttachFaults(inj, core.DefaultWatchdog())
+		inj.Arm()
+	}
+	var rec *timeline.Recorder
+	if o.traceOut != "" {
+		rec = timeline.New(0)
+		switch s := sys.(type) {
+		case *core.Bullet:
+			s.AttachTimeline(rec)
+		case *chunked.Engine:
+			s.TL, env.GPU.TL = rec, rec
+		default:
+			env.GPU.TL = rec
+		}
+	}
+	res := env.Run(sys, workload.Generate(d, o.rate, o.n, o.seed))
+	var rl metrics.Resilience
+	if inj != nil {
+		rl = b.Resilience()
+		rl.FaultsInjected = inj.Injected()
+		rl.Downtime = inj.ScheduledDowntime()
+	}
 
-	if asJSON {
+	info := stdout
+	switch s := res.Summary; {
+	case o.json:
 		out := struct {
 			System     string
 			Dataset    string
@@ -207,24 +240,45 @@ func runFaulty(system, dataset string, rate float64, n int, seed int64, faultRat
 			Shed       int
 			Summary    metrics.Summary
 			Resilience metrics.Resilience
-		}{res.System, dataset, rate, res.Shed, res.Summary, rl}
+		}{res.System, o.Dataset, o.rate, res.Shed, res.Summary, rl}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(out)
+		if err := enc.Encode(out); err != nil {
+			return err
+		}
+		info = stderr
+	case o.faults:
+		fmt.Fprintf(stdout, "system          %s (faulty: degrade+stall @ %.2f/s, fault seed %d)\n", res.System, o.faultRate, o.faultSeed)
+		fmt.Fprintf(stdout, "dataset         %s @ %.2f req/s (%d requests, seed %d)\n", o.Dataset, o.rate, o.n, o.seed)
+		fmt.Fprintf(stdout, "completed       %d (%d shed)\n", s.Requests, res.Shed)
+		fmt.Fprintf(stdout, "mean TTFT       %.3f s (P90 %.3f s)\n", s.MeanTTFT.Float(), s.P90TTFT.Float())
+		fmt.Fprintf(stdout, "mean TPOT       %.1f ms (P90 %.1f ms)\n", s.MeanTPOTMs, s.P90TPOTMs)
+		fmt.Fprintf(stdout, "throughput      %.2f req/s (goodput %.2f req/s)\n", s.Throughput, s.Goodput)
+		fmt.Fprintf(stdout, "SLO attainment  %.1f%%\n", 100*s.SLOAttainment)
+		fmt.Fprintf(stdout, "faults injected %d (scheduled downtime %.1f s)\n", rl.FaultsInjected, rl.Downtime.Float())
+		fmt.Fprintf(stdout, "batch aborts    %d (retried %d, shed %d)\n", rl.BatchAborts, rl.Retried, rl.Shed)
+		fmt.Fprintf(stdout, "recoveries      %d (MTTR %.2f s)\n", rl.Recoveries, rl.MTTR().Float())
+		fmt.Fprintf(stdout, "makespan        %.1f s\n", res.Makespan.Float())
+	default:
+		fmt.Fprintf(stdout, "system %s: %d requests, %.1fs makespan\n",
+			res.System, s.Requests, res.Makespan.Float())
 	}
-
-	s := res.Summary
-	fmt.Fprintf(stdout, "system          %s (faulty: degrade+stall @ %.2f/s, fault seed %d)\n", res.System, faultRate, faultSeed)
-	fmt.Fprintf(stdout, "dataset         %s @ %.2f req/s (%d requests, seed %d)\n", dataset, rate, n, seed)
-	fmt.Fprintf(stdout, "completed       %d (%d shed)\n", s.Requests, res.Shed)
-	fmt.Fprintf(stdout, "mean TTFT       %.3f s (P90 %.3f s)\n", s.MeanTTFT.Float(), s.P90TTFT.Float())
-	fmt.Fprintf(stdout, "mean TPOT       %.1f ms (P90 %.1f ms)\n", s.MeanTPOTMs, s.P90TPOTMs)
-	fmt.Fprintf(stdout, "throughput      %.2f req/s (goodput %.2f req/s)\n", s.Throughput, s.Goodput)
-	fmt.Fprintf(stdout, "SLO attainment  %.1f%%\n", 100*s.SLOAttainment)
-	fmt.Fprintf(stdout, "faults injected %d (scheduled downtime %.1f s)\n", rl.FaultsInjected, rl.Downtime.Float())
-	fmt.Fprintf(stdout, "batch aborts    %d (retried %d, shed %d)\n", rl.BatchAborts, rl.Retried, rl.Shed)
-	fmt.Fprintf(stdout, "recoveries      %d (MTTR %.2f s)\n", rl.Recoveries, rl.MTTR().Float())
-	fmt.Fprintf(stdout, "makespan        %.1f s\n", res.Makespan.Float())
+	if rec == nil {
+		return nil
+	}
+	f, err := os.Create(o.traceOut)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprint(info, rec.Summary())
+	fmt.Fprintf(info, "wrote %s (open at ui.perfetto.dev)\n", o.traceOut)
 	return nil
 }
 
@@ -243,31 +297,5 @@ func runExperiment(id, dataset string, rate float64, n int, seed int64, workers 
 		Dataset: d, Rate: rate, N: n, Seed: seed, Workers: workers,
 		Clock: func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
 	}))
-	return nil
-}
-
-// runTimeline executes the run with the internal/timeline recorder
-// attached across every layer (kernels, scheduling decisions, request
-// lifecycles) and writes a deterministic Chrome trace-event file: the
-// same flags always produce a byte-identical trace, loadable at
-// ui.perfetto.dev or chrome://tracing.
-func runTimeline(system, dataset string, rate float64, n int, seed int64, path string, stdout io.Writer) error {
-	d, err := workload.ByName(dataset)
-	if err != nil {
-		return err
-	}
-	res, rec := experiments.RunOneTraced(system, d, rate, n, seed, 0)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChrome(f); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "system %s: %d requests, %.1fs makespan\n",
-		res.System, res.Summary.Requests, res.Makespan.Float())
-	fmt.Fprint(stdout, rec.Summary())
-	fmt.Fprintf(stdout, "wrote %s (open at ui.perfetto.dev)\n", path)
 	return nil
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,21 +65,27 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestGoldenQuickstart pins the README's quickstart example — the first
-// output any user sees — byte for byte.
-func TestGoldenQuickstart(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "quickstart.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command("go", "run", "./examples/quickstart")
-	cmd.Dir = filepath.Join("..", "..")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go run ./examples/quickstart: %v\n%s", err, out)
-	}
-	if !bytes.Equal(out, want) {
-		t.Errorf("quickstart output diverged from testdata/quickstart.golden:\ngot:\n%s\nwant:\n%s", out, want)
+// TestGoldenExamples pins the example programs' output byte for byte:
+// the README's quickstart, the first output any user sees, and the
+// burst-load timeline, which folds the recorder's scheduling events
+// into series (a misnamed event argument would print zeros).
+func TestGoldenExamples(t *testing.T) {
+	for _, name := range []string{"quickstart", "burstload"} {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command("go", "run", "./examples/"+name)
+			cmd.Dir = filepath.Join("..", "..")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("go run ./examples/%s: %v\n%s", name, err, out)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s output diverged from testdata/%s.golden:\ngot:\n%s\nwant:\n%s", name, name, out, want)
+			}
+		})
 	}
 }
 
@@ -126,5 +134,69 @@ func TestBackendFlagValidation(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "requires a Bullet variant") {
 		t.Errorf("stderr = %q, want Bullet-variant error", errb.String())
+	}
+}
+
+// TestInstrumentedRunFlags: -faults and -trace-out build their run
+// through the same backend-aware constructor as a plain run, so a bad
+// flag is a contextual error (exit 1, never a panic) and every other
+// flag is honoured — the latency backend, and faults inside the trace.
+func TestInstrumentedRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	trace := func(name string) string { return filepath.Join(dir, name+".json") }
+	cases := []struct {
+		name  string
+		args  []string
+		code  int
+		want  string // substring of stdout (exit 0) or stderr (exit 1)
+		trace string // substring of the written trace; "" means none is written
+	}{
+		{"faults-unknown-system", []string{"-faults", "-system", "bogus"}, 1, `unknown system "bogus"`, ""},
+		{"trace-unknown-system", []string{"-trace-out", trace("trace-unknown-system"), "-system", "bogus"}, 1, `unknown system "bogus"`, ""},
+		{"faults-unknown-backend", []string{"-faults", "-backend", "bogus"}, 1, "unknown backend", ""},
+		{"faults-zero-sm-static", []string{"-faults", "-system", "bullet-sm0"}, 1, `unknown system "bullet-sm0"`, ""},
+		{"faults-sampled", []string{"-faults", "-backend", "sampled", "-n", "40"}, 0, "bullet+sampled (faulty", ""},
+		{"trace-sampled", []string{"-trace-out", trace("trace-sampled"), "-backend", "sampled", "-n", "40"}, 0,
+			"system bullet+sampled:", `"name":"alloc"`},
+		{"trace-baseline-sampled", []string{"-trace-out", trace("trace-baseline-sampled"), "-system", "vllm-1024", "-backend", "sampled"}, 1,
+			"requires a Bullet variant", ""},
+		{"faults-baseline", []string{"-faults", "-system", "vllm-1024"}, 1, "requires a Bullet variant", ""},
+		{"faults-trace", []string{"-faults", "-fault-rate", "1", "-n", "40", "-trace-out", trace("faults-trace")}, 0,
+			"faults injected", `"name":"sm-degrade"`},
+		{"faults-json-trace", []string{"-faults", "-json", "-n", "20", "-trace-out", trace("faults-json-trace")}, 0,
+			`"Resilience"`, `"name":"alloc"`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			if code := run(c.args, &out, &errb); code != c.code {
+				t.Fatalf("run(%v) exit %d, want %d\nstdout: %s\nstderr: %s", c.args, code, c.code, out.String(), errb.String())
+			}
+			got := out.String()
+			if c.code != 0 {
+				got = errb.String()
+			}
+			if !strings.Contains(got, c.want) {
+				t.Errorf("run(%v) printed %q, want it to contain %q", c.args, got, c.want)
+			}
+			if c.code == 0 && slices.Contains(c.args, "-json") && !json.Valid(out.Bytes()) {
+				t.Errorf("run(%v) stdout is not one JSON document:\n%s", c.args, out.String())
+			}
+			path := ""
+			for i, a := range c.args {
+				if a == "-trace-out" {
+					path = c.args[i+1]
+				}
+			}
+			data, err := os.ReadFile(path)
+			switch {
+			case c.trace == "" && err == nil:
+				t.Errorf("run(%v) wrote a trace", c.args)
+			case c.trace != "" && err != nil:
+				t.Fatalf("run(%v) wrote no trace: %v", c.args, err)
+			case c.trace != "" && !bytes.Contains(data, []byte(c.trace)):
+				t.Errorf("trace of run(%v) has no %s event", c.args, c.trace)
+			}
+		})
 	}
 }

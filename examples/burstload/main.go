@@ -3,7 +3,7 @@
 // prefill and decode as bursts arrive, and the pending queue stay flat.
 //
 // This example reaches below the public facade into the library's
-// internal layers to access the scheduling timeline instrumentation.
+// internal layers to fold a timeline recorder's events into series.
 //
 //	go run ./examples/burstload [-rate 3] [-n 150]
 package main
@@ -14,10 +14,12 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -28,7 +30,9 @@ func main() {
 	flag.Parse()
 
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	sys := core.New(env, core.Options{Mode: core.ModeFull, RecordTimeline: true})
+	sys := core.New(env, core.Options{Mode: core.ModeFull})
+	rec := timeline.New(0)
+	sys.AttachTimeline(rec)
 	trace := workload.GenerateBursty(workload.AzureCode, *rate, 3, 8, *n, 42)
 	res := env.Run(sys, trace)
 
@@ -37,7 +41,7 @@ func main() {
 		1000*res.Summary.MeanTTFT, res.Summary.MeanTPOTMs,
 		100*res.Summary.SLOAttainment, sys.Decode.Pauses())
 
-	tl := sys.Timeline
+	tl := experiments.SeriesFromTimeline(rec)
 	const cols = 72
 	bar := func(s *metrics.Series, t units.Seconds, max float64, glyph byte) string {
 		v := s.At(t)
@@ -58,9 +62,13 @@ func main() {
 		)
 	}
 
+	branches := map[string]int{}
+	for _, k := range tl.Branches {
+		branches[k]++
+	}
 	fmt.Println("\nAlgorithm 1 branch frequencies:")
 	for _, k := range []string{"reduce-decode", "reduce-prefill", "balance", "pause-decode", "handover", "prefill-only", "decode-only", "idle"} {
-		if c := tl.Branches[k]; c > 0 {
+		if c := branches[k]; c > 0 {
 			fmt.Printf("  %-15s %d\n", k, c)
 		}
 	}

@@ -18,6 +18,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/serving"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -66,15 +67,6 @@ type req struct {
 	admitted     bool
 }
 
-// HybridBatchSample records one iteration's budget composition, the
-// Fig. 12(b) instrumentation.
-type HybridBatchSample struct {
-	T            sim.Time
-	DecodeTokens int
-	ChunkTokens  int
-	Waiting      int
-}
-
 // Engine is a chunked-prefill serving engine; it implements
 // serving.System.
 type Engine struct {
@@ -87,8 +79,9 @@ type Engine struct {
 	active  bool
 
 	iterations int
-	// OnIteration observes each hybrid batch (timeline figures).
-	OnIteration func(HybridBatchSample)
+	// TL, when non-nil, records each iteration's budget composition as a
+	// hybrid/batch counter (the Fig. 12(b) view).
+	TL *timeline.Recorder
 }
 
 // New creates a chunked-prefill engine on an environment.
@@ -149,6 +142,7 @@ func (e *Engine) cycle() {
 	}
 	var chunkReqs []*req
 	var chunkLens, histLens []int
+	chunkTotal := 0
 	for _, r := range e.waiting {
 		if budget == 0 {
 			break
@@ -163,6 +157,7 @@ func (e *Engine) cycle() {
 		chunkReqs = append(chunkReqs, r)
 		chunkLens = append(chunkLens, take)
 		histLens = append(histLens, r.prefilled)
+		chunkTotal += take
 		budget -= take
 		if !e.scheme.PackPrefills {
 			break
@@ -185,15 +180,11 @@ func (e *Engine) cycle() {
 	}
 
 	e.iterations++
-	if e.OnIteration != nil {
-		chunkTotal := 0
-		for _, n := range chunkLens {
-			chunkTotal += n
-		}
-		e.OnIteration(HybridBatchSample{
-			T: e.env.Sim.Now(), DecodeTokens: len(e.decode),
-			ChunkTokens: chunkTotal, Waiting: len(e.waiting) - len(chunkReqs),
-		})
+	if e.TL != nil {
+		e.TL.Counter("hybrid", "batch", e.env.Sim.Now(),
+			timeline.I("decodeTokens", len(e.decode)),
+			timeline.I("chunkTokens", chunkTotal),
+			timeline.I("waiting", len(e.waiting)-len(chunkReqs)))
 	}
 
 	// One lockstep pass over all layers plus the LM head.

@@ -6,6 +6,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/model"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -77,18 +78,29 @@ func TestLongPromptChunksAcrossIterations(t *testing.T) {
 func TestHybridBatchSharesBudget(t *testing.T) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "sharegpt")
 	e := New(env, SGLang1024())
-	var samples []HybridBatchSample
-	e.OnIteration = func(s HybridBatchSample) { samples = append(samples, s) }
+	rec := timeline.New(0)
+	e.TL = rec
 	trace := workload.Generate(workload.ShareGPT, 10, 40, 3)
 	env.Run(e, trace)
-	sawMixed := false
-	for _, s := range samples {
-		if s.DecodeTokens+s.ChunkTokens > e.scheme.ChunkSize {
-			t.Fatalf("budget exceeded: %+v", s)
+	iterations, sawMixed := 0, false
+	for _, ev := range rec.Events() {
+		if ev.Lane != "hybrid" || ev.Name != "batch" {
+			continue
 		}
-		if s.DecodeTokens > 0 && s.ChunkTokens > 0 {
+		iterations++
+		arg := map[string]int64{}
+		for _, a := range ev.Args {
+			arg[a.Key] = a.I
+		}
+		if arg["decodeTokens"]+arg["chunkTokens"] > int64(e.scheme.ChunkSize) {
+			t.Fatalf("budget exceeded: %+v", ev.Args)
+		}
+		if arg["decodeTokens"] > 0 && arg["chunkTokens"] > 0 {
 			sawMixed = true
 		}
+	}
+	if iterations != e.Iterations() {
+		t.Fatalf("%d hybrid/batch counters for %d iterations", iterations, e.Iterations())
 	}
 	if !sawMixed {
 		t.Fatal("no hybrid (decode+prefill) iterations observed")

@@ -359,9 +359,10 @@ func TestChaosSerialParallelIdentical(t *testing.T) {
 // TestChaosTimelineRouterLane pins the timeline thread-through: every
 // router-tier mitigation emits its instant on the "router" lane — link
 // fault/restore, parked-dispatch timeout, blip hold, graceful drain and
-// readmit, bucket rejection, and hedge — in one composite scenario. A
-// recorder forces serial advancement, so this also exercises the armed
-// paths under the one-trace ordering.
+// readmit, bucket rejection, and hedge — in one composite scenario, and
+// the hedge, rate-limit, timeout, link-fault and drain counters equal
+// their instant counts. A recorder forces serial advancement, so this
+// also exercises the armed paths under the one-trace ordering.
 func TestChaosTimelineRouterLane(t *testing.T) {
 	const n = 60
 	rcfg := resilience.DefaultConfig()
@@ -391,18 +392,34 @@ func TestChaosTimelineRouterLane(t *testing.T) {
 	if got := res.Summary.Requests + res.Shed; got != n {
 		t.Fatalf("completed %d + shed %d, want %d", res.Summary.Requests, res.Shed, got)
 	}
-	seen := map[string]bool{}
+	seen := map[string]int{}
 	for _, ev := range c.tl.Events() {
 		if ev.Lane == "router" {
-			seen[ev.Name] = true
+			seen[ev.Name]++
 		}
 	}
 	for _, want := range []string{
 		"link-fault", "link-restore", "dispatch-timeout", "blip",
 		"drain", "readmit", "rate-limit", "hedge",
 	} {
-		if !seen[want] {
+		if seen[want] == 0 {
 			t.Errorf("router lane missing %q instant (got %v)", want, seen)
+		}
+	}
+	// Every router counter reconciles with its instants.
+	rl := c.Resilience()
+	for _, p := range []struct {
+		instant string
+		counter int
+	}{
+		{"hedge", rl.Hedges},
+		{"rate-limit", rl.RateLimited},
+		{"dispatch-timeout", c.DispatchTimeouts()},
+		{"link-fault", rl.LinkFaults},
+		{"drain", rl.Drains},
+	} {
+		if seen[p.instant] != p.counter {
+			t.Errorf("%d %q instants, counter says %d", seen[p.instant], p.instant, p.counter)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/forkjoin"
 	"repro/internal/gpusim"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/prefixcache"
 	"repro/internal/pressure"
@@ -71,8 +70,6 @@ type Options struct {
 	MaxPrefillReqs   int
 	// MaxDecodeBatch bounds the decode batch.
 	MaxDecodeBatch int
-	// RecordTimeline enables Fig. 12-style series collection.
-	RecordTimeline bool
 	// EnablePrefixCache turns on RadixAttention-style shared-prefix
 	// reuse in the prefill engine (an extension beyond the paper).
 	EnablePrefixCache bool
@@ -107,17 +104,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Timeline is the Fig. 12 instrumentation: step series sampled at
-// scheduling events.
-type Timeline struct {
-	PrefillSMs    metrics.Series
-	DecodeSMs     metrics.Series
-	PrefillTokens metrics.Series // tokens in the running prefill batch
-	DecodeBatch   metrics.Series
-	Waiting       metrics.Series // requests pending prefill
-	Branches      map[string]int // Algorithm 1 arm frequencies
-}
-
 // Bullet is the assembled serving system; it implements serving.System.
 type Bullet struct {
 	env  *serving.Env
@@ -130,7 +116,6 @@ type Bullet struct {
 	Prefill   *engine.PrefillEngine
 	Decode    *engine.DecodeEngine
 
-	Timeline *Timeline
 	// PrefixCache is non-nil when EnablePrefixCache is set.
 	PrefixCache *prefixcache.Cache
 	// faults is non-nil once EnableResilience/AttachFaults armed the
@@ -308,23 +293,6 @@ func New(env *serving.Env, opts Options) *Bullet {
 	if opts.QoS != nil {
 		b.EnableQoS(*opts.QoS)
 	}
-
-	if opts.RecordTimeline {
-		b.Timeline = &Timeline{Branches: map[string]int{}}
-		record := func(t sim.Time, d sched.Decision) {
-			b.Timeline.PrefillSMs.Add(t, float64(d.PrefillSMs))
-			b.Timeline.DecodeSMs.Add(t, float64(d.DecodeSMs))
-			b.Timeline.Waiting.Add(t, float64(b.Prefill.QueueDepth()))
-			b.Timeline.DecodeBatch.Add(t, float64(b.Decode.BatchSize()))
-			b.Timeline.Branches[d.Branch]++
-		}
-		b.Prefill.OnDecision = record
-		b.Decode.OnDecision = record
-		b.Prefill.OnBatchStart = func(t sim.Time, tokens, reqs, waiting int) {
-			b.Timeline.PrefillTokens.Add(t, float64(tokens))
-			b.Timeline.Waiting.Add(t, float64(waiting))
-		}
-	}
 	return b
 }
 
@@ -345,10 +313,6 @@ func (b *Bullet) AttachTimeline(rec *timeline.Recorder) {
 		b.qos.SetTimeline(rec)
 	}
 }
-
-// TimelineRecorder returns the recorder attached by AttachTimeline (nil
-// when tracing is off).
-func (b *Bullet) TimelineRecorder() *timeline.Recorder { return b.tl }
 
 // Name identifies the system variant in results.
 func (b *Bullet) Name() string { return b.name }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/model"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -90,33 +91,70 @@ func TestUnknownModePanics(t *testing.T) {
 	New(env, Options{Mode: "nope", Params: estimator.DefaultParams()})
 }
 
-func TestTimelineRecording(t *testing.T) {
-	res := runBullet(t, ModeFull, workload.AzureCode, 3, 25, 11, Options{RecordTimeline: true})
-	_ = res
-}
-
+// TestTimelineSeriesPopulated: a recorder attached to a loaded run sees
+// every decision's SM split, queue depth and decode batch on the sched
+// lane and every batch start on the prefill lane — the events Fig. 12 is
+// folded from — and the SM split varies under dynamic provisioning.
 func TestTimelineSeriesPopulated(t *testing.T) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	b := New(env, Options{Mode: ModeFull, RecordTimeline: true, Params: estimator.DefaultParams()})
-	trace := workload.Generate(workload.AzureCode, 3, 25, 11)
-	b.RunTrace(trace)
-	tl := b.Timeline
-	if tl.PrefillSMs.Len() == 0 || tl.DecodeSMs.Len() == 0 || tl.PrefillTokens.Len() == 0 {
-		t.Fatalf("timeline not recorded: %d/%d/%d samples",
-			tl.PrefillSMs.Len(), tl.DecodeSMs.Len(), tl.PrefillTokens.Len())
+	b := New(env, Options{Mode: ModeFull, Params: estimator.DefaultParams()})
+	rec := timeline.New(0)
+	b.AttachTimeline(rec)
+	b.RunTrace(workload.Generate(workload.AzureCode, 3, 25, 11))
+	branches, allocs, batchStarts := 0, 0, 0
+	minSM, maxSM := math.MaxInt, math.MinInt
+	for _, e := range rec.Events() {
+		switch {
+		case e.Lane == "sched" && e.Kind == timeline.KindInstant:
+			branches++
+		case e.Lane == "sched" && e.Name == "alloc":
+			allocs++
+			sms := intArg(t, e, "prefillSMs")
+			minSM, maxSM = min(minSM, sms), max(maxSM, sms)
+			intArg(t, e, "decodeSMs")
+			intArg(t, e, "waiting")
+			intArg(t, e, "decodeBatch")
+		case e.Lane == "prefill" && e.Name == "batch-start":
+			batchStarts++
+			intArg(t, e, "tokens")
+			intArg(t, e, "waiting")
+		}
 	}
-	if len(tl.Branches) == 0 {
-		t.Fatal("no scheduling branches recorded")
+	if allocs == 0 || batchStarts == 0 || branches == 0 {
+		t.Fatalf("timeline not recorded: %d alloc counters, %d batch starts, %d branch instants",
+			allocs, batchStarts, branches)
 	}
-	// SM allocations must vary under dynamic provisioning at load.
-	minSM, maxSM := math.Inf(1), math.Inf(-1)
-	for _, v := range tl.PrefillSMs.V {
-		minSM = math.Min(minSM, v)
-		maxSM = math.Max(maxSM, v)
+	if branches != allocs || allocs != b.Buffer.Decisions {
+		t.Fatalf("%d branch instants, %d alloc counters, %d decisions: want one of each per decision",
+			branches, allocs, b.Buffer.Decisions)
 	}
 	if minSM == maxSM {
-		t.Fatalf("prefill SMs never changed (always %v)", minSM)
+		t.Fatalf("prefill SMs never changed (always %d)", minSM)
 	}
+}
+
+// intArg returns e's integer argument key, failing the test when absent.
+func intArg(t *testing.T, e timeline.Event, key string) int {
+	t.Helper()
+	for _, a := range e.Args {
+		if a.Key == key && a.Kind == timeline.ArgInt {
+			return int(a.I)
+		}
+	}
+	t.Fatalf("%s/%s at %v has no integer %q arg: %+v", e.Lane, e.Name, e.Start, key, e.Args)
+	return 0
+}
+
+// strArg returns e's string argument key, failing the test when absent.
+func strArg(t *testing.T, e timeline.Event, key string) string {
+	t.Helper()
+	for _, a := range e.Args {
+		if a.Key == key && a.Kind == timeline.ArgString {
+			return a.S
+		}
+	}
+	t.Fatalf("%s/%s at %v has no string %q arg: %+v", e.Lane, e.Name, e.Start, key, e.Args)
+	return ""
 }
 
 func TestConcurrencyBeatsNothing(t *testing.T) {

@@ -135,28 +135,29 @@ func TestSMDegradeReprovisions(t *testing.T) {
 	}
 }
 
+// runHungPrefill arms the watchdog, injects a 2 s prefill hang 1 ms
+// after the first arrival — while the first batch runs — and serves the
+// trace with a recorder attached.
+func runHungPrefill() (serving.Result, *Bullet) {
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), workload.ShareGPT.Name)
+	b := New(env, Options{Params: estimator.DefaultParams()})
+	b.AttachTimeline(timeline.New(0))
+	b.EnableResilience(DefaultWatchdog())
+	trace := workload.Generate(workload.ShareGPT, 4, 20, 2)
+	env.Sim.At(trace.Requests[0].Arrival+units.FromMs(1), func() {
+		b.ApplyFault(faults.Event{
+			Kind: faults.KindEngineStall, Target: faults.TargetPrefill,
+			Stall: units.Seconds(2),
+		})
+	})
+	return b.RunTrace(trace), b
+}
+
 // TestWatchdogAbortsHungPrefill pins the abort→retry path: a prefill
 // hang far past the watchdog timeout aborts the in-flight batch, frees
 // its KV, and the re-enqueued requests still complete.
 func TestWatchdogAbortsHungPrefill(t *testing.T) {
-	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), workload.ShareGPT.Name)
-	b := New(env, Options{Params: estimator.DefaultParams()})
-	b.EnableResilience(DefaultWatchdog())
-	// A long hang injected shortly after the first batch launches.
-	injected := false
-	b.Prefill.OnBatchStart = func(tm sim.Time, tokens, reqs, waiting int) {
-		if injected {
-			return
-		}
-		injected = true
-		env.Sim.After(units.FromMs(1), func() {
-			b.ApplyFault(faults.Event{
-				Kind: faults.KindEngineStall, Target: faults.TargetPrefill,
-				Stall: units.Seconds(2),
-			})
-		})
-	}
-	res := b.RunTrace(workload.Generate(workload.ShareGPT, 4, 20, 2))
+	res, b := runHungPrefill()
 	rl := b.Resilience()
 	if rl.BatchAborts == 0 {
 		t.Fatal("watchdog never aborted the hung batch")
@@ -205,8 +206,22 @@ func TestShortStallNoAbort(t *testing.T) {
 // TestRepeatedHangsShed: with retries exhausted, requests are shed and
 // the run still terminates cleanly (KV accounted).
 func TestRepeatedHangsShed(t *testing.T) {
+	res, b := runRepeatedHangs()
+	rl := b.Resilience()
+	if rl.Shed == 0 || res.Shed != rl.Shed {
+		t.Fatalf("expected shedding under relentless hangs: resilience %+v, result shed %d", rl, res.Shed)
+	}
+	if res.Summary.Requests+res.Shed != 10 {
+		t.Fatalf("completed %d + shed %d, want 10", res.Summary.Requests, res.Shed)
+	}
+}
+
+// runRepeatedHangs serves a short trace with a recorder attached while
+// the prefill engine hangs past a 50 ms watchdog every 60 ms.
+func runRepeatedHangs() (serving.Result, *Bullet) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), workload.ShareGPT.Name)
 	b := New(env, Options{Params: estimator.DefaultParams()})
+	b.AttachTimeline(timeline.New(0))
 	b.AttachFaults(nil2(), WatchdogConfig{Timeout: units.FromMs(50), MaxRetries: 0, Backoff: units.FromMs(1)})
 	// Hang the prefill engine over and over so every batch launch is
 	// aborted; with MaxRetries 0 the second abort sheds a request.
@@ -226,14 +241,7 @@ func TestRepeatedHangsShed(t *testing.T) {
 		})
 	}
 	hang(units.FromMs(1))
-	res := b.RunTrace(workload.Generate(workload.ShareGPT, 4, 10, 4))
-	rl := b.Resilience()
-	if rl.Shed == 0 || res.Shed != rl.Shed {
-		t.Fatalf("expected shedding under relentless hangs: resilience %+v, result shed %d", rl, res.Shed)
-	}
-	if res.Summary.Requests+res.Shed != 10 {
-		t.Fatalf("completed %d + shed %d, want 10", res.Summary.Requests, res.Shed)
-	}
+	return b.RunTrace(workload.Generate(workload.ShareGPT, 4, 10, 4)), b
 }
 
 // nil2 builds an injector-shaped argument for AttachFaults when the test

@@ -10,15 +10,18 @@ import (
 	"repro/internal/pressure"
 	"repro/internal/qos"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // runQoS executes a tenant-mixed trace on the full QoS stack (pressure
-// gate + SLO-feedback controller) and returns the result and the system.
+// gate + SLO-feedback controller) with a recorder attached and returns
+// the result and the system.
 func runQoS(trace *workload.Trace, pcfg pressure.Config) (serving.Result, *Bullet) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 	b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: &qos.Config{}})
+	b.AttachTimeline(timeline.New(0))
 	return b.RunTrace(trace), b
 }
 

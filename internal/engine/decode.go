@@ -67,11 +67,6 @@ type DecodeEngine struct {
 	stalledUntil sim.Time
 	stalls       int
 
-	// OnDecision observes every scheduling decision.
-	OnDecision func(t sim.Time, d sched.Decision)
-	// OnStep observes each completed iteration.
-	OnStep func(t sim.Time, batch int, stepDur units.Seconds)
-
 	// QoS, when non-nil, is the SLO-feedback controller: it supplies the
 	// live decode batch cap (never above MaxBatch), prioritizes batch
 	// admission and preemption-victim choice by tenant class, and
@@ -276,7 +271,8 @@ func (d *DecodeEngine) avgCtx() units.Tokens {
 
 // decide runs one scheduling cycle with the engine's overrides applied.
 func (d *DecodeEngine) decide() sched.Decision {
-	dec := d.schd.Decide(d.buf.Snapshot())
+	st := d.buf.Snapshot()
+	dec := d.schd.Decide(st)
 	if !d.cfg.DynamicSM {
 		dec.DecodeSMs = d.cfg.FixedSMs
 		pm, _ := d.buf.Allocation()
@@ -288,11 +284,8 @@ func (d *DecodeEngine) decide() sched.Decision {
 		dec.PauseDecode = false
 	}
 	d.buf.SetAllocation(dec.PrefillSMs, dec.DecodeSMs)
-	if d.OnDecision != nil {
-		d.OnDecision(d.env.Sim.Now(), dec)
-	}
 	if d.TL != nil {
-		emitDecision(d.TL, d.env.Sim.Now(), dec)
+		emitDecision(d.TL, st, dec)
 	}
 	return dec
 }
@@ -364,9 +357,6 @@ func (d *DecodeEngine) cycle() {
 		d.est.ObserveDecode(predicted, rec.Duration())
 		d.steps++
 		now := d.env.Sim.Now()
-		if d.OnStep != nil {
-			d.OnStep(now, bs, rec.Duration())
-		}
 		if d.QoS != nil {
 			// Feed the live TPOT signal: this step is the latency every
 			// batched request just paid per token.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/serving"
 	"repro/internal/sim"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -93,8 +94,8 @@ func TestHandoffLatencyApplied(t *testing.T) {
 
 func TestPrefillBatchesQueuedRequests(t *testing.T) {
 	r := defaultRig(t)
-	var batches []int
-	r.prefill.OnBatchStart = func(_ sim.Time, _, reqs, _ int) { batches = append(batches, reqs) }
+	rec := timeline.New(0)
+	r.prefill.TL = rec
 	// Three short requests arriving at the same instant: all should
 	// prefill in one batch (deadlines permit).
 	r.env.Sim.At(0.001, func() {
@@ -105,6 +106,16 @@ func TestPrefillBatchesQueuedRequests(t *testing.T) {
 	r.env.Sim.RunAll(1 << 22)
 	if len(r.env.Completed()) != 3 {
 		t.Fatalf("completed %d", len(r.env.Completed()))
+	}
+	var batches []int64
+	for _, e := range rec.Events() {
+		if e.Lane == "prefill" && e.Name == "batch-start" {
+			for _, a := range e.Args {
+				if a.Key == "reqs" {
+					batches = append(batches, a.I)
+				}
+			}
+		}
 	}
 	if len(batches) == 0 || batches[0] < 2 {
 		t.Fatalf("expected a multi-request first batch, got %v", batches)

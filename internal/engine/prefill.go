@@ -86,11 +86,6 @@ type PrefillEngine struct {
 	epoch        int
 	aborts       int
 
-	// OnDecision observes every scheduling decision (timeline hooks).
-	OnDecision func(t sim.Time, d sched.Decision)
-	// OnBatchStart observes batch formation.
-	OnBatchStart func(t sim.Time, tokens, reqs, waiting int)
-
 	// Gate, when non-nil, is the memory-pressure admission controller:
 	// every KV reservation first asks it for an admit/defer/shed tier.
 	// Nil keeps the legacy behaviour (admission blocks only on physical
@@ -432,9 +427,6 @@ func (p *PrefillEngine) tryStart() {
 	p.running = true
 	p.layersDone = 0
 	p.batchStart = now
-	if p.OnBatchStart != nil {
-		p.OnBatchStart(now, p.batchTokens, len(p.batch), len(p.waiting))
-	}
 	if p.TL != nil {
 		p.TL.Instant("prefill", "batch-start", now,
 			timeline.I("tokens", p.batchTokens),
@@ -489,7 +481,8 @@ func (p *PrefillEngine) armKVWait(attempt int) {
 
 // decide runs one scheduling cycle and applies the ablation overrides.
 func (p *PrefillEngine) decide() sched.Decision {
-	d := p.schd.Decide(p.buf.Snapshot())
+	st := p.buf.Snapshot()
+	d := p.schd.Decide(st)
 	if !p.cfg.DynamicSM {
 		d.PrefillSMs = p.cfg.FixedSMs
 		_, dm := p.buf.Allocation()
@@ -499,11 +492,8 @@ func (p *PrefillEngine) decide() sched.Decision {
 		d.PauseDecode = false
 	}
 	p.buf.SetAllocation(d.PrefillSMs, d.DecodeSMs)
-	if p.OnDecision != nil {
-		p.OnDecision(p.env.Sim.Now(), d)
-	}
 	if p.TL != nil {
-		emitDecision(p.TL, p.env.Sim.Now(), d)
+		emitDecision(p.TL, st, d)
 	}
 	return d
 }

@@ -215,11 +215,12 @@ func (r *Req) EmitLifecycle(tl *timeline.Recorder) {
 	}
 }
 
-// emitDecision records one Algorithm-1 scheduling decision: an instant
-// named after the branch taken plus an allocation counter. The P90
-// predictions the decision was based on are attached only when finite
-// (the scheduler reports NaN when it had no candidates to predict).
-func emitDecision(tl *timeline.Recorder, now sim.Time, d sched.Decision) {
+// emitDecision records one Algorithm-1 decision on snapshot st: an
+// instant named after the branch taken plus a counter of the SM split
+// and st's queue depth and decode batch. The P90 predictions the
+// decision was based on are attached only when finite (the scheduler
+// reports NaN when it had no candidates to predict).
+func emitDecision(tl *timeline.Recorder, st sched.State, d sched.Decision) {
 	args := make([]timeline.Arg, 0, 5)
 	args = append(args,
 		timeline.I("prefillSMs", d.PrefillSMs),
@@ -231,8 +232,10 @@ func emitDecision(tl *timeline.Recorder, now sim.Time, d sched.Decision) {
 	if !math.IsNaN(d.PredTPOTMs) && !math.IsInf(d.PredTPOTMs, 0) {
 		args = append(args, timeline.F("predTPOTMs", d.PredTPOTMs))
 	}
-	tl.Instant("sched", d.Branch, now, args...)
-	tl.Counter("sched", "alloc", now,
+	tl.Instant("sched", d.Branch, st.Now, args...)
+	tl.Counter("sched", "alloc", st.Now,
 		timeline.I("prefillSMs", d.PrefillSMs),
-		timeline.I("decodeSMs", d.DecodeSMs))
+		timeline.I("decodeSMs", d.DecodeSMs),
+		timeline.I("waiting", len(st.Waiting)),
+		timeline.I("decodeBatch", st.Decode.Batch))
 }

@@ -38,25 +38,13 @@ var SystemNames = []string{
 // memory-pressure subsystem (admission gate only, and gate plus decode
 // preemption with recompute/retransfer recovery); "bullet-qos" stacks
 // the SLO-feedback QoS controller on top of the pressure subsystem.
+// An unknown name panics; NewSystemWithBackend returns it as an error.
 func NewSystem(name string, env *serving.Env) serving.System {
-	if opts, ok := bulletOptions(name); ok {
-		return core.New(env, opts)
+	sys, err := NewSystemWithBackend(name, env, "", 0)
+	if err != nil {
+		panic(err.Error())
 	}
-	switch name {
-	case "vllm-1024":
-		return chunked.New(env, chunked.VLLM1024())
-	case "sglang-1024":
-		return chunked.New(env, chunked.SGLang1024())
-	case "sglang-2048":
-		return chunked.New(env, chunked.SGLang2048())
-	case "nanoflow-1024":
-		return nanoflow.New(env, nanoflow.DefaultConfig())
-	case "disagg-nvlink":
-		return disagg.New(env, disagg.DefaultConfig())
-	case "disagg-pcie":
-		return disagg.New(env, disagg.PCIeConfig())
-	}
-	panic(fmt.Sprintf("experiments: unknown system %q", name))
+	return sys
 }
 
 // bulletOptions resolves a Bullet variant name to its core options;
@@ -83,24 +71,45 @@ func bulletOptions(name string) (core.Options, bool) {
 			Pressure: &pressure.Config{}, QoS: &qos.Config{}}, true
 	}
 	var sms int
-	if n, err := fmt.Sscanf(name, "bullet-sm%d", &sms); err == nil && n == 1 {
+	if n, err := fmt.Sscanf(name, "bullet-sm%d", &sms); err == nil && n == 1 && sms > 0 {
 		return core.Options{Mode: core.ModeStatic, FixedPrefillSMs: sms}, true
 	}
 	return core.Options{}, false
 }
 
-// NewSystemWithBackend instantiates a Bullet variant with a latency
-// backend override (DESIGN.md §15). Baselines have no pluggable latency
-// model, so non-Bullet names are an error rather than a silent analytic
-// fallback.
+// NewSystemWithBackend instantiates a system by name with a per-kernel
+// latency backend (DESIGN.md §15), returning unknown names as errors.
+// Baselines have no pluggable latency model, so a backend other than ""
+// or analytic on a non-Bullet name is an error, not a silent fallback.
 func NewSystemWithBackend(name string, env *serving.Env, backend string, seed int64) (serving.System, error) {
-	opts, ok := bulletOptions(name)
-	if !ok {
+	switch backend {
+	case "", gpusim.BackendAnalytic, gpusim.BackendSampled, gpusim.BackendHierarchy:
+	default:
+		return nil, fmt.Errorf("experiments: unknown backend %q (have analytic, sampled, hierarchy)", backend)
+	}
+	if opts, ok := bulletOptions(name); ok {
+		opts.Backend = backend
+		opts.BackendSeed = seed
+		return core.New(env, opts), nil
+	}
+	if backend != "" && backend != gpusim.BackendAnalytic {
 		return nil, fmt.Errorf("experiments: backend %q requires a Bullet variant, got %q", backend, name)
 	}
-	opts.Backend = backend
-	opts.BackendSeed = seed
-	return core.New(env, opts), nil
+	switch name {
+	case "vllm-1024":
+		return chunked.New(env, chunked.VLLM1024()), nil
+	case "sglang-1024":
+		return chunked.New(env, chunked.SGLang1024()), nil
+	case "sglang-2048":
+		return chunked.New(env, chunked.SGLang2048()), nil
+	case "nanoflow-1024":
+		return nanoflow.New(env, nanoflow.DefaultConfig()), nil
+	case "disagg-nvlink":
+		return disagg.New(env, disagg.DefaultConfig()), nil
+	case "disagg-pcie":
+		return disagg.New(env, disagg.PCIeConfig()), nil
+	}
+	return nil, fmt.Errorf("experiments: unknown system %q", name)
 }
 
 // Platform returns the evaluation device and model (§4.1).

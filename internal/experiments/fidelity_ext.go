@@ -8,9 +8,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gpusim"
-	"repro/internal/sched"
 	"repro/internal/serving"
-	"repro/internal/sim"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -75,12 +74,8 @@ func ExtFidelity(d workload.Dataset, rate float64, n int, seed int64) []Fidelity
 	for _, backend := range FidelityBackends {
 		env := serving.NewEnv(spec, cfg, d.Name)
 		b := core.New(env, core.Options{Mode: core.ModeFull, Backend: backend})
-		var branches []string
-		observe := func(t sim.Time, dec sched.Decision) {
-			branches = append(branches, dec.Branch)
-		}
-		b.Prefill.OnDecision = observe
-		b.Decode.OnDecision = observe
+		rec := timeline.New(0)
+		b.Prefill.TL, b.Decode.TL = rec, rec // the decisions alone, as in Figure12
 		var rels []float64
 		b.Estimator.OnObserve = func(phase string, predicted, actual units.Seconds) {
 			if predicted > 0 && actual > 0 {
@@ -88,6 +83,7 @@ func ExtFidelity(d workload.Dataset, rate float64, n int, seed int64) []Fidelity
 			}
 		}
 		res := env.Run(b, trace)
+		branches := SeriesFromTimeline(rec).Branches
 		if backend == gpusim.BackendAnalytic {
 			ref = branches
 		}

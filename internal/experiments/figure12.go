@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/serving"
+	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -37,28 +38,24 @@ type Figure12Result struct {
 	SGLangSummary metrics.Summary
 }
 
-// Figure12 runs both systems on the same bursty Azure-Code trace and
-// samples their internal state on a uniform grid.
+// Figure12 runs both systems, each traced, on the same bursty
+// Azure-Code trace and samples their recorded state on a uniform grid.
 func Figure12(rate float64, n int, seed int64, samples int) Figure12Result {
 	spec, cfg := Platform()
 	d := workload.AzureCode
 	trace := workload.GenerateBursty(d, rate, 3, 8, n, seed)
 
-	// Bullet with timeline recording.
+	// Only the engines record: the series read nothing else, and kernel
+	// spans would multiply the run's memory about twentyfold.
 	envB := serving.NewEnv(spec, cfg, d.Name)
-	b := core.New(envB, core.Options{Mode: core.ModeFull, RecordTimeline: true})
+	b := core.New(envB, core.Options{Mode: core.ModeFull})
+	recB := timeline.New(0)
+	b.Prefill.TL, b.Decode.TL = recB, recB
 	resB := envB.Run(b, trace)
 
-	// SGLang-2048 with hybrid batch sampling.
 	envS := serving.NewEnv(spec, cfg, d.Name)
 	sg := chunked.New(envS, chunked.SGLang2048())
-	var hybrid metrics.Series
-	var hybridChunk, hybridWait metrics.Series
-	sg.OnIteration = func(s chunked.HybridBatchSample) {
-		hybrid.Add(s.T, float64(s.DecodeTokens))
-		hybridChunk.Add(s.T, float64(s.ChunkTokens))
-		hybridWait.Add(s.T, float64(s.Waiting))
-	}
+	sg.TL = timeline.New(0)
 	resS := envS.Run(sg, trace)
 
 	horizon := resB.Makespan
@@ -72,17 +69,15 @@ func Figure12(rate float64, n int, seed int64, samples int) Figure12Result {
 	for i := 0; i < samples; i++ {
 		out.SampleTimes = append(out.SampleTimes, units.Over(units.Scale(horizon, float64(i)), float64(samples-1)))
 	}
-	tl := b.Timeline
-	for _, t := range out.SampleTimes {
-		out.PrefillSMs = append(out.PrefillSMs, tl.PrefillSMs.At(t))
-		out.DecodeSMs = append(out.DecodeSMs, tl.DecodeSMs.At(t))
-		out.PrefillTokens = append(out.PrefillTokens, tl.PrefillTokens.At(t))
-		out.DecodeBatch = append(out.DecodeBatch, tl.DecodeBatch.At(t))
-		out.Waiting = append(out.Waiting, tl.Waiting.At(t))
-		out.HybridDecodeTokens = append(out.HybridDecodeTokens, hybrid.At(t))
-		out.HybridChunkTokens = append(out.HybridChunkTokens, hybridChunk.At(t))
-		out.HybridWaiting = append(out.HybridWaiting, hybridWait.At(t))
-	}
+	tl, hy := SeriesFromTimeline(recB), SeriesFromTimeline(sg.TL)
+	out.PrefillSMs = tl.PrefillSMs.Resample(0, horizon, samples)
+	out.DecodeSMs = tl.DecodeSMs.Resample(0, horizon, samples)
+	out.PrefillTokens = tl.PrefillTokens.Resample(0, horizon, samples)
+	out.DecodeBatch = tl.DecodeBatch.Resample(0, horizon, samples)
+	out.Waiting = tl.Waiting.Resample(0, horizon, samples)
+	out.HybridDecodeTokens = hy.DecodeBatch.Resample(0, horizon, samples)
+	out.HybridChunkTokens = hy.PrefillTokens.Resample(0, horizon, samples)
+	out.HybridWaiting = hy.Waiting.Resample(0, horizon, samples)
 	out.BulletQueueMean = resB.Summary.MeanQueue.Float()
 	out.SGLangQueueMean = resS.Summary.MeanQueue.Float()
 	return out

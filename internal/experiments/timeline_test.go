@@ -15,7 +15,7 @@ import (
 // attached and exports the Chrome JSON.
 func traceBytes(t *testing.T) []byte {
 	t.Helper()
-	_, rec := RunOneTraced("bullet", workload.ShareGPT, 10, 200, 42, 0)
+	_, rec := RunOneTraced("bullet", workload.ShareGPT, 10, 200, 42)
 	if rec.Dropped() != 0 {
 		t.Fatalf("trace dropped %d events at default capacity", rec.Dropped())
 	}
@@ -57,7 +57,7 @@ func TestTimelineGoldenDeterminism(t *testing.T) {
 // exactly (each starts where the previous ended) and nest inside
 // [arrival, finish].
 func TestTimelineLifecycleWellNested(t *testing.T) {
-	res, rec := RunOneTraced("bullet", workload.ShareGPT, 10, 120, 7, 0)
+	res, rec := RunOneTraced("bullet", workload.ShareGPT, 10, 120, 7)
 
 	type phase struct {
 		name       string
@@ -109,7 +109,7 @@ func TestTimelineLifecycleWellNested(t *testing.T) {
 // within one GPU stream lane, spans never overlap (streams are FIFO) and
 // appear in nondecreasing start order.
 func TestTimelineSpansWellNestedPerStream(t *testing.T) {
-	_, rec := RunOneTraced("bullet", workload.AzureCode, 4, 80, 11, 0)
+	_, rec := RunOneTraced("bullet", workload.AzureCode, 4, 80, 11)
 	last := map[string]units.Seconds{}
 	spans := 0
 	for _, e := range rec.Events() {
@@ -133,7 +133,7 @@ func TestTimelineSpansWellNestedPerStream(t *testing.T) {
 // produce identical results (recording must never perturb scheduling).
 func TestTimelineDisabledIsFree(t *testing.T) {
 	plain := RunOne("bullet", workload.AzureCode, 5, 60, 3)
-	traced, _ := RunOneTraced("bullet", workload.AzureCode, 5, 60, 3, 0)
+	traced, _ := RunOneTraced("bullet", workload.AzureCode, 5, 60, 3)
 	if plain.Summary != traced.Summary {
 		t.Fatalf("tracing perturbed the run:\n  plain:  %+v\n  traced: %+v",
 			plain.Summary, traced.Summary)

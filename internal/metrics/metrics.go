@@ -404,9 +404,6 @@ func (s *Series) Add(t units.Seconds, v float64) {
 	s.V = append(s.V, v)
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.T) }
-
 // At returns the most recent value at or before t (step interpolation),
 // or 0 before the first sample.
 func (s *Series) At(t units.Seconds) float64 {
@@ -440,26 +437,4 @@ func (s *Series) Resample(t0, t1 units.Seconds, n int) []float64 {
 		out[i] = s.At(t)
 	}
 	return out
-}
-
-// TimeAverage integrates the step series over [t0, t1] and divides by the
-// window, useful for average SM allocation / batch occupancy.
-func (s *Series) TimeAverage(t0, t1 units.Seconds) float64 {
-	if t1 <= t0 || len(s.T) == 0 {
-		return 0
-	}
-	total := 0.0
-	prevT, prevV := t0, s.At(t0)
-	for i, tt := range s.T {
-		if tt <= t0 {
-			continue
-		}
-		if tt >= t1 {
-			break
-		}
-		total += prevV * (tt - prevT).Float()
-		prevT, prevV = tt, s.V[i]
-	}
-	total += prevV * (t1 - prevT).Float()
-	return total / (t1 - t0).Float()
 }

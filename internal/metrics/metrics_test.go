@@ -222,20 +222,6 @@ func TestSeriesDuplicateTimes(t *testing.T) {
 	}
 }
 
-func TestSeriesTimeAverage(t *testing.T) {
-	var s Series
-	s.Add(0, 10)
-	s.Add(1, 20)
-	// Over [0,2]: 10 for 1s, 20 for 1s → avg 15.
-	if got := s.TimeAverage(0, 2); math.Abs(got-15) > 1e-12 {
-		t.Fatalf("TimeAverage = %v, want 15", got)
-	}
-	// Over [0.5, 1.5]: 10 for 0.5s, 20 for 0.5s → 15.
-	if got := s.TimeAverage(0.5, 1.5); math.Abs(got-15) > 1e-12 {
-		t.Fatalf("TimeAverage = %v, want 15", got)
-	}
-}
-
 func TestSeriesBackwardsTimePanics(t *testing.T) {
 	var s Series
 	s.Add(2, 1)
@@ -383,17 +369,5 @@ func TestPressureAdd(t *testing.T) {
 	a.Add(Pressure{PeakOccupancy: 0.1})
 	if a.PeakOccupancy != 0.9 {
 		t.Fatalf("peak regressed to %v", a.PeakOccupancy)
-	}
-}
-
-func TestSeriesLen(t *testing.T) {
-	var s Series
-	if s.Len() != 0 {
-		t.Fatalf("empty series Len = %d", s.Len())
-	}
-	s.Add(1, 10)
-	s.Add(2, 20)
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
 	}
 }
