@@ -29,9 +29,10 @@
 // With -exp any registered experiment (the ids bulletbench -list prints)
 // runs instead of a single serving run, parameterized by -dataset, -rate,
 // -n, -seed and -workers; rate sweeps such as ext-pressure and ext-qos
-// cover -rate, 2× and 3×. Output is byte-identical across runs of the
-// same flags and at every -workers value (except table3, which times
-// the host).
+// cover -rate, 2× and 3×. Any other flag except -cpuprofile and
+// -memprofile is an error with -exp. Output is byte-identical across
+// runs of the same flags and at every -workers value (except table3,
+// which times the host).
 package main
 
 import (
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"repro/bullet"
-	"repro/internal/baselines/chunked"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
@@ -94,6 +94,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *exp != "" {
+		// An experiment reads only these flags; reject any other rather
+		// than run without it.
+		uses := map[string]bool{"exp": true, "dataset": true, "rate": true, "n": true,
+			"seed": true, "workers": true, "cpuprofile": true, "memprofile": true}
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if !uses[f.Name] {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fail(fmt.Errorf("-exp does not use %s (it takes -dataset, -rate, -n, -seed, -workers, -cpuprofile, -memprofile)",
+				strings.Join(ignored, ", ")))
+		}
+	}
+
 	if *cpuProf != "" || *memProf != "" {
 		stop, err := prof.Start(*cpuProf, *memProf)
 		if err != nil {
@@ -117,7 +134,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *exp != "" && o.traceOut == "" {
+	if *exp != "" {
 		if err := runExperiment(*exp, o.Dataset, o.rate, o.n, o.seed, *workers, stdout); err != nil {
 			return fail(err)
 		}
@@ -213,14 +230,7 @@ func runInstrumented(o serveFlags, stdout, stderr io.Writer) error {
 	var rec *timeline.Recorder
 	if o.traceOut != "" {
 		rec = timeline.New(0)
-		switch s := sys.(type) {
-		case *core.Bullet:
-			s.AttachTimeline(rec)
-		case *chunked.Engine:
-			s.TL, env.GPU.TL = rec, rec
-		default:
-			env.GPU.TL = rec
-		}
+		experiments.AttachTimeline(sys, env, rec)
 	}
 	res := env.Run(sys, workload.Generate(d, o.rate, o.n, o.seed))
 	var rl metrics.Resilience

@@ -140,7 +140,8 @@ func TestBackendFlagValidation(t *testing.T) {
 // TestInstrumentedRunFlags: -faults and -trace-out build their run
 // through the same backend-aware constructor as a plain run, so a bad
 // flag is a contextual error (exit 1, never a panic) and every other
-// flag is honoured — the latency backend, and faults inside the trace.
+// flag is honoured — the latency backend, faults inside the trace, and
+// a baseline's own lanes. -exp rejects the flags it would not use.
 func TestInstrumentedRunFlags(t *testing.T) {
 	dir := t.TempDir()
 	trace := func(name string) string { return filepath.Join(dir, name+".json") }
@@ -165,6 +166,12 @@ func TestInstrumentedRunFlags(t *testing.T) {
 			"faults injected", `"name":"sm-degrade"`},
 		{"faults-json-trace", []string{"-faults", "-json", "-n", "20", "-trace-out", trace("faults-json-trace")}, 0,
 			`"Resilience"`, `"name":"alloc"`},
+		{"trace-nanoflow", []string{"-trace-out", trace("trace-nanoflow"), "-system", "nanoflow-1024", "-n", "20"}, 0,
+			"system nanoflow-1024:", `"name":"hybrid"`},
+		{"exp-trace", []string{"-exp", "fig12", "-trace-out", trace("exp-trace"), "-n", "20"}, 1,
+			"-exp does not use -trace-out", ""},
+		{"exp-serving-flags", []string{"-exp", "fig15", "-faults", "-system", "vllm-1024", "-backend", "sampled", "-json"}, 1,
+			"-exp does not use -backend, -faults, -json, -system", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

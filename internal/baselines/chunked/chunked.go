@@ -1,6 +1,6 @@
 // Package chunked implements the chunked-prefill hybrid-batch serving
-// engines Bullet is evaluated against (§2.3, §4.1): SARATHI-style token
-// budgets as deployed in vLLM V1 and SGLang.
+// engines Bullet is evaluated against (§2.3, §2.4, §4.1): SARATHI-style
+// token budgets as deployed in vLLM V1 and SGLang, and NanoFlow.
 //
 // Each iteration fills a fixed token budget with all active decode
 // requests first and then as many prefill tokens as fit; longer prompts
@@ -8,6 +8,19 @@
 // every earlier chunk's KV cache (the N(N+1)/2 reload effect). The whole
 // hybrid batch executes in lockstep on the full GPU, which is precisely
 // the throughput-latency coupling Bullet removes.
+//
+// NanoFlow (Zhu et al., 2024; Fig. 3b) splits hybrid batches into
+// nano-batches whose compute-bound, memory-bound and network operators
+// overlap through a tuned static pipeline of resized kernels and CUDA
+// streams. We model the effect of that pipeline rather than its
+// mechanism: with a PipelineEfficiency set, each hybrid layer executes
+// as a single fluid kernel carrying the layer's total FLOPs and bytes,
+// so the simulator overlaps the layer's GEMM compute with its
+// attention/KV traffic perfectly — the best case of NanoFlow's
+// intra-device parallelism. The paper's critique survives: as chunked
+// attention re-reads ever more KV cache, the memory term grows past the
+// compute term and the overlap benefit vanishes, while the token budget,
+// KV reloads and lockstep scheduling of chunked prefill all remain.
 package chunked
 
 import (
@@ -27,33 +40,46 @@ import (
 type Scheme struct {
 	// Name identifies the variant ("vllm-1024", "sglang-2048", ...).
 	Name string
-	// ChunkSize is the per-iteration token budget.
+	// ChunkSize is the per-iteration token budget; it also bounds the
+	// decode batch, whose tokens fill the budget first.
 	ChunkSize int
-	// MaxBatch caps concurrent decode requests.
-	MaxBatch int
 	// PackPrefills lets one iteration chunk several queued prompts
 	// (SGLang packs; our vLLM configuration chunks one prompt at a
 	// time).
 	PackPrefills bool
 	// IterOverhead is the CPU scheduling cost per iteration.
 	IterOverhead sim.Time
+	// PipelineEfficiency selects how a hybrid layer executes. Zero
+	// launches the layer's kernels one by one; a value in (0, 1] fuses
+	// them into one fluid kernel (NanoFlow's overlap), discounted by
+	// this factor because a static nano-batch pipeline cannot keep both
+	// units perfectly busy at phase boundaries.
+	PipelineEfficiency float64
 }
 
 // VLLM1024 approximates vLLM V1 with a 1024-token budget. The heavier
 // per-iteration CPU path (no packed prefills, ~3 ms Python scheduling per
 // hybrid iteration) reflects the slower TTFT tails the paper measures.
 func VLLM1024() Scheme {
-	return Scheme{Name: "vllm-1024", ChunkSize: 1024, MaxBatch: 256, PackPrefills: false, IterOverhead: 3e-3}
+	return Scheme{Name: "vllm-1024", ChunkSize: 1024, PackPrefills: false, IterOverhead: 3e-3}
 }
 
 // SGLang1024 approximates SGLang v0.3 with a 1024-token budget.
 func SGLang1024() Scheme {
-	return Scheme{Name: "sglang-1024", ChunkSize: 1024, MaxBatch: 256, PackPrefills: true, IterOverhead: 1.5e-3}
+	return Scheme{Name: "sglang-1024", ChunkSize: 1024, PackPrefills: true, IterOverhead: 1.5e-3}
 }
 
 // SGLang2048 approximates SGLang v0.3 with a 2048-token budget.
 func SGLang2048() Scheme {
-	return Scheme{Name: "sglang-2048", ChunkSize: 2048, MaxBatch: 256, PackPrefills: true, IterOverhead: 1.5e-3}
+	return Scheme{Name: "sglang-2048", ChunkSize: 2048, PackPrefills: true, IterOverhead: 1.5e-3}
+}
+
+// NanoFlow1024 approximates NanoFlow, the strongest chunked-prefill
+// baseline of the evaluation, in the paper's configuration: a 1024-token
+// budget with packed prefills and every layer fused at 88% pipeline
+// efficiency.
+func NanoFlow1024() Scheme {
+	return Scheme{Name: "nanoflow-1024", ChunkSize: 1024, PackPrefills: true, IterOverhead: 0.8e-3, PipelineEfficiency: 0.88}
 }
 
 // req tracks one request through chunked prefill and decode.
@@ -86,7 +112,7 @@ type Engine struct {
 
 // New creates a chunked-prefill engine on an environment.
 func New(env *serving.Env, scheme Scheme) *Engine {
-	if scheme.ChunkSize <= 0 || scheme.MaxBatch <= 0 {
+	if scheme.ChunkSize <= 0 || !(scheme.PipelineEfficiency >= 0 && scheme.PipelineEfficiency <= 1) {
 		panic(fmt.Sprintf("chunked: invalid scheme %+v", scheme))
 	}
 	return &Engine{env: env, scheme: scheme, stream: env.GPU.NewStream(env.GPU.FullMask())}
@@ -189,7 +215,12 @@ func (e *Engine) cycle() {
 
 	// One lockstep pass over all layers plus the LM head.
 	for l := 0; l < e.env.Model.NumLayers; l++ {
-		for _, k := range e.env.Model.HybridLayerKernels(chunkLens, histLens, len(e.decode), units.Tokens(avgCtx), "hybrid") {
+		ks := e.env.Model.HybridLayerKernels(chunkLens, histLens, len(e.decode), units.Tokens(avgCtx), "hybrid")
+		if e.scheme.PipelineEfficiency > 0 {
+			e.env.GPU.Launch(e.stream, e.fuseLayer(ks), nil)
+			continue
+		}
+		for _, k := range ks {
 			e.env.GPU.Launch(e.stream, k, nil)
 		}
 	}
@@ -234,6 +265,40 @@ func (e *Engine) cycle() {
 		}
 		e.env.Sim.PostAfter(e.scheme.IterOverhead, e.cycle)
 	})
+}
+
+// fuseLayer collapses one hybrid layer's kernels into a single fluid
+// kernel: total FLOPs and bytes with a FLOP-weighted efficiency. Each
+// constituent kernel's wave-quantization idle (at the full device) stays
+// folded into the efficiency — nano-batching overlaps phases, it does not
+// repair tail waves.
+func (e *Engine) fuseLayer(ks []gpusim.Kernel) gpusim.Kernel {
+	M := e.env.GPU.Spec.NumSMs
+	var flops, weighted units.FLOPs
+	var bytes units.Bytes
+	for _, k := range ks {
+		eff := k.Efficiency
+		if eff == 0 {
+			eff = 1
+		}
+		// NanoFlow resizes kernel grids for its fixed pipeline, which
+		// recovers roughly half of the tail-wave idle of stock kernels.
+		eff *= 1 - 0.5*gpusim.WaveIdleRatio(k.Grid, M)
+		flops += k.FLOPs
+		bytes += k.Bytes
+		weighted += units.Over(k.FLOPs, eff)
+	}
+	eff := 1.0
+	if weighted > 0 {
+		eff = units.Ratio(flops, weighted)
+	}
+	return gpusim.Kernel{
+		Name:       "nano-layer",
+		Tag:        "hybrid",
+		FLOPs:      flops,
+		Bytes:      bytes,
+		Efficiency: eff * e.scheme.PipelineEfficiency,
+	}
 }
 
 func (e *Engine) dequeue(r *req) {

@@ -17,9 +17,11 @@ func run(t testing.TB, scheme Scheme, d workload.Dataset, rate float64, n int, s
 	return env.Run(e, workload.Generate(d, rate, n, seed))
 }
 
+// schemes are the evaluated variants, one engine each.
+var schemes = []Scheme{VLLM1024(), SGLang1024(), SGLang2048(), NanoFlow1024()}
+
 func TestCompletesAllRequests(t *testing.T) {
-	for _, scheme := range []Scheme{VLLM1024(), SGLang1024(), SGLang2048()} {
-		scheme := scheme
+	for _, scheme := range schemes {
 		t.Run(scheme.Name, func(t *testing.T) {
 			res := run(t, scheme, workload.ShareGPT, 3, 30, 1)
 			if res.Summary.Requests != 30 {
@@ -33,10 +35,14 @@ func TestCompletesAllRequests(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a := run(t, SGLang1024(), workload.AzureCode, 2, 20, 9)
-	b := run(t, SGLang1024(), workload.AzureCode, 2, 20, 9)
-	if a.Summary != b.Summary {
-		t.Fatalf("non-deterministic: %+v vs %+v", a.Summary, b.Summary)
+	for _, scheme := range schemes {
+		t.Run(scheme.Name, func(t *testing.T) {
+			a := run(t, scheme, workload.AzureCode, 2, 20, 9)
+			b := run(t, scheme, workload.AzureCode, 2, 20, 9)
+			if a.Summary != b.Summary {
+				t.Fatalf("non-deterministic: %+v vs %+v", a.Summary, b.Summary)
+			}
+		})
 	}
 }
 
@@ -58,20 +64,45 @@ func TestLargerChunkImprovesTTFTButHurtsTPOT(t *testing.T) {
 }
 
 func TestLongPromptChunksAcrossIterations(t *testing.T) {
-	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "arxiv-summary")
-	e := New(env, SGLang1024())
-	trace := &workload.Trace{Dataset: "arxiv-summary", Rate: 1, Requests: []workload.Request{
-		{ID: "long", Arrival: 0.001, InputTokens: 8192, OutputTokens: 4, Dataset: "arxiv-summary"},
-	}}
-	res := env.Run(e, trace)
-	// 8192 tokens at a 1024 budget need 8 prefill iterations plus 3
-	// decode iterations.
-	if e.Iterations() != 11 {
-		t.Fatalf("iterations = %d, want 11", e.Iterations())
+	// 8192 tokens need 8192/ChunkSize prefill iterations; the first
+	// token comes out of the last, so 3 decode iterations follow.
+	cases := []struct {
+		scheme     Scheme
+		iterations int
+	}{
+		{VLLM1024(), 8 + 3},
+		{SGLang1024(), 8 + 3},
+		{SGLang2048(), 4 + 3},
+		{NanoFlow1024(), 8 + 3},
 	}
-	r := res.Requests[0]
-	if r.TTFT() <= 0 || r.Finish <= r.FirstToken {
-		t.Fatalf("bad record %+v", r)
+	for _, c := range cases {
+		t.Run(c.scheme.Name, func(t *testing.T) {
+			env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "arxiv-summary")
+			e := New(env, c.scheme)
+			trace := &workload.Trace{Dataset: "arxiv-summary", Rate: 1, Requests: []workload.Request{
+				{ID: "long", Arrival: 0.001, InputTokens: 8192, OutputTokens: 4, Dataset: "arxiv-summary"},
+			}}
+			res := env.Run(e, trace)
+			if e.Iterations() != c.iterations {
+				t.Fatalf("iterations = %d, want %d", e.Iterations(), c.iterations)
+			}
+			r := res.Requests[0]
+			if r.TTFT() <= 0 || r.TPOT() <= 0 || r.Finish <= r.FirstToken {
+				t.Fatalf("bad record %+v", r)
+			}
+		})
+	}
+}
+
+func TestOverlapBeatsPlainChunked(t *testing.T) {
+	// NanoFlow's nano-batch overlap should improve on same-budget plain
+	// chunked prefill end to end (the paper places it best among
+	// chunked systems).
+	a := run(t, NanoFlow1024(), workload.ShareGPT, 8, 60, 2)
+	b := run(t, SGLang1024(), workload.ShareGPT, 8, 60, 2)
+	if a.Summary.MeanE2E >= b.Summary.MeanE2E*1.05 {
+		t.Fatalf("nanoflow E2E %v not competitive with chunked %v",
+			a.Summary.MeanE2E, b.Summary.MeanE2E)
 	}
 }
 
@@ -131,17 +162,33 @@ func TestPackPrefillsPacksMultiplePrompts(t *testing.T) {
 }
 
 func TestInvalidSchemePanics(t *testing.T) {
-	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "sharegpt")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero chunk size accepted")
-		}
-	}()
-	New(env, Scheme{Name: "bad"})
+	cases := []struct {
+		name   string
+		scheme Scheme
+	}{
+		{"zero-chunk", Scheme{Name: "bad"}},
+		{"negative-efficiency", Scheme{Name: "bad", ChunkSize: 1024, PipelineEfficiency: -0.1}},
+		{"efficiency-above-one", Scheme{Name: "bad", ChunkSize: 1024, PipelineEfficiency: 1.5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "sharegpt")
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("scheme %+v accepted", c.scheme)
+				}
+			}()
+			New(env, c.scheme)
+		})
+	}
 }
 
-func BenchmarkSGLang1024ShareGPT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run(b, SGLang1024(), workload.ShareGPT, 5, 30, 1)
+func BenchmarkSchemes(b *testing.B) {
+	for _, scheme := range schemes {
+		b.Run(scheme.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				run(b, scheme, workload.ShareGPT, 5, 30, 1)
+			}
+		})
 	}
 }

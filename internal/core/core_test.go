@@ -101,7 +101,7 @@ func TestTimelineSeriesPopulated(t *testing.T) {
 	rec := timeline.New(0)
 	b.AttachTimeline(rec)
 	b.RunTrace(workload.Generate(workload.AzureCode, 3, 25, 11))
-	branches, allocs, batchStarts := 0, 0, 0
+	branches, allocs, batchStarts, observedSteps := 0, 0, 0, 0
 	minSM, maxSM := math.MaxInt, math.MinInt
 	for _, e := range rec.Events() {
 		switch {
@@ -118,6 +118,8 @@ func TestTimelineSeriesPopulated(t *testing.T) {
 			batchStarts++
 			intArg(t, e, "tokens")
 			intArg(t, e, "waiting")
+		case e.Lane == "estimator" && e.Name == "decode":
+			observedSteps++
 		}
 	}
 	if allocs == 0 || batchStarts == 0 || branches == 0 {
@@ -130,6 +132,10 @@ func TestTimelineSeriesPopulated(t *testing.T) {
 	}
 	if minSM == maxSM {
 		t.Fatalf("prefill SMs never changed (always %d)", minSM)
+	}
+	if observedSteps == 0 || observedSteps != b.Decode.Steps() {
+		t.Fatalf("%d estimator/decode instants for %d decode steps: want one feedback per step",
+			observedSteps, b.Decode.Steps())
 	}
 }
 

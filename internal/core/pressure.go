@@ -24,7 +24,6 @@ func (b *Bullet) EnablePressure(cfg pressure.Config) {
 	b.pressure = ctrl
 	b.Buffer.HostBandwidth = ctrl.Config().HostBandwidth
 	b.Prefill.Gate = ctrl
-	b.Prefill.OnGateShed = func(r *engine.Req) { b.env.Shed(r.W) }
 	if ctrl.Config().DisablePreemption {
 		b.name += "+gate"
 		return

@@ -357,6 +357,11 @@ func (d *DecodeEngine) cycle() {
 		d.est.ObserveDecode(predicted, rec.Duration())
 		d.steps++
 		now := d.env.Sim.Now()
+		if d.TL != nil {
+			d.TL.Instant("estimator", "decode", now,
+				timeline.F("predicted", predicted.Float()),
+				timeline.F("actual", rec.Duration().Float()))
+		}
 		if d.QoS != nil {
 			// Feed the live TPOT signal: this step is the latency every
 			// batched request just paid per token.

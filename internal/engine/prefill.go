@@ -98,9 +98,6 @@ type PrefillEngine struct {
 	// newer, so a preempted request's re-admission can never evict the
 	// request that displaced it (no preemption livelock).
 	OnPressure func(deficit int, requester sim.Time)
-	// OnGateShed observes requests the gate sheds at admission (the core
-	// routes them to Env.Shed and the pressure counters).
-	OnGateShed func(r *Req)
 
 	// QoS, when non-nil, is the SLO-feedback controller: it supplies the
 	// live prefill chunk-token budget (never above MaxBatchTokens), the
@@ -367,11 +364,7 @@ func (p *PrefillEngine) tryStart() {
 			if tier == pressure.TierShed {
 				p.waiting = p.waiting[1:]
 				r.ReleasePrefix()
-				if p.OnGateShed != nil {
-					p.OnGateShed(r)
-				} else {
-					p.env.Shed(r.W)
-				}
+				p.env.Shed(r.W)
 				continue
 			}
 			if tier == pressure.TierDefer {
@@ -447,11 +440,7 @@ func (p *PrefillEngine) chargeWaiting(now units.Seconds) {
 		if r.Deferrals >= p.Gate.DeferBudget(r.Class.Prio()) {
 			p.Gate.RecordShed(now, r.W.ID, "defer-budget")
 			r.ReleasePrefix()
-			if p.OnGateShed != nil {
-				p.OnGateShed(r)
-			} else {
-				p.env.Shed(r.W)
-			}
+			p.env.Shed(r.W)
 			continue
 		}
 		kept = append(kept, r)
@@ -540,8 +529,14 @@ func (p *PrefillEngine) cycle() {
 		if p.epoch != ep {
 			return // batch aborted while its kernels drained
 		}
-		actual := p.env.Sim.Now() - start
-		p.est.ObservePrefill(units.Over(predicted, float64(group)), units.Over(actual, float64(group)))
+		pred := units.Over(predicted, float64(group))
+		actual := units.Over(p.env.Sim.Now()-start, float64(group))
+		p.est.ObservePrefill(pred, actual)
+		if p.TL != nil {
+			p.TL.Instant("estimator", "prefill", p.env.Sim.Now(),
+				timeline.F("predicted", pred.Float()),
+				timeline.F("actual", actual.Float()))
+		}
 		p.layersDone += group
 		p.buf.PublishPrefillProgress()
 		if p.layersDone >= p.env.Model.NumLayers {

@@ -50,10 +50,6 @@ type Estimator struct {
 	prefillCorr float64
 	decodeCorr  float64
 
-	// OnObserve, when set, sees every (prediction, observation) pair fed
-	// back by the engines — the Figure 15 accuracy instrumentation.
-	OnObserve func(phase string, predicted, actual units.Seconds)
-
 	// feedbackOff freezes the online corrections (ablation switch).
 	feedbackOff bool
 
@@ -160,9 +156,6 @@ func (e *Estimator) DecodeStepTime(batch int, avgCtx units.Tokens, sms int, colo
 // ObservePrefill feeds back an observed prefill-layer duration against the
 // prediction made for it, refining future predictions (§3.3.2).
 func (e *Estimator) ObservePrefill(predicted, actual units.Seconds) {
-	if e.OnObserve != nil {
-		e.OnObserve("prefill", predicted, actual)
-	}
 	if e.feedbackOff {
 		return
 	}
@@ -171,9 +164,6 @@ func (e *Estimator) ObservePrefill(predicted, actual units.Seconds) {
 
 // ObserveDecode feeds back an observed decode-step duration.
 func (e *Estimator) ObserveDecode(predicted, actual units.Seconds) {
-	if e.OnObserve != nil {
-		e.OnObserve("decode", predicted, actual)
-	}
 	if e.feedbackOff {
 		return
 	}

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/baselines/chunked"
 	"repro/internal/baselines/disagg"
-	"repro/internal/baselines/nanoflow"
 	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
@@ -103,7 +102,7 @@ func NewSystemWithBackend(name string, env *serving.Env, backend string, seed in
 	case "sglang-2048":
 		return chunked.New(env, chunked.SGLang2048()), nil
 	case "nanoflow-1024":
-		return nanoflow.New(env, nanoflow.DefaultConfig()), nil
+		return chunked.New(env, chunked.NanoFlow1024()), nil
 	case "disagg-nvlink":
 		return disagg.New(env, disagg.DefaultConfig()), nil
 	case "disagg-pcie":

@@ -10,7 +10,6 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/serving"
 	"repro/internal/timeline"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -75,15 +74,16 @@ func ExtFidelity(d workload.Dataset, rate float64, n int, seed int64) []Fidelity
 		env := serving.NewEnv(spec, cfg, d.Name)
 		b := core.New(env, core.Options{Mode: core.ModeFull, Backend: backend})
 		rec := timeline.New(0)
-		b.Prefill.TL, b.Decode.TL = rec, rec // the decisions alone, as in Figure12
+		b.Prefill.TL, b.Decode.TL = rec, rec // the engines' events alone, as in Figure12
+		res := env.Run(b, trace)
+		tl := SeriesFromTimeline(rec)
+		branches := tl.Branches
 		var rels []float64
-		b.Estimator.OnObserve = func(phase string, predicted, actual units.Seconds) {
-			if predicted > 0 && actual > 0 {
-				rels = append(rels, units.Ratio(units.Abs(predicted-actual), actual))
+		for _, o := range tl.Observations {
+			if o.Predicted > 0 && o.Actual > 0 {
+				rels = append(rels, o.RelError())
 			}
 		}
-		res := env.Run(b, trace)
-		branches := SeriesFromTimeline(rec).Branches
 		if backend == gpusim.BackendAnalytic {
 			ref = branches
 		}

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/serving"
-	"repro/internal/units"
+	"repro/internal/timeline"
 	"repro/internal/workload"
 )
 
@@ -31,8 +31,9 @@ type Figure15Result struct {
 	OnlineAccuracy float64 // SLO-compliance classification on step durations
 }
 
-// Figure15 fits the estimator offline and then serves a mixed workload
-// with the estimator's every (prediction, observation) pair recorded.
+// Figure15 fits the estimator offline and then serves a mixed workload,
+// reading the estimator's every (prediction, observation) pair off the
+// engines' timeline.
 func Figure15(n int, seed int64) Figure15Result {
 	spec, cfg := Platform()
 	_, rep := estimator.Profile(cfg, spec, estimator.QuickProfileOptions(spec))
@@ -48,27 +49,22 @@ func Figure15(n int, seed int64) Figure15Result {
 	// Online validation on the Azure-Code workload.
 	env := serving.NewEnv(spec, cfg, "azure-code")
 	b := core.New(env, core.Options{Mode: core.ModeFull, Params: rep.Params})
-	type pair struct {
-		kind      string
-		pred, act units.Seconds
-	}
-	var pairs []pair
-	b.Estimator.OnObserve = func(phase string, predicted, actual units.Seconds) {
-		pairs = append(pairs, pair{phase, predicted, actual})
-	}
+	rec := timeline.New(0)
+	b.Prefill.TL, b.Decode.TL = rec, rec // the estimator feedback, as in Figure12
 	b.RunTrace(workload.Generate(workload.AzureCode, 4.5, n, seed))
 
+	pairs := SeriesFromTimeline(rec).Observations
 	if len(pairs) == 0 {
 		return out
 	}
 	var rels []float64
 	var samples []estimator.Sample
 	for _, p := range pairs {
-		if p.act <= 0 || p.pred <= 0 {
+		if p.Actual <= 0 || p.Predicted <= 0 {
 			continue
 		}
-		rels = append(rels, units.Ratio(units.Abs(p.pred-p.act), p.act))
-		samples = append(samples, estimator.Sample{Kind: p.kind, Actual: p.act, Predicted: p.pred})
+		rels = append(rels, p.RelError())
+		samples = append(samples, p)
 	}
 	sort.Float64s(rels)
 	sum := 0.0

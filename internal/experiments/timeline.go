@@ -5,22 +5,31 @@ import (
 
 	"repro/internal/baselines/chunked"
 	"repro/internal/core"
+	"repro/internal/estimator"
 	"repro/internal/metrics"
 	"repro/internal/serving"
 	"repro/internal/timeline"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // RunOneTraced executes a single serving experiment with the timeline
 // recorder attached, returning both the result and the recorded trace.
-// Bullet variants thread the recorder through every layer; chunked
-// baselines add their hybrid-batch counters; every other system still
-// gets GPU-level kernel spans and occupancy counters.
 func RunOneTraced(system string, dataset workload.Dataset, rate float64, n int, seed int64) (serving.Result, *timeline.Recorder) {
 	spec, cfg := Platform()
 	env := serving.NewEnv(spec, cfg, dataset.Name)
 	sys := NewSystem(system, env)
 	rec := timeline.New(0)
+	AttachTimeline(sys, env, rec)
+	res := env.Run(sys, workload.Generate(dataset, rate, n, seed))
+	return res, rec
+}
+
+// AttachTimeline attaches rec to a system built on env. Bullet variants
+// thread the recorder through every layer; chunked baselines add their
+// hybrid-batch counters; every other system still gets GPU-level kernel
+// spans and occupancy counters.
+func AttachTimeline(sys serving.System, env *serving.Env, rec *timeline.Recorder) {
 	switch s := sys.(type) {
 	case *core.Bullet:
 		s.AttachTimeline(rec)
@@ -29,16 +38,17 @@ func RunOneTraced(system string, dataset workload.Dataset, rate float64, n int, 
 	default:
 		env.GPU.TL = rec
 	}
-	res := env.Run(sys, workload.Generate(dataset, rate, n, seed))
-	return res, rec
 }
 
 // TimelineSeries is the Fig. 12 view of one traced single-GPU run: step
 // series of its serving state (a chunked baseline's decode and chunk
-// tokens fill DecodeBatch and PrefillTokens) and its Algorithm-1 arms.
+// tokens fill DecodeBatch and PrefillTokens) and its Algorithm-1 arms,
+// plus the Fig. 15 view: every (prediction, observation) pair the
+// engines fed back to the estimator, Kind "prefill" or "decode".
 type TimelineSeries struct {
 	PrefillSMs, DecodeSMs, PrefillTokens, DecodeBatch, Waiting metrics.Series
 	Branches                                                   []string
+	Observations                                               []estimator.Sample
 }
 
 // SeriesFromTimeline folds a recorder's events into step series. The
@@ -53,11 +63,14 @@ func SeriesFromTimeline(rec *timeline.Recorder) TimelineSeries {
 	for _, e := range rec.Events() {
 		arg := func(key string) float64 {
 			for _, a := range e.Args {
-				if a.Key == key && a.Kind == timeline.ArgInt {
+				switch {
+				case a.Key == key && a.Kind == timeline.ArgInt:
 					return float64(a.I)
+				case a.Key == key && a.Kind == timeline.ArgFloat:
+					return a.F
 				}
 			}
-			panic(fmt.Sprintf("experiments: %s/%s event at %v has no integer %q argument", e.Lane, e.Name, e.Start, key))
+			panic(fmt.Sprintf("experiments: %s/%s event at %v has no numeric %q argument", e.Lane, e.Name, e.Start, key))
 		}
 		switch {
 		case e.Lane == "sched" && e.Kind == timeline.KindInstant:
@@ -74,6 +87,9 @@ func SeriesFromTimeline(rec *timeline.Recorder) TimelineSeries {
 			s.DecodeBatch.Add(e.Start, arg("decodeTokens"))
 			s.PrefillTokens.Add(e.Start, arg("chunkTokens"))
 			s.Waiting.Add(e.Start, arg("waiting"))
+		case e.Lane == "estimator":
+			s.Observations = append(s.Observations, estimator.Sample{Kind: e.Name,
+				Predicted: units.Seconds(arg("predicted")), Actual: units.Seconds(arg("actual"))})
 		}
 	}
 	return s

@@ -455,7 +455,7 @@ func TestLoaderScopes(t *testing.T) {
 		{"repro/internal/qos", true, true, false},
 		{"repro/internal/resilience", true, true, false},
 		{"repro/internal/serving", true, false, false},
-		{"repro/internal/baselines/nanoflow", true, false, false},
+		{"repro/internal/baselines/chunked", true, false, false},
 		{"repro/cmd/bulletlint", false, false, true},
 		{"repro/examples/quickstart", false, false, true},
 	}
