@@ -59,6 +59,7 @@ repro/internal/resilience             90
 repro/internal/gpusim/backend.go      90
 repro/internal/gpusim/sampled.go      90
 repro/internal/gpusim/hierarchy.go    90
+repro/internal/cluster/cluster.go     91
 repro/internal/cluster/resilience.go  90
 mean                                  86
 '

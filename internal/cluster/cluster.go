@@ -24,10 +24,10 @@
 //
 // The output is therefore a pure function of (trace, seed, config):
 // byte-identical whether replicas advance serially or on GOMAXPROCS
-// workers, which ci.sh pins with a GOMAXPROCS=1-vs-4 byte-diff gate and
-// cluster_test.go pins per worker count under -race. Attaching a
-// timeline recorder forces serial advancement so the shared trace keeps
-// one deterministic event order.
+// workers, which the -workers 4 rows of cmd/bulletsim's TestGolden pin
+// against the serial goldens and cluster_test.go pins per worker count
+// under -race. Attaching a timeline recorder forces serial advancement
+// so the shared trace keeps one deterministic event order.
 package cluster
 
 import (
@@ -75,9 +75,9 @@ type Config struct {
 	Workers int
 	// Resilience arms the router-tier protections of DESIGN.md §16
 	// (circuit breakers, dispatch timeouts, hedged re-dispatch, token
-	// buckets, graceful drains) when AttachFaults is called. Nil leaves
-	// the router naive: link faults, blips, and drains still apply, but
-	// nothing mitigates them — the control arm of ext-chaos.
+	// buckets, graceful drains). Nil leaves the router naive: link
+	// faults, blips, and drains attached through AttachFaults still
+	// apply, but nothing mitigates them — the control arm of ext-chaos.
 	Resilience *resilience.Config
 }
 
@@ -98,11 +98,10 @@ type outcome struct {
 // replica is one Bullet instance on its own device, advancing on its own
 // private simulation clock.
 type replica struct {
-	env      *serving.Env
-	sys      *core.Bullet
-	slot     int // index in Cluster.replicas, stable across restarts
-	inflight int // live requests routed here
-	tokens   int // live input tokens routed here
+	env    *serving.Env
+	sys    *core.Bullet
+	slot   int // index in Cluster.replicas, stable across restarts
+	tokens int // input tokens of the live requests, LeastLoaded's load
 	// down marks a crashed replica: the router stops picking it and its
 	// late completions are swallowed as stale.
 	down bool
@@ -133,6 +132,19 @@ type replica struct {
 	outbox []outcome
 }
 
+// place charges w to the replica: its input tokens join the load and it
+// joins the live set that fails over if the replica crashes.
+func (r *replica) place(w workload.Request) {
+	r.tokens += w.InputTokens
+	r.live[w.ID] = w
+}
+
+// release undoes place for the request with the given ID.
+func (r *replica) release(id string) {
+	r.tokens -= r.live[id].InputTokens
+	delete(r.live, id)
+}
+
 // advance runs this replica's private simulation up to horizon t,
 // buffering every completion and shed into the outbox. It touches no
 // state outside the replica, so the cluster may advance all replicas
@@ -161,9 +173,8 @@ type Cluster struct {
 	// at the next recovery.
 	deferred []workload.Request
 
-	// rs holds the router-tier resilience state (resilience.go); non-nil
-	// once AttachFaults ran. Its cfg stays nil unless Config.Resilience
-	// armed the mitigations.
+	// rs holds the router-tier resilience state (resilience.go). Its cfg
+	// stays nil unless Config.Resilience armed the mitigations.
 	rs *routerState
 
 	crashes    int
@@ -188,7 +199,9 @@ type Cluster struct {
 
 // New builds the cluster on an outer environment. The outer env's own GPU
 // and KV pool are unused (replicas own their devices); it provides the
-// router clock, SLO, and completion collection.
+// router clock, SLO, and completion collection. New takes over the outer
+// env's OnDrain hook, so Env.Run ends by quiescing the replicas and
+// running CheckDrained.
 func New(outer *serving.Env, cfg Config) *Cluster {
 	if cfg.Replicas <= 0 {
 		panic(fmt.Sprintf("cluster: invalid replica count %d", cfg.Replicas))
@@ -201,9 +214,13 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 	default:
 		panic(fmt.Sprintf("cluster: unknown policy %q", cfg.Policy))
 	}
-	c := &Cluster{outer: outer, cfg: cfg, routed: map[string]*replica{}}
+	c := &Cluster{outer: outer, cfg: cfg, routed: map[string]*replica{}, rs: newRouterState(cfg)}
 	for i := 0; i < cfg.Replicas; i++ {
 		c.replicas = append(c.replicas, c.newReplica(i))
+	}
+	outer.OnDrain = func() {
+		c.Quiesce()
+		c.CheckDrained()
 	}
 	return c
 }
@@ -215,7 +232,8 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 func (c *Cluster) newReplica(idx int) *replica {
 	rsim := sim.New()
 	rsim.Run(c.outer.Sim.Now())
-	env := serving.NewEnvWithSim(rsim, c.outer.GPU.Spec, c.outer.Model, datasetOf(c.outer))
+	env := serving.NewEnvWithSim(rsim, c.outer.GPU.Spec, c.outer.Model, "")
+	env.SLO = c.outer.SLO
 	r := &replica{env: env, slot: idx, live: map[string]workload.Request{}}
 	env.OnComplete = func(m metrics.Request) {
 		r.outbox = append(r.outbox, outcome{at: env.Sim.Now(), done: m})
@@ -253,17 +271,6 @@ func (c *Cluster) AttachTimeline(rec *timeline.Recorder) {
 	for i, r := range c.replicas {
 		r.sys.AttachTimeline(rec.Scoped(fmt.Sprintf("replica%d", i)))
 	}
-}
-
-// datasetOf recovers the dataset name from the env's SLO (Table 2 pairs
-// are unique).
-func datasetOf(env *serving.Env) string {
-	for _, name := range []string{"sharegpt", "azure-code", "arxiv-summary"} {
-		if metrics.SLOFor(name) == env.SLO {
-			return name
-		}
-	}
-	return "sharegpt"
 }
 
 // Name implements serving.System.
@@ -357,37 +364,47 @@ func (c *Cluster) mergeOutboxes() {
 // (it failed over at a crash) are swallowed, live ones release the
 // routing accounting and flow to the outer environment.
 func (c *Cluster) applyOutcome(r *replica, o outcome) {
-	if c.rs != nil {
-		id := o.done.ID
-		if o.isShed {
-			id = o.shed.ID
-		}
-		if fl, ok := c.rs.flights[id]; ok {
-			c.settleFlight(r, fl, o, id)
-			return
-		}
-	}
+	id := o.done.ID
 	if o.isShed {
-		if c.routed[o.shed.ID] != r {
-			c.stale++
-			return
-		}
-		delete(c.routed, o.shed.ID)
-		delete(r.live, o.shed.ID)
-		r.inflight--
-		r.tokens -= o.shed.InputTokens
-		c.outer.Shed(o.shed)
+		id = o.shed.ID
+	}
+	if fl, ok := c.rs.flights[id]; ok {
+		c.settleFlight(r, fl, o, id)
 		return
 	}
-	if c.routed[o.done.ID] != r {
+	if c.routed[id] != r {
 		c.stale++
 		return
 	}
-	delete(c.routed, o.done.ID)
-	delete(r.live, o.done.ID)
-	r.inflight--
-	r.tokens -= o.done.InputTokens
-	c.outer.Complete(o.done)
+	delete(c.routed, id)
+	r.release(id)
+	c.deliver(o)
+}
+
+// deliver hands a settled outcome to the outer environment.
+func (c *Cluster) deliver(o outcome) {
+	if o.isShed {
+		c.outer.Shed(o.shed)
+	} else {
+		c.outer.Complete(o.done)
+	}
+}
+
+// decide runs fn as a router decision point. Every outer-clock entry
+// point goes through it — Submit, the pump, the fault handlers and the
+// router timers — so every decision sees the replicas at now: they first
+// advance to the outer clock (merging every outcome up to and including
+// this instant), then fn decides, then the pump re-arms at the earliest
+// pending replica event.
+func (c *Cluster) decide(fn func()) {
+	c.advanceTo(c.outer.Sim.Now())
+	fn()
+	c.schedulePump()
+}
+
+// after schedules fn as a router decision point d from now.
+func (c *Cluster) after(d sim.Time, fn func()) {
+	c.outer.Sim.PostAfter(d, func() { c.decide(fn) })
 }
 
 // schedulePump keeps the outer clock tethered to replica progress: one
@@ -416,12 +433,11 @@ func (c *Cluster) schedulePump() {
 	c.pump = c.outer.Sim.At(at, c.onPump)
 }
 
-// onPump is a router decision point with no decision: advance replicas
-// to the outer clock and re-arm.
+// onPump is a router decision point with no decision: the wrapper alone
+// advances replicas to the outer clock and re-arms.
 func (c *Cluster) onPump() {
 	c.pump = nil
-	c.advanceTo(c.outer.Sim.Now())
-	c.schedulePump()
+	c.decide(func() {})
 }
 
 // Submit implements serving.System. Every submission is a router
@@ -430,36 +446,7 @@ func (c *Cluster) onPump() {
 // the policy places the request. Arrivals that find every replica down
 // are deferred and flushed at the next recovery.
 func (c *Cluster) Submit(r workload.Request) {
-	c.advanceTo(c.outer.Sim.Now())
-	if c.rs != nil {
-		c.submitResilient(r, true)
-		c.schedulePump()
-		return
-	}
-	rep := c.pick(r)
-	if rep == nil {
-		c.deferred = append(c.deferred, r)
-		c.schedulePump()
-		return
-	}
-	c.place(rep, r)
-	rep.sys.Submit(r)
-	c.schedulePump()
-}
-
-// place records the routing accounting for a request on its chosen
-// replica: load counters, the failover set, and the ownership map.
-func (c *Cluster) place(rep *replica, r workload.Request) {
-	rep.inflight++
-	rep.tokens += r.InputTokens
-	rep.live[r.ID] = r
-	c.routed[r.ID] = rep
-}
-
-// pick returns the routing policy's choice among healthy replicas, nil
-// when all are down.
-func (c *Cluster) pick(r workload.Request) *replica {
-	return c.pickWhere(func(rep *replica) bool { return !rep.down })
+	c.decide(func() { c.submit(r, true) })
 }
 
 // pickWhere runs the routing policy over the replicas that satisfy ok,
@@ -502,8 +489,9 @@ func (c *Cluster) pickWhere(ok func(*replica) bool) *replica {
 }
 
 // AttachFaults arms resilience on every replica and registers the
-// cluster as the injector's handler for all fault kinds: crashes are
-// handled here, single-device faults are routed to the targeted replica.
+// cluster as the injector's handler for all fault kinds, each a router
+// decision point: crashes are handled here, single-device faults are
+// routed to the targeted replica.
 func (c *Cluster) AttachFaults(inj *faults.Injector, wcfg core.WatchdogConfig) {
 	if c.wcfg != nil {
 		panic("cluster: faults attached twice")
@@ -512,27 +500,25 @@ func (c *Cluster) AttachFaults(inj *faults.Injector, wcfg core.WatchdogConfig) {
 	for _, r := range c.replicas {
 		r.sys.EnableResilience(wcfg)
 	}
-	c.rs = newRouterState(c.cfg)
-	inj.Handle(faults.KindReplicaCrash, c.onReplicaCrash)
-	inj.Handle(faults.KindSMDegrade, c.routeFault)
-	inj.Handle(faults.KindEngineStall, c.routeFault)
-	inj.Handle(faults.KindKVShrink, c.routeFault)
-	inj.Handle(faults.KindLinkDegrade, c.onLinkFault)
-	inj.Handle(faults.KindRouterBlip, c.onRouterBlip)
-	inj.Handle(faults.KindReplicaDrain, c.onReplicaDrain)
+	handle := func(kind faults.Kind, h func(faults.Event)) {
+		inj.Handle(kind, func(ev faults.Event) { c.decide(func() { h(ev) }) })
+	}
+	handle(faults.KindReplicaCrash, c.onReplicaCrash)
+	handle(faults.KindSMDegrade, c.routeFault)
+	handle(faults.KindEngineStall, c.routeFault)
+	handle(faults.KindKVShrink, c.routeFault)
+	handle(faults.KindLinkDegrade, c.onLinkFault)
+	handle(faults.KindRouterBlip, c.onRouterBlip)
+	handle(faults.KindReplicaDrain, c.onReplicaDrain)
 }
 
-// routeFault applies a single-device fault to the targeted replica — a
-// router decision point, so the fleet first catches up to the fault
-// instant. Faults aimed at a crashed replica are dropped — the machine
-// is gone.
+// routeFault applies a single-device fault to the targeted replica.
+// Faults aimed at a crashed replica are dropped — the machine is gone.
 func (c *Cluster) routeFault(ev faults.Event) {
-	c.advanceTo(c.outer.Sim.Now())
 	rep := c.replicas[ev.Replica%len(c.replicas)]
 	if !rep.down {
 		rep.sys.ApplyFault(ev)
 	}
-	c.schedulePump()
 }
 
 // onReplicaCrash fails a replica: health-aware routing stops picking it,
@@ -543,15 +529,13 @@ func (c *Cluster) routeFault(ev faults.Event) {
 // readmission replaces it, but it no longer owns any request — its late
 // completions are swallowed by the ownership check at the merge.
 func (c *Cluster) onReplicaCrash(ev faults.Event) {
-	c.advanceTo(c.outer.Sim.Now())
-	rep := c.replicas[ev.Replica%len(c.replicas)]
+	idx := ev.Replica % len(c.replicas)
+	rep := c.replicas[idx]
 	if rep.down {
-		c.schedulePump()
 		return // already down; the machine cannot crash twice
 	}
 	rep.down = true
 	c.crashes++
-	idx := ev.Replica % len(c.replicas)
 	lost := make([]workload.Request, 0, len(rep.live))
 	for _, w := range rep.live {
 		lost = append(lost, w)
@@ -563,35 +547,28 @@ func (c *Cluster) onReplicaCrash(ev faults.Event) {
 			timeline.I("lost", len(lost)))
 	}
 	rep.live = map[string]workload.Request{}
-	if c.rs != nil {
-		// Dispatches parked on the dead link fail over via the lost set;
-		// the generation bump no-ops their pending delivery, timeout, and
-		// link-restore callbacks. Protected entries resolve their breaker
-		// outcome as a failure — a half-open probe wiped by the crash
-		// would otherwise never report and wedge the slot's breaker.
-		for _, h := range rep.held {
-			if h.protected {
-				c.rs.breakers[rep.slot].ReportFailure(c.outer.Sim.Now())
-			}
+	rep.tokens = 0
+	// Dispatches parked on the dead link fail over via the lost set; the
+	// generation bump no-ops their pending delivery, timeout, and
+	// link-restore callbacks. Protected entries resolve their breaker
+	// outcome as a failure — a half-open probe wiped by the crash would
+	// otherwise never report and wedge the slot's breaker.
+	for _, h := range rep.held {
+		if h.protected {
+			c.rs.breakers[rep.slot].ReportFailure(c.outer.Sim.Now())
 		}
-		rep.held = nil
-		rep.linkGen++
 	}
+	rep.held = nil
+	rep.linkGen++
 	for _, w := range lost {
 		delete(c.routed, w.ID)
-		if c.rs != nil {
-			if c.detachFlight(rep, w) {
-				continue // a hedge copy survives elsewhere
-			}
-			c.retried++
-			c.submitResilient(w, false)
-			continue
+		if c.detachFlight(rep, w) {
+			continue // a hedge copy survives elsewhere
 		}
 		c.retried++
-		c.Submit(w)
+		c.submit(w, false)
 	}
-	c.outer.Sim.PostAfter(ev.Recovery, func() {
-		c.advanceTo(c.outer.Sim.Now())
+	c.after(ev.Recovery, func() {
 		c.replicas[idx] = c.newReplica(idx)
 		c.recoveries++
 		c.recoveryTime += ev.Recovery
@@ -601,24 +578,17 @@ func (c *Cluster) onReplicaCrash(ev faults.Event) {
 				timeline.I("deferred", len(c.deferred)))
 		}
 		c.flushDeferred()
-		c.schedulePump()
 	})
-	c.schedulePump()
 }
 
 // flushDeferred re-submits the arrivals that found every replica
-// unavailable. Resilient flushes skip the admission bucket — the
-// requests were already admitted (or arrived before rate limiting was
-// armed) and must not be charged twice.
+// unavailable. Flushes skip the admission bucket — the requests were
+// already admitted and must not be charged twice.
 func (c *Cluster) flushDeferred() {
 	flush := c.deferred
 	c.deferred = nil
 	for _, w := range flush {
-		if c.rs != nil {
-			c.submitResilient(w, false)
-			continue
-		}
-		c.Submit(w)
+		c.submit(w, false)
 	}
 }
 
@@ -632,17 +602,28 @@ func (c *Cluster) Replicas() []int {
 	return out
 }
 
-// CheckDrained panics if any live replica leaked KV blocks. Crashed
-// replicas are exempt: a machine that died mid-run may hold KV for work
-// it was draining when the run ended.
+// CheckDrained panics unless the run left nothing behind. The router
+// must hold no routed request, open flight, deferred or blip-held
+// arrival; every replica no live request, load token or parked
+// dispatch. Every up replica's environment must then drain cleanly
+// (serving.Env.Drain): its end-of-run hook runs and its KV pool checks
+// out empty. Crashed replicas are exempt from the KV check only: a
+// machine that died mid-run may hold KV for work it was draining when
+// the run ended, but it owns none of that work. Env.Run calls this
+// through the hook New installs; calling it again is harmless.
 func (c *Cluster) CheckDrained() {
+	rs := c.rs
+	if len(c.routed)+len(rs.flights)+len(c.deferred)+len(rs.blipHeld) != 0 {
+		panic(fmt.Sprintf("cluster: router holds %d routed, %d flights, %d deferred, %d blip-held requests",
+			len(c.routed), len(rs.flights), len(c.deferred), len(rs.blipHeld)))
+	}
 	for i, r := range c.replicas {
-		if r.down {
-			continue
+		if len(r.live) != 0 || r.tokens != 0 || len(r.held) != 0 {
+			panic(fmt.Sprintf("cluster: replica %d holds %d live requests, %d tokens, %d parked dispatches",
+				i, len(r.live), r.tokens, len(r.held)))
 		}
-		r.env.KV.CheckInvariants()
-		if used := r.env.KV.UsedBlocks(); used != 0 {
-			panic(fmt.Sprintf("cluster: replica %d leaked %d KV blocks", i, used))
+		if !r.down {
+			r.env.Drain(fmt.Sprintf("%s replica %d", c.Name(), i))
 		}
 	}
 }
@@ -664,35 +645,24 @@ func (c *Cluster) Resilience() metrics.Resilience {
 		Recoveries:   c.recoveries,
 		RecoveryTime: c.recoveryTime,
 	}
-	if rs := c.rs; rs != nil {
-		out.LinkFaults = rs.linkFaults
-		out.Drains = rs.drains
-		out.Handoffs = rs.handoffs
-		for cl, n := range rs.rateLimited {
-			out.RateLimited += n
-			out.RateLimitedByClass[cl] = n
-		}
-		for _, b := range rs.breakers {
-			out.BreakerOpens += b.Opens()
-			out.BreakerCloses += b.Closes()
-		}
-		if rs.hedger != nil {
-			out.Hedges = rs.hedger.Hedges()
-			out.HedgeWins = rs.hedger.Wins()
-		}
+	rs := c.rs
+	out.LinkFaults = rs.linkFaults
+	out.Drains = rs.drains
+	out.Handoffs = rs.handoffs
+	for cl, n := range rs.rateLimited {
+		out.RateLimited += n
+		out.RateLimitedByClass[cl] = n
+	}
+	for _, b := range rs.breakers {
+		out.BreakerOpens += b.Opens()
+		out.BreakerCloses += b.Closes()
+	}
+	if rs.hedger != nil {
+		out.Hedges = rs.hedger.Hedges()
+		out.HedgeWins = rs.hedger.Wins()
 	}
 	for _, r := range c.replicas {
 		out.Add(r.sys.Resilience())
-	}
-	return out
-}
-
-// Pressure aggregates memory-pressure accounting across every current
-// replica (zero when Options.Pressure is off).
-func (c *Cluster) Pressure() metrics.Pressure {
-	var out metrics.Pressure
-	for _, r := range c.replicas {
-		out.Add(r.sys.Pressure())
 	}
 	return out
 }

@@ -31,7 +31,6 @@ func runFaulty(t testing.TB, cfg Config, sched faults.Schedule, rate float64, n 
 	c.AttachFaults(inj, core.DefaultWatchdog())
 	inj.Arm()
 	res := env.Run(c, workload.Generate(workload.AzureCode, rate, n, seed))
-	c.CheckDrained()
 	rl := c.Resilience()
 	rl.FaultsInjected = inj.Injected()
 	rl.Downtime = inj.ScheduledDowntime()
@@ -192,7 +191,6 @@ func TestRoutingUnderUnequalReplicaSpeeds(t *testing.T) {
 			// Replica 0 runs at 30% speed across the whole device.
 			c.replicas[0].env.GPU.SetSMHealth(0, 108, 0.3)
 			res := env.Run(c, workload.Generate(workload.AzureCode, 9, n, 26))
-			c.CheckDrained()
 			if res.Summary.Requests != n {
 				t.Fatalf("completed %d/%d", res.Summary.Requests, n)
 			}

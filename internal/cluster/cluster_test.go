@@ -24,7 +24,6 @@ func run(t testing.TB, cfg Config, rate float64, n int, seed int64) (*Cluster, s
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 	c := New(env, cfg)
 	res := env.Run(c, workload.Generate(workload.AzureCode, rate, n, seed))
-	c.CheckDrained()
 	return c, res
 }
 
@@ -62,7 +61,6 @@ func TestLeastLoadedBeatsRoundRobinOnSkewedLoad(t *testing.T) {
 		env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 		c := New(env, Config{Replicas: 2, Policy: p, Options: opts()})
 		res := env.Run(c, workload.Generate(workload.AzureCode, 8, 120, 3))
-		c.CheckDrained()
 		return res.Summary.P90NormTTFT
 	}
 	rr := mk(RoundRobin)
@@ -89,7 +87,6 @@ func TestScaleOutIncreasesCapacity(t *testing.T) {
 	env2 := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 	two := New(env2, Config{Replicas: 2, Policy: LeastLoaded, Options: opts()})
 	res2 := env2.Run(two, workload.Generate(workload.AzureCode, 11, 120, 5))
-	two.CheckDrained()
 
 	if res2.Summary.SLOAttainment < res1.Summary.SLOAttainment-0.05 {
 		t.Fatalf("2 replicas SLO %.2f well below 1 replica %.2f",
@@ -199,5 +196,54 @@ func TestGPUStats(t *testing.T) {
 		if s.FLOPs <= 0 {
 			t.Fatalf("replica %d did no work", i)
 		}
+	}
+}
+
+// TestPrefixCacheReplicasDrain: each replica's prefix cache holds shared
+// prefix blocks until its environment drains. The cluster must run every
+// replica's end-of-run hook, so the KV check finds the pools empty
+// instead of reporting the cached prefixes as a leak.
+func TestPrefixCacheReplicasDrain(t *testing.T) {
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "sharegpt")
+	o := opts()
+	o.EnablePrefixCache = true
+	c := New(env, Config{Replicas: 2, Policy: LeastLoaded, Options: o})
+	res := env.Run(c, workload.GenerateShared(workload.ShareGPT, 6, 40, 1, 4, 1024, 0.8))
+	c.CheckDrained()
+	if res.Summary.Requests != 40 {
+		t.Fatalf("completed %d/40", res.Summary.Requests)
+	}
+}
+
+// TestCheckDrainedCatchesRouterLeftovers plants router accounting that a
+// finished run must have released and expects CheckDrained to refuse
+// each one. A wider conservative window leans on this guard: Quiesce
+// must deliver every pending outcome.
+func TestCheckDrainedCatchesRouterLeftovers(t *testing.T) {
+	ghost := workload.Request{ID: "ghost", InputTokens: 64, OutputTokens: 8}
+	for _, p := range []struct {
+		name  string
+		plant func(c *Cluster)
+	}{
+		{"routed", func(c *Cluster) { c.routed[ghost.ID] = c.replicas[0] }},
+		{"flight", func(c *Cluster) {
+			c.rs.flights[ghost.ID] = &flight{primary: c.replicas[1], reps: []*replica{c.replicas[1]}}
+		}},
+		{"live", func(c *Cluster) {
+			c.replicas[1].live[ghost.ID] = ghost
+			c.replicas[1].tokens += ghost.InputTokens
+		}},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			c, _ := run(t, Config{Replicas: 2, Policy: LeastLoaded, Options: opts()}, 6, 20, 1)
+			p.plant(c)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "cluster: ") {
+					t.Fatalf("CheckDrained accepted a leftover %s entry (panic %q)", p.name, msg)
+				}
+			}()
+			c.CheckDrained()
+		})
 	}
 }

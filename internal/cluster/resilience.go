@@ -3,16 +3,16 @@
 // network/KV-link fault domain (link degradation/loss, router blips,
 // graceful drains).
 //
-// Every piece of state here is mutated exclusively from outer-simulation
-// event handlers — Submit, fault callbacks, PostAfter timers, and the
-// deterministic outbox merge — never from inside a fork/join window, so
-// the serial ≡ parallel byte-identity contract of the cluster survives
-// intact (TestChaosSerialParallelIdentical pins it).
+// Every piece of state here is mutated exclusively from router decision
+// points (Cluster.decide: Submit, the pump, fault handlers, router
+// timers) and the deterministic outbox merge — never from inside a
+// fork/join window, so the serial ≡ parallel byte-identity contract of
+// the cluster survives intact (TestChaosSerialParallelIdentical pins it).
 //
 // The state splits along the arming line:
 //
-//   - routerState itself exists whenever AttachFaults ran, so link
-//     faults, blips, and drains always take effect;
+//   - routerState itself exists from New, so link faults, blips, and
+//     drains take effect once AttachFaults routes them here;
 //   - routerState.cfg is non-nil only when Config.Resilience armed the
 //     mitigations (breakers, dispatch timeouts, hedging, buckets,
 //     graceful drain). A nil cfg leaves the router naive — it keeps
@@ -115,8 +115,8 @@ type routerState struct {
 	linkFaults  int
 }
 
-// newRouterState builds the router-tier state for AttachFaults,
-// arming the mitigation policies iff cfg.Resilience is set.
+// newRouterState builds the router-tier state, arming the mitigation
+// policies iff cfg.Resilience is set.
 func newRouterState(cfg Config) *routerState {
 	rs := &routerState{flights: map[string]*flight{}}
 	if cfg.Resilience == nil {
@@ -139,12 +139,11 @@ func newRouterState(cfg Config) *routerState {
 	return rs
 }
 
-// submitResilient is the rs-armed router admission path: blip hold,
-// token-bucket admission (skipped for re-dispatches, admit=false),
-// health-aware pick, placement, and link-aware dispatch with hedge
-// arming. Callers hold the outer clock at a decision point (advanceTo
-// already ran).
-func (c *Cluster) submitResilient(r workload.Request, admit bool) {
+// submit is the router's one admission path: blip hold, token-bucket
+// admission (skipped for re-dispatches, admit=false), health-aware
+// pick, placement, and link-aware dispatch with hedge arming. Callers
+// run inside a decision point.
+func (c *Cluster) submit(r workload.Request, admit bool) {
 	rs := c.rs
 	now := c.outer.Sim.Now()
 	if now < rs.blipUntil {
@@ -163,7 +162,7 @@ func (c *Cluster) submitResilient(r workload.Request, admit bool) {
 			return
 		}
 	}
-	rep := c.pickResilient()
+	rep := c.pick()
 	if rep == nil {
 		c.deferred = append(c.deferred, r)
 		return
@@ -177,7 +176,8 @@ func (c *Cluster) submitResilient(r workload.Request, admit bool) {
 		// mutate the breaker (see heldDispatch).
 		protected = rs.breakers[rep.slot].Allow(now)
 	}
-	c.place(rep, r)
+	rep.place(r)
+	c.routed[r.ID] = rep
 	if c.dispatch(rep, r, protected) && rs.cfg != nil && rs.cfg.Hedge.MaxHedges > 0 {
 		rs.hedger.NoteDispatch()
 		if _, ok := rs.flights[r.ID]; !ok {
@@ -187,12 +187,13 @@ func (c *Cluster) submitResilient(r workload.Request, admit bool) {
 	}
 }
 
-// pickResilient is the health-aware pick: with mitigations armed it
-// first runs the policy over fully healthy replicas (up, not draining,
-// link intact, breaker ready), then fails open to any up-and-admitting
-// replica — re-routing through a degraded fleet beats dropping work.
-// Without mitigations the naive policy runs unchanged.
-func (c *Cluster) pickResilient() *replica {
+// pick is the health-aware pick, nil when no replica can take work:
+// with mitigations armed it first runs the policy over fully healthy
+// replicas (up, not draining, link intact, breaker ready), then fails
+// open to any up-and-admitting replica — re-routing through a degraded
+// fleet beats dropping work. Without mitigations the policy runs over
+// every up replica.
+func (c *Cluster) pick() *replica {
 	rs := c.rs
 	if rs.cfg == nil {
 		return c.pickWhere(func(rep *replica) bool { return !rep.down })
@@ -222,7 +223,7 @@ func (c *Cluster) dispatch(rep *replica, r workload.Request, protected bool) boo
 	if rep.linkDelay > 0 {
 		rep.held = append(rep.held, heldDispatch{req: r, protected: protected})
 		id := r.ID
-		c.outer.Sim.PostAfter(rep.linkDelay, func() { c.deliverHeld(rep, id) })
+		c.after(rep.linkDelay, func() { c.deliverHeld(rep, id) })
 		c.armDispatchTimeout(rep, r)
 		return false
 	}
@@ -248,14 +249,12 @@ func (c *Cluster) removeHeld(rep *replica, id string) (heldDispatch, bool) {
 
 // deliverHeld completes a delayed dispatch across a degraded link.
 func (c *Cluster) deliverHeld(rep *replica, id string) {
-	c.advanceTo(c.outer.Sim.Now())
 	if h, ok := c.removeHeld(rep, id); ok {
 		rep.sys.Submit(h.req)
 		if h.protected {
 			c.rs.breakers[rep.slot].ReportSuccess()
 		}
 	}
-	c.schedulePump()
 }
 
 // armDispatchTimeout bounds how long a dispatch may sit parked on a
@@ -268,26 +267,24 @@ func (c *Cluster) armDispatchTimeout(rep *replica, r workload.Request) {
 	if rs.cfg == nil {
 		return
 	}
-	c.outer.Sim.PostAfter(rs.cfg.DispatchTimeout, func() {
-		c.advanceTo(c.outer.Sim.Now())
-		if h, ok := c.removeHeld(rep, r.ID); ok {
-			now := c.outer.Sim.Now()
-			rs.timeouts++
-			if h.protected {
-				rs.breakers[rep.slot].ReportFailure(now)
-			}
-			if c.tl != nil {
-				c.tl.Instant("router", "dispatch-timeout", now,
-					timeline.I("replica", rep.slot))
-			}
-			delete(rep.live, r.ID)
-			delete(c.routed, r.ID)
-			rep.inflight--
-			rep.tokens -= r.InputTokens
-			c.retried++
-			c.submitResilient(r, false)
+	c.after(rs.cfg.DispatchTimeout, func() {
+		h, ok := c.removeHeld(rep, r.ID)
+		if !ok {
+			return
 		}
-		c.schedulePump()
+		now := c.outer.Sim.Now()
+		rs.timeouts++
+		if h.protected {
+			rs.breakers[rep.slot].ReportFailure(now)
+		}
+		if c.tl != nil {
+			c.tl.Instant("router", "dispatch-timeout", now,
+				timeline.I("replica", rep.slot))
+		}
+		rep.release(r.ID)
+		delete(c.routed, r.ID)
+		c.retried++
+		c.submit(r, false)
 	})
 }
 
@@ -300,9 +297,7 @@ func (c *Cluster) armHedge(r workload.Request, attempt int) {
 	if attempt >= rs.cfg.Hedge.MaxHedges {
 		return
 	}
-	c.outer.Sim.PostAfter(rs.hedger.Delay(attempt), func() {
-		c.advanceTo(c.outer.Sim.Now())
-		defer c.schedulePump()
+	c.after(rs.hedger.Delay(attempt), func() {
 		fl, ok := rs.flights[r.ID]
 		if !ok || fl.won {
 			return
@@ -323,9 +318,7 @@ func (c *Cluster) armHedge(r workload.Request, attempt int) {
 			return
 		}
 		rs.hedger.NoteHedge()
-		rep.inflight++
-		rep.tokens += r.InputTokens
-		rep.live[r.ID] = r
+		rep.place(r)
 		fl.reps = append(fl.reps, rep)
 		rep.sys.Submit(r)
 		rs.breakers[rep.slot].ReportSuccess()
@@ -347,23 +340,13 @@ func (c *Cluster) settleFlight(r *replica, fl *flight, o outcome, id string) {
 		c.stale++ // a copy lost to a crash reported late
 		return
 	}
-	tok := o.done.InputTokens
-	if o.isShed {
-		tok = o.shed.InputTokens
-	}
-	delete(r.live, id)
-	r.inflight--
-	r.tokens -= tok
+	r.release(id)
 	if !fl.won {
 		fl.won = true
 		if r != fl.primary {
 			c.rs.hedger.NoteWin()
 		}
-		if o.isShed {
-			c.outer.Shed(o.shed)
-		} else {
-			c.outer.Complete(o.done)
-		}
+		c.deliver(o)
 	}
 	if len(fl.reps) == 0 {
 		delete(c.rs.flights, id)
@@ -402,10 +385,8 @@ func (c *Cluster) detachFlight(rep *replica, w workload.Request) bool {
 // The generation fence keeps overlapping link faults and crashes from
 // restoring each other's state.
 func (c *Cluster) onLinkFault(ev faults.Event) {
-	c.advanceTo(c.outer.Sim.Now())
 	rep := c.replicas[ev.Replica%len(c.replicas)]
 	if rep.down {
-		c.schedulePump()
 		return // the machine is gone; its link state is moot
 	}
 	rs := c.rs
@@ -423,33 +404,31 @@ func (c *Cluster) onLinkFault(ev faults.Event) {
 			timeline.I("replica", rep.slot),
 			timeline.S("mode", mode))
 	}
-	c.outer.Sim.PostAfter(ev.Duration, func() {
-		c.advanceTo(c.outer.Sim.Now())
-		if c.replicas[rep.slot] == rep && rep.linkGen == gen {
-			rep.linkLost = false
-			rep.linkDelay = 0
-			held := rep.held
-			rep.held = nil
-			for _, h := range held {
-				rep.sys.Submit(h.req)
-				// A protected dispatch delivered at restore resolves its
-				// breaker outcome as a success — a half-open probe parked
-				// here would otherwise never report and wedge the breaker.
-				if h.protected {
-					rs.breakers[rep.slot].ReportSuccess()
-				}
-			}
-			c.recoveries++
-			c.recoveryTime += ev.Duration
-			if c.tl != nil {
-				c.tl.Instant("router", "link-restore", c.outer.Sim.Now(),
-					timeline.I("replica", rep.slot),
-					timeline.I("flushed", len(held)))
+	c.after(ev.Duration, func() {
+		if c.replicas[rep.slot] != rep || rep.linkGen != gen {
+			return
+		}
+		rep.linkLost = false
+		rep.linkDelay = 0
+		held := rep.held
+		rep.held = nil
+		for _, h := range held {
+			rep.sys.Submit(h.req)
+			// A protected dispatch delivered at restore resolves its
+			// breaker outcome as a success — a half-open probe parked
+			// here would otherwise never report and wedge the breaker.
+			if h.protected {
+				rs.breakers[rep.slot].ReportSuccess()
 			}
 		}
-		c.schedulePump()
+		c.recoveries++
+		c.recoveryTime += ev.Duration
+		if c.tl != nil {
+			c.tl.Instant("router", "link-restore", c.outer.Sim.Now(),
+				timeline.I("replica", rep.slot),
+				timeline.I("flushed", len(held)))
+		}
 	})
-	c.schedulePump()
 }
 
 // onRouterBlip freezes router dispatch entirely for the event duration;
@@ -457,7 +436,6 @@ func (c *Cluster) onLinkFault(ev faults.Event) {
 // ends. Blips hit the router itself, so they apply identically with
 // mitigations on or off.
 func (c *Cluster) onRouterBlip(ev faults.Event) {
-	c.advanceTo(c.outer.Sim.Now())
 	rs := c.rs
 	now := c.outer.Sim.Now()
 	if until := now + ev.Duration; until > rs.blipUntil {
@@ -466,23 +444,21 @@ func (c *Cluster) onRouterBlip(ev faults.Event) {
 	if c.tl != nil {
 		c.tl.Instant("router", "blip", now, timeline.F("duration", ev.Duration.Float()))
 	}
-	c.outer.Sim.PostAfter(ev.Duration, func() {
-		c.advanceTo(c.outer.Sim.Now())
-		if c.outer.Sim.Now() >= rs.blipUntil {
-			flush := rs.blipHeld
-			rs.blipHeld = nil
-			for _, h := range flush {
-				// Fresh arrivals never reached the admission bucket and
-				// are charged now, at flush time; parked re-dispatches
-				// (admit=false) were already admitted and replay as such.
-				c.submitResilient(h.req, h.admit)
-			}
-			c.recoveries++
-			c.recoveryTime += ev.Duration
+	c.after(ev.Duration, func() {
+		if c.outer.Sim.Now() < rs.blipUntil {
+			return // a later overlapping blip ends the episode
 		}
-		c.schedulePump()
+		flush := rs.blipHeld
+		rs.blipHeld = nil
+		for _, h := range flush {
+			// Fresh arrivals never reached the admission bucket and are
+			// charged now, at flush time; parked re-dispatches
+			// (admit=false) were already admitted and replay as such.
+			c.submit(h.req, h.admit)
+		}
+		c.recoveries++
+		c.recoveryTime += ev.Duration
 	})
-	c.schedulePump()
 }
 
 // onReplicaDrain runs the graceful drain/restart protocol: the replica
@@ -496,10 +472,8 @@ func (c *Cluster) onReplicaDrain(ev faults.Event) {
 		c.onReplicaCrash(ev)
 		return
 	}
-	c.advanceTo(c.outer.Sim.Now())
 	rep := c.replicas[ev.Replica%len(c.replicas)]
 	if rep.down || rep.draining {
-		c.schedulePump()
 		return
 	}
 	rs := c.rs
@@ -512,18 +486,15 @@ func (c *Cluster) onReplicaDrain(ev faults.Event) {
 			timeline.I("handoff", len(waiting)))
 	}
 	for _, w := range waiting {
-		delete(rep.live, w.ID)
-		rep.inflight--
-		rep.tokens -= w.InputTokens
+		rep.release(w.ID)
 		rs.handoffs++
 		if c.detachFlight(rep, w) {
 			continue // a hedge copy survives elsewhere
 		}
 		delete(c.routed, w.ID)
-		c.submitResilient(w, false)
+		c.submit(w, false)
 	}
-	c.outer.Sim.PostAfter(ev.Recovery, func() {
-		c.advanceTo(c.outer.Sim.Now())
+	c.after(ev.Recovery, func() {
 		if c.replicas[rep.slot] == rep && !rep.down {
 			rep.draining = false
 			c.recoveries++
@@ -534,16 +505,15 @@ func (c *Cluster) onReplicaDrain(ev faults.Event) {
 			}
 		}
 		c.flushDeferred()
-		c.schedulePump()
 	})
-	c.schedulePump()
 }
 
 // Quiesce advances the replicas until no private-clock events remain.
 // The serving run loop stops as soon as every trace request has
 // resolved, which can leave hedge-loser copies mid-decode on their
-// replicas; runs that end with CheckDrained call Quiesce first so those
-// copies finish and release their KV.
+// replicas; Env.Run calls Quiesce (through the hook New installs) before
+// CheckDrained so those copies finish and release their KV and router
+// accounting. A repeat call finds nothing to advance.
 func (c *Cluster) Quiesce() {
 	for {
 		var at sim.Time
@@ -565,9 +535,4 @@ func (c *Cluster) Quiesce() {
 
 // DispatchTimeouts returns how many parked dispatches were re-routed by
 // the timeout, zero without mitigations armed.
-func (c *Cluster) DispatchTimeouts() int {
-	if c.rs == nil {
-		return 0
-	}
-	return c.rs.timeouts
-}
+func (c *Cluster) DispatchTimeouts() int { return c.rs.timeouts }

@@ -243,28 +243,13 @@ func thin(xs []int, keep int) []int {
 	return out
 }
 
-// predictKernels applies Equation 2 with candidate parameters.
+// predictKernels applies Equation 2 with candidate parameters: the
+// estimator's own per-kernel time, summed over ks.
 func predictKernels(spec gpusim.Spec, p Params, ks []gpusim.Kernel, sms int, coloc bool) units.Seconds {
-	pc, pb := 1.0, 1.0
-	if coloc {
-		pc, pb = p.PC, p.PB
-	}
-	frac := float64(sms) / float64(spec.NumSMs)
+	e := Estimator{spec: spec, params: p}
 	t := units.Seconds(0)
 	for _, k := range ks {
-		ct, bt := units.Seconds(0), units.Seconds(0)
-		if k.FLOPs > 0 {
-			ct = units.Over(k.FLOPs.Div(spec.PeakFLOPS), frac*p.DC*pc)
-		}
-		if k.Bytes > 0 {
-			bt = units.Over(k.Bytes.Div(spec.PeakBW), frac*p.DB*pb)
-		}
-		kt := units.Max(ct, bt)
-		if k.CommBytes > 0 && spec.LinkBW > 0 {
-			kt = units.Max(kt, k.CommBytes.Div(spec.LinkBW))
-		}
-		wave := 1 - gpusim.WaveIdleRatio(k.Grid, sms)
-		t += units.Over(kt, wave)
+		t += e.kernelTime(k, sms, coloc)
 	}
 	return t
 }

@@ -91,8 +91,6 @@ func ExtChaos(d workload.Dataset, rate float64, n int, seed int64, workers int) 
 		cl.AttachFaults(inj, core.DefaultWatchdog())
 		inj.Arm()
 		res := env.Run(cl, workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
-		cl.Quiesce()
-		cl.CheckDrained()
 		rl := cl.Resilience()
 		row := ChaosRow{
 			Arm:           arm,

@@ -322,9 +322,6 @@ func ExtClusterN(d workload.Dataset, rate float64, n int, seed int64, workers in
 			})
 		}
 		res := env.Run(sys, workload.Generate(d, rate, n, seed))
-		if c, ok := sys.(*cluster.Cluster); ok {
-			c.CheckDrained()
-		}
 		s := res.Summary
 		return ClusterRow{
 			Replicas: replicas, Policy: string(cluster.LeastLoaded), Rate: rate,

@@ -146,9 +146,6 @@ func ExtFidelityCluster(d workload.Dataset, rate float64, n int, seed int64, wor
 			})
 		}
 		res := env.Run(sys, workload.Generate(d, rate, n, seed))
-		if c, ok := sys.(*cluster.Cluster); ok {
-			c.CheckDrained()
-		}
 		rows = append(rows, FidelityClusterRow{
 			Replicas: replicas, Backend: gpusim.BackendSampled,
 			MeanTTFT:      res.Summary.MeanTTFT.Float(),

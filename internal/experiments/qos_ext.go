@@ -112,8 +112,8 @@ type QoSClusterRow struct {
 // least-loaded cluster with the full QoS stack on every replica.
 // Controller state is per-replica and decisions fire at virtual-time
 // window boundaries, so the rows are byte-identical whether the replicas
-// step serially (workers=1) or in parallel — the property ci.sh pins
-// with its GOMAXPROCS 1-vs-4 diff.
+// step serially (workers=1) or in parallel — the property the -workers 4
+// rows of cmd/bulletsim's TestGolden pin.
 func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers int) []QoSClusterRow {
 	spec, cfg := Platform()
 	core.FittedParams(cfg, spec)
@@ -126,7 +126,6 @@ func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers 
 		Workers: workers,
 	})
 	res := env.Run(cl, workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
-	cl.CheckDrained()
 	acct := cl.QoS()
 	var rows []QoSClusterRow
 	for _, ts := range metrics.SummarizeByTenant(res.Requests, qosSLOFor(d.Name)) {

@@ -16,10 +16,11 @@
 //     shared or global sources (machine-checked by nodeterm).
 //
 // Under that contract Do(n, 1, fn) and Do(n, w, fn) are byte-identical
-// for every w, which is what the ci.sh GOMAXPROCS=1-vs-4 equivalence
-// gate pins. Every other package in the module is forbidden from using
-// go statements, channels, select, or sync by the harnessonly analyzer;
-// concurrency is obtained exclusively by calling this package.
+// for every w, which the -workers 4 rows of cmd/bulletsim's TestGolden
+// pin against the serial goldens. Every other package in the module is
+// forbidden from using go statements, channels, select, or sync by the
+// harnessonly analyzer; concurrency is obtained exclusively by calling
+// this package.
 package forkjoin
 
 import (

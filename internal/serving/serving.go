@@ -48,9 +48,10 @@ type Env struct {
 	OnComplete func(metrics.Request)
 	// OnShed, when set, observes every shed request as it happens.
 	OnShed func(workload.Request)
-	// OnDrain, when set, runs after the last request completes and
-	// before the end-of-run KV invariant check — the hook caches (e.g.
-	// the prefix cache) use to release long-lived pool allocations.
+	// OnDrain, when set, runs from Drain, before the end-of-run KV
+	// invariant check — the hook caches (e.g. the prefix cache) use to
+	// release long-lived pool allocations, and clusters use to quiesce
+	// and drain-check their replicas.
 	OnDrain func()
 }
 
@@ -79,6 +80,20 @@ func NewEnvWithSim(s *sim.Simulation, spec gpusim.Spec, cfg model.Config, datase
 		Model: cfg,
 		KV:    kvcache.NewPool(blocks, KVBlockTokens),
 		SLO:   metrics.SLOFor(dataset),
+	}
+}
+
+// Drain closes a run on this environment: the OnDrain hook runs, then the
+// KV pool must be consistent and empty. A leak panics naming who. Run
+// calls it once every request has resolved; environments a cluster
+// drives on private clocks are drained by the cluster.
+func (e *Env) Drain(who string) {
+	if e.OnDrain != nil {
+		e.OnDrain()
+	}
+	e.KV.CheckInvariants()
+	if used := e.KV.UsedBlocks(); used != 0 {
+		panic(fmt.Sprintf("serving: %s leaked %d KV blocks", who, used))
 	}
 }
 
@@ -173,13 +188,7 @@ func (e *Env) Run(sys System, trace *workload.Trace) Result {
 				sys.Name(), e.Sim.Processed(), len(e.completed), len(trace.Requests), e.shedCount))
 		}
 	}
-	if e.OnDrain != nil {
-		e.OnDrain()
-	}
-	e.KV.CheckInvariants()
-	if used := e.KV.UsedBlocks(); used != 0 {
-		panic(fmt.Sprintf("serving: %s leaked %d KV blocks", sys.Name(), used))
-	}
+	e.Drain(sys.Name())
 	return Result{
 		System:   sys.Name(),
 		Dataset:  trace.Dataset,
