@@ -18,8 +18,12 @@ lint:
 	go run ./cmd/bulletlint -list
 	go run ./cmd/bulletlint ./...
 
+# The rows of ci.sh's fuzz table, as package:target, 5s each.
 fuzz:
-	go test -run='^$$' -fuzz=Fuzz -fuzztime=5s ./internal/smmask
+	for row in smmask:FuzzSetAlgebra calib:FuzzCalibParse timeline:FuzzWriteChrome \
+		workload:FuzzRead workload:FuzzRoundTrip; do \
+		go test -run='^$$' -fuzz="^$${row#*:}\$$" -fuzztime=5s ./internal/$${row%%:*} || exit 1; \
+	done
 
 bench:
 	go test -bench=. -benchtime=1x -short

@@ -313,7 +313,7 @@ func benchMetricsPercentile(b *testing.B) {
 // benchQoS builds a controller in its production default shape: no
 // timeline, engine-scale caps, default AIMD constants.
 func benchQoS() *qos.Controller {
-	return qos.New(metrics.SLOFor("azure-code"), qos.DefaultConfig(), 256, 16384)
+	return qos.New(metrics.SLOFor("azure-code"), 256, 16384)
 }
 
 // benchQoSObserve measures the per-decode-step feedback call — the

@@ -15,6 +15,7 @@ package bullet
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/experiments"
@@ -172,8 +173,8 @@ func GenerateTrace(dataset string, rate float64, n int, seed int64) ([]Request, 
 	if err != nil {
 		return nil, err
 	}
-	if rate <= 0 || n <= 0 {
-		return nil, fmt.Errorf("bullet: invalid trace rate=%v n=%d", rate, n)
+	if !(rate > 0) || math.IsInf(rate, 1) || n <= 0 {
+		return nil, fmt.Errorf("bullet: invalid trace rate=%v n=%d (rate must be finite and > 0, n > 0)", rate, n)
 	}
 	tr := workload.Generate(d, rate, n, seed)
 	out := make([]Request, len(tr.Requests))
@@ -210,6 +211,9 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 	prev := 0.0
 	wl := &workload.Trace{Dataset: s.dataset, Rate: 1}
 	for i, r := range reqs {
+		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
+			return Result{}, fmt.Errorf("bullet: request %d has non-finite arrival %v", i, r.Arrival)
+		}
 		if r.Arrival < prev {
 			return Result{}, fmt.Errorf("bullet: request %d arrives at %v before %v", i, r.Arrival, prev)
 		}

@@ -1,6 +1,7 @@
 package bullet
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -46,8 +47,10 @@ func TestGenerateTrace(t *testing.T) {
 	if _, err := GenerateTrace("nope", 5, 50, 1); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
-	if _, err := GenerateTrace("sharegpt", -1, 50, 1); err == nil {
-		t.Fatal("negative rate accepted")
+	for _, rate := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := GenerateTrace("sharegpt", rate, 50, 1); err == nil || !strings.Contains(err.Error(), "rate") {
+			t.Fatalf("rate %v: err = %v, want a rate error", rate, err)
+		}
 	}
 }
 
@@ -123,6 +126,11 @@ func TestRunRejectsBadTraces(t *testing.T) {
 	}
 	if _, err := srv.Run([]Request{{Arrival: 1, InputTokens: 0, OutputTokens: 2}}); err == nil {
 		t.Fatal("zero-token request accepted")
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := srv.Run([]Request{{Arrival: at, InputTokens: 10, OutputTokens: 2}}); err == nil || !strings.Contains(err.Error(), "arrival") {
+			t.Fatalf("arrival %v: err = %v, want an arrival error", at, err)
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 # ci.sh — the full verification gate, in dependency order: formatting,
 # vet, build, tests (the root module and bench/), race detector,
 # coverage floors, the hot-path allocation contract (AllocsPerRun pins
-# + hotalloc lint), short fuzz passes over the SM-mask set algebra and
-# the calibration parser, and the bulletlint determinism contract (see
+# + hotalloc lint), short fuzz passes (the fuzz table), and the
+# bulletlint determinism contract (see
 # DESIGN.md, "Determinism contract", "Concurrency contract", and
 # "Allocation contract"). Determinism is pinned by the golden tests:
 # each compares against bytes recorded by another process, and the
@@ -112,11 +112,24 @@ step "allocation contract: bulletlint -rules hotalloc smoke"
 # bulletlint pass below also covers it; this names the rule directly).
 go run ./cmd/bulletlint -rules hotalloc ./...
 
-step "fuzz: smmask set algebra (5s)"
-go test -run='^$' -fuzz=Fuzz -fuzztime=5s ./internal/smmask
-
-step "fuzz: calibration trace parser (5s)"
-go test -run='^$' -fuzz=FuzzCalibParse -fuzztime=5s ./internal/calib
+step "fuzz table (5s per target)"
+# One row per fuzz target: go test fuzzes one target per run, so the
+# table is looped like the coverage floors. The rows cover the SM-mask
+# set algebra, the calibration trace parser, the Chrome trace writer,
+# and the reader of replay traces from outside the program. make fuzz
+# runs the same rows.
+fuzz_targets='
+FuzzSetAlgebra   ./internal/smmask
+FuzzCalibParse   ./internal/calib
+FuzzWriteChrome  ./internal/timeline
+FuzzRead         ./internal/workload
+FuzzRoundTrip    ./internal/workload
+'
+while read -r target pkg; do
+    [[ -n "$target" ]] || continue
+    echo "fuzz: $target ($pkg)"
+    go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "$pkg"
+done <<< "$fuzz_targets"
 
 step "bulletlint ./..."
 go run ./cmd/bulletlint ./...

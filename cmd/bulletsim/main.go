@@ -40,6 +40,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -111,6 +112,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	// Reject bad load before anything is built or written: a NaN rate
+	// would otherwise reach the simulator as NaN arrival times.
+	switch {
+	case !(o.rate > 0) || math.IsInf(o.rate, 1):
+		return fail(fmt.Errorf("-rate must be finite and > 0, got %v", o.rate))
+	case o.n <= 0:
+		return fail(fmt.Errorf("-n must be > 0, got %d", o.n))
+	case !(o.faultRate >= 0) || math.IsInf(o.faultRate, 1):
+		return fail(fmt.Errorf("-fault-rate must be finite and >= 0, got %v", o.faultRate))
+	}
+
 	if *cpuProf != "" || *memProf != "" {
 		stop, err := prof.Start(*cpuProf, *memProf)
 		if err != nil {
@@ -126,6 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *list {
 		fmt.Fprintln(stdout, "systems: ", strings.Join(bullet.Systems(), ", "))
 		fmt.Fprintln(stdout, "         plus ablations bullet-naive, bullet-partition, bullet-scheduler, bullet-sm<N>,")
+		fmt.Fprintln(stdout, "         extensions bullet-prefix, bullet-gate, bullet-pressure, bullet-qos,")
 		fmt.Fprintln(stdout, "         disaggregation disagg-nvlink, disagg-pcie")
 		fmt.Fprintln(stdout, "datasets:", strings.Join(bullet.Datasets(), ", "))
 		fmt.Fprintln(stdout, "models:  ", strings.Join(bullet.Models(), ", "))

@@ -141,7 +141,9 @@ func TestBackendFlagValidation(t *testing.T) {
 // through the same backend-aware constructor as a plain run, so a bad
 // flag is a contextual error (exit 1, never a panic) and every other
 // flag is honoured — the latency backend, faults inside the trace, and
-// a baseline's own lanes. -exp rejects the flags it would not use.
+// a baseline's own lanes. -exp rejects the flags it would not use, and a
+// non-finite or non-positive load fails on every path before anything
+// runs or is written.
 func TestInstrumentedRunFlags(t *testing.T) {
 	dir := t.TempDir()
 	trace := func(name string) string { return filepath.Join(dir, name+".json") }
@@ -172,6 +174,14 @@ func TestInstrumentedRunFlags(t *testing.T) {
 			"-exp does not use -trace-out", ""},
 		{"exp-serving-flags", []string{"-exp", "fig15", "-faults", "-system", "vllm-1024", "-backend", "sampled", "-json"}, 1,
 			"-exp does not use -backend, -faults, -json, -system", ""},
+		{"rate-nan", []string{"-rate", "NaN", "-n", "5"}, 1, "-rate must be finite", ""},
+		{"rate-inf-trace", []string{"-rate", "+Inf", "-n", "5", "-trace-out", trace("rate-inf-trace")}, 1, "-rate must be finite", ""},
+		{"faults-rate-nan", []string{"-rate", "NaN", "-n", "5", "-faults", "-trace-out", trace("faults-rate-nan")}, 1, "-rate must be finite", ""},
+		{"fault-rate-nan", []string{"-n", "3", "-faults", "-fault-rate", "NaN", "-trace-out", trace("fault-rate-nan")}, 1, "-fault-rate must be finite", ""},
+		{"fault-rate-negative", []string{"-n", "3", "-faults", "-fault-rate", "-1"}, 1, "-fault-rate must be finite", ""},
+		{"exp-rate-nan", []string{"-exp", "ext-pressure", "-rate", "NaN", "-n", "5"}, 1, "-rate must be finite", ""},
+		{"exp-rate-negative", []string{"-exp", "fig13", "-rate", "-3", "-n", "5"}, 1, "-rate must be finite", ""},
+		{"exp-n-zero", []string{"-exp", "fig13", "-n", "0"}, 1, "-n must be > 0", ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

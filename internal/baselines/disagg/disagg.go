@@ -32,24 +32,25 @@ type Config struct {
 	LinkBandwidth units.BytesPerSec
 	// LinkLatency is the per-migration fixed cost (handshake, launch).
 	LinkLatency sim.Time
-	// MaxPrefillTokens bounds one prefill batch on the prefill GPU.
-	MaxPrefillTokens int
-	MaxPrefillReqs   int
 	// MaxBatch bounds the decode batch on the decode GPU.
 	MaxBatch int
-	// CycleOverhead is the per-iteration CPU cost on each instance.
-	CycleOverhead sim.Time
 }
+
+const (
+	// maxPrefillTokens / maxPrefillReqs bound one prefill batch on the
+	// prefill GPU.
+	maxPrefillTokens = 16384
+	maxPrefillReqs   = 8
+	// cycleOverhead is the per-iteration CPU cost on each instance.
+	cycleOverhead sim.Time = 150e-6
+)
 
 // DefaultConfig uses an NVLink-class interconnect.
 func DefaultConfig() Config {
 	return Config{
-		LinkBandwidth:    300e9,
-		LinkLatency:      50e-6,
-		MaxPrefillTokens: 16384,
-		MaxPrefillReqs:   8,
-		MaxBatch:         256,
-		CycleOverhead:    150e-6,
+		LinkBandwidth: 300e9,
+		LinkLatency:   50e-6,
+		MaxBatch:      256,
 	}
 }
 
@@ -95,7 +96,7 @@ type Engine struct {
 
 // New creates a disaggregated engine pair.
 func New(env *serving.Env, cfg Config) *Engine {
-	if cfg.LinkBandwidth <= 0 || cfg.MaxBatch <= 0 || cfg.MaxPrefillReqs <= 0 || cfg.MaxPrefillTokens <= 0 {
+	if cfg.LinkBandwidth <= 0 || cfg.MaxBatch <= 0 {
 		panic(fmt.Sprintf("disagg: invalid config %+v", cfg))
 	}
 	pGPU := gpusim.New(env.Sim, env.GPU.Spec)
@@ -139,9 +140,9 @@ func (e *Engine) prefillCycle() {
 	now := e.env.Sim.Now()
 	var batch []*req
 	tokens := 0
-	for len(e.waiting) > 0 && len(batch) < e.cfg.MaxPrefillReqs {
+	for len(e.waiting) > 0 && len(batch) < maxPrefillReqs {
 		r := e.waiting[0]
-		if len(batch) > 0 && tokens+r.w.InputTokens > e.cfg.MaxPrefillTokens {
+		if len(batch) > 0 && tokens+r.w.InputTokens > maxPrefillTokens {
 			break
 		}
 		// Prefill-side KV holds only the input until migration.
@@ -178,7 +179,7 @@ func (e *Engine) prefillCycle() {
 			r.generated = 1
 			e.startMigration(r)
 		}
-		e.env.Sim.PostAfter(e.cfg.CycleOverhead, e.prefillCycle)
+		e.env.Sim.PostAfter(cycleOverhead, e.prefillCycle)
 	})
 }
 
@@ -276,7 +277,7 @@ func (e *Engine) decodeCycle() {
 		if freed {
 			e.admitMigrated()
 		}
-		e.env.Sim.PostAfter(e.cfg.CycleOverhead, e.decodeCycle)
+		e.env.Sim.PostAfter(cycleOverhead, e.decodeCycle)
 	})
 }
 

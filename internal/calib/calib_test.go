@@ -163,7 +163,7 @@ func TestFitErrors(t *testing.T) {
 func TestSelfCalibrate(t *testing.T) {
 	cfg := model.Llama31_8B()
 	spec := gpusim.A100()
-	table, err := SelfCalibrate(cfg, spec, SelfCalOptions{})
+	table, err := SelfCalibrate(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestSelfCalibrate(t *testing.T) {
 	if len(table.Ops) < 5 {
 		t.Errorf("only %d operators calibrated, want the model's kernel set", len(table.Ops))
 	}
-	again, err := SelfCalibrate(cfg, spec, SelfCalOptions{})
+	again, err := SelfCalibrate(cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

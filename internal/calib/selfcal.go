@@ -13,29 +13,18 @@ import (
 // calibTag marks the measured kernels.
 const calibTag = "calib"
 
-// SelfCalOptions scales the self-calibration sweep.
-type SelfCalOptions struct {
-	// PrefillTokens are the prefill chunk sizes measured per operator.
-	PrefillTokens []int
-	// DecodeBatches are the decode-step batch sizes measured.
-	DecodeBatches []int
-	// DecodeCtxs are the average decode context lengths measured at each
-	// batch size (context spreads the decode-step distribution).
-	DecodeCtxs []int
-	// Quantiles / Winsor are passed through to Fit.
-	Quantiles int
-	Winsor    float64
-}
-
-// DefaultSelfCalOptions covers the operating range the serving
+// The self-calibration sweep covers the operating range the serving
 // experiments actually visit.
-func DefaultSelfCalOptions() SelfCalOptions {
-	return SelfCalOptions{
-		PrefillTokens: []int{64, 128, 256, 512, 1024, 2048, 4096},
-		DecodeBatches: []int{1, 2, 4, 8, 16, 32, 64, 128, 256},
-		DecodeCtxs:    []int{128, 512, 2048},
-	}
-}
+var (
+	// selfCalPrefillTokens are the prefill chunk sizes measured per
+	// operator.
+	selfCalPrefillTokens = []int{64, 128, 256, 512, 1024, 2048, 4096}
+	// selfCalDecodeBatches are the decode-step batch sizes measured.
+	selfCalDecodeBatches = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
+	// selfCalDecodeCtxs are the average decode context lengths measured
+	// at each batch size (context spreads the decode-step distribution).
+	selfCalDecodeCtxs = []int{128, 512, 2048}
+)
 
 // SelfCalibrate runs deterministic micro-benchmarks of the model's
 // kernels against the analytic simulator — solo on several SM
@@ -45,17 +34,7 @@ func DefaultSelfCalOptions() SelfCalOptions {
 // distribution is the genuine spread of its analytic latency across
 // allocations and contention regimes, so sampled-backend runs explore
 // the fidelity envelope of the fluid model without external profiles.
-func SelfCalibrate(cfg model.Config, spec gpusim.Spec, opts SelfCalOptions) (*gpusim.LatencyTable, error) {
-	def := DefaultSelfCalOptions()
-	if len(opts.PrefillTokens) == 0 {
-		opts.PrefillTokens = def.PrefillTokens
-	}
-	if len(opts.DecodeBatches) == 0 {
-		opts.DecodeBatches = def.DecodeBatches
-	}
-	if len(opts.DecodeCtxs) == 0 {
-		opts.DecodeCtxs = def.DecodeCtxs
-	}
+func SelfCalibrate(cfg model.Config, spec gpusim.Spec) (*gpusim.LatencyTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("calib: self-calibrate: %v", err)
 	}
@@ -68,7 +47,7 @@ func SelfCalibrate(cfg model.Config, spec gpusim.Spec, opts SelfCalOptions) (*gp
 	}
 
 	var rows []Row
-	for _, t := range opts.PrefillTokens {
+	for _, t := range selfCalPrefillTokens {
 		for _, hist := range []int{0, t} {
 			ks := cfg.PrefillLayerKernels(t, hist, calibTag)
 			ks = append(ks, cfg.LMHeadKernel(t, calibTag))
@@ -82,8 +61,8 @@ func SelfCalibrate(cfg model.Config, spec gpusim.Spec, opts SelfCalOptions) (*gp
 			rows = measure(spec, ks, full.Prefix(spec.NumSMs*2/3), &inter, rows)
 		}
 	}
-	for _, b := range opts.DecodeBatches {
-		for _, c := range opts.DecodeCtxs {
+	for _, b := range selfCalDecodeBatches {
+		for _, c := range selfCalDecodeCtxs {
 			ks := []gpusim.Kernel{cfg.DecodeStepKernel(b, units.Tokens(c), calibTag)}
 			for _, m := range masks {
 				rows = measure(spec, ks, m, nil, rows)
@@ -92,11 +71,7 @@ func SelfCalibrate(cfg model.Config, spec gpusim.Spec, opts SelfCalOptions) (*gp
 		rows = measure(spec, []gpusim.Kernel{cfg.LMHeadKernel(b, calibTag)}, full, nil, rows)
 	}
 
-	table, err := Fit(rows, FitOptions{
-		RefSMs:    spec.NumSMs,
-		Quantiles: opts.Quantiles,
-		Winsor:    opts.Winsor,
-	})
+	table, err := Fit(rows, FitOptions{RefSMs: spec.NumSMs})
 	if err != nil {
 		return nil, fmt.Errorf("calib: self-calibrate %s/%s: %v", cfg.Name, spec.Name, err)
 	}

@@ -31,7 +31,7 @@ import (
 
 // bucketShare scales the per-class token buckets off the base
 // BucketRate/BucketBurst: premium gets 4× the best-effort allowance,
-// standard 2× — the inverse of the qos.SLOScale strictness ladder.
+// standard 2× — the inverse of the qos.SLOFor strictness ladder.
 var bucketShare = [qos.NumClasses]float64{qos.BestEffort: 1, qos.Standard: 2, qos.Premium: 4}
 
 // blipArrival is one request parked during a router blip, paired with

@@ -56,30 +56,24 @@ type Options struct {
 	SMStep int
 	// LayerGroup is layers per prefill scheduling cycle (paper: 1).
 	LayerGroup int
-	// FixedPrefillSMs / FixedDecodeSMs apply in ModeStatic (decode
-	// defaults to the full device, matching the Fig. 13 setup).
+	// FixedPrefillSMs applies in ModeStatic; decode keeps the full
+	// device, matching the Fig. 13 setup.
 	FixedPrefillSMs int
-	FixedDecodeSMs  int
 	// Params are the estimator's fitted parameters; zero means the
 	// cached profile for the (model, device) pair is used.
 	Params estimator.Params
 	// MetadataLatency models the inter-engine metadata path (Table 3).
 	MetadataLatency sim.Time
-	// MaxPrefillTokens / MaxPrefillReqs bound prefill batches.
-	MaxPrefillTokens int
-	MaxPrefillReqs   int
-	// MaxDecodeBatch bounds the decode batch.
-	MaxDecodeBatch int
 	// EnablePrefixCache turns on RadixAttention-style shared-prefix
 	// reuse in the prefill engine (an extension beyond the paper).
 	EnablePrefixCache bool
 	// Pressure, when non-nil, arms the memory-pressure subsystem
 	// (watermark admission, decode preemption, recompute/retransfer
-	// recovery — see internal/pressure and EnablePressure).
+	// recovery — see internal/pressure and enablePressure).
 	Pressure *pressure.Config
-	// QoS, when non-nil, arms the SLO-feedback dynamic-batching and
-	// multi-tenant QoS subsystem (see internal/qos and EnableQoS).
-	QoS *qos.Config
+	// QoS arms the SLO-feedback dynamic-batching and multi-tenant QoS
+	// subsystem (see internal/qos and enableQoS).
+	QoS bool
 	// Backend selects the gpusim per-kernel latency model: "" or
 	// "analytic" (the default fluid model), "sampled" (profile-driven
 	// draws from a self-calibrated latency table) or "hierarchy"
@@ -94,20 +88,16 @@ type Options struct {
 // DefaultOptions returns the full system's defaults.
 func DefaultOptions() Options {
 	return Options{
-		Mode:             ModeFull,
-		SMStep:           6,
-		LayerGroup:       1,
-		MetadataLatency:  0.21e-3,
-		MaxPrefillTokens: 16384,
-		MaxPrefillReqs:   8,
-		MaxDecodeBatch:   256,
+		Mode:            ModeFull,
+		SMStep:          6,
+		LayerGroup:      1,
+		MetadataLatency: 0.21e-3,
 	}
 }
 
 // Bullet is the assembled serving system; it implements serving.System.
 type Bullet struct {
-	env  *serving.Env
-	opts Options
+	env *serving.Env
 
 	Estimator *estimator.Estimator
 	Scheduler *sched.Scheduler
@@ -121,11 +111,11 @@ type Bullet struct {
 	// faults is non-nil once EnableResilience/AttachFaults armed the
 	// watchdog and fault bookkeeping (see faults.go).
 	faults *faultState
-	// pressure is non-nil once EnablePressure armed the memory-pressure
-	// subsystem (see pressure.go).
+	// pressure is non-nil when New armed the memory-pressure subsystem
+	// (see pressure.go).
 	pressure *pressure.Controller
-	// qos is non-nil once EnableQoS armed the SLO-feedback QoS subsystem
-	// (see qos.go).
+	// qos is non-nil when New armed the SLO-feedback QoS subsystem (see
+	// qos.go).
 	qos *qos.Controller
 	// tl is the observability recorder attached by AttachTimeline; nil
 	// (the default) keeps every emission site on its no-op fast path.
@@ -158,7 +148,7 @@ var fittedTables forkjoin.Memo[string, *gpusim.LatencyTable]
 func FittedLatencyTable(cfg model.Config, spec gpusim.Spec) *gpusim.LatencyTable {
 	key := cfg.Name + "/" + spec.Name
 	return fittedTables.Get(key, func() *gpusim.LatencyTable {
-		t, err := calib.SelfCalibrate(cfg, spec, calib.SelfCalOptions{})
+		t, err := calib.SelfCalibrate(cfg, spec)
 		if err != nil {
 			panic(fmt.Sprintf("core: self-calibration for %s: %v", key, err))
 		}
@@ -204,15 +194,6 @@ func New(env *serving.Env, opts Options) *Bullet {
 	if opts.MetadataLatency == 0 {
 		opts.MetadataLatency = def.MetadataLatency
 	}
-	if opts.MaxPrefillTokens == 0 {
-		opts.MaxPrefillTokens = def.MaxPrefillTokens
-	}
-	if opts.MaxPrefillReqs == 0 {
-		opts.MaxPrefillReqs = def.MaxPrefillReqs
-	}
-	if opts.MaxDecodeBatch == 0 {
-		opts.MaxDecodeBatch = def.MaxDecodeBatch
-	}
 	if opts.Params == (estimator.Params{}) {
 		opts.Params = FittedParams(env.Model, env.GPU.Spec)
 	}
@@ -231,10 +212,7 @@ func New(env *serving.Env, opts Options) *Bullet {
 
 	pcfg := engine.DefaultPrefillConfig(numSMs)
 	pcfg.LayerGroup = opts.LayerGroup
-	pcfg.MaxBatchTokens = opts.MaxPrefillTokens
-	pcfg.MaxBatchReqs = opts.MaxPrefillReqs
 	dcfg := engine.DefaultDecodeConfig(numSMs)
-	dcfg.MaxBatch = opts.MaxDecodeBatch
 
 	name := string(opts.Mode)
 	switch opts.Mode {
@@ -261,13 +239,9 @@ func New(env *serving.Env, opts Options) *Bullet {
 		if opts.FixedPrefillSMs <= 0 {
 			panic("core: ModeStatic requires FixedPrefillSMs")
 		}
-		if opts.FixedDecodeSMs <= 0 {
-			opts.FixedDecodeSMs = numSMs
-		}
 		pcfg.DynamicSM = false
 		pcfg.FixedSMs = opts.FixedPrefillSMs
 		dcfg.DynamicSM = false
-		dcfg.FixedSMs = opts.FixedDecodeSMs
 		dcfg.AllowPause = false
 		name = fmt.Sprintf("bullet-sm%d", opts.FixedPrefillSMs)
 	default:
@@ -275,7 +249,7 @@ func New(env *serving.Env, opts Options) *Bullet {
 	}
 
 	b := &Bullet{
-		env: env, opts: opts, Estimator: est, Scheduler: schd,
+		env: env, Estimator: est, Scheduler: schd,
 		Resources: res, Buffer: buf, name: name + backendSuffix,
 	}
 	b.Prefill = engine.NewPrefillEngine(env, res, schd, est, buf, pcfg)
@@ -288,10 +262,10 @@ func New(env *serving.Env, opts Options) *Bullet {
 		b.name += "+prefix"
 	}
 	if opts.Pressure != nil {
-		b.EnablePressure(*opts.Pressure)
+		b.enablePressure(*opts.Pressure)
 	}
-	if opts.QoS != nil {
-		b.EnableQoS(*opts.QoS)
+	if opts.QoS {
+		b.enableQoS(dcfg.MaxBatch, pcfg.MaxBatchTokens)
 	}
 	return b
 }

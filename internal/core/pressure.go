@@ -9,20 +9,15 @@ import (
 	"repro/internal/timeline"
 )
 
-// EnablePressure arms the memory-pressure subsystem: the prefill engine's
+// enablePressure arms the memory-pressure subsystem: the prefill engine's
 // admissions go through a watermark gate, deferred admissions trigger
 // decode preemption (unless the config disables it), and preempted
 // victims are recovered by recompute or KV retransfer — or shed once
-// they exhaust the preemption budget. Options.Pressure calls this from
-// New; it may also be called directly on a hand-assembled instance.
-func (b *Bullet) EnablePressure(cfg pressure.Config) {
-	if b.pressure != nil {
-		panic("core: pressure enabled twice")
-	}
+// they exhaust the preemption budget. New calls it when
+// Options.Pressure is set.
+func (b *Bullet) enablePressure(cfg pressure.Config) {
 	ctrl := pressure.New(b.env.KV, b.Estimator, b.env.Model.KVBytesPerToken(), cfg)
-	ctrl.SetTimeline(b.tl)
 	b.pressure = ctrl
-	b.Buffer.HostBandwidth = ctrl.Config().HostBandwidth
 	b.Prefill.Gate = ctrl
 	if ctrl.Config().DisablePreemption {
 		b.name += "+gate"
@@ -31,10 +26,6 @@ func (b *Bullet) EnablePressure(cfg pressure.Config) {
 	b.Prefill.OnPressure = b.relievePressure
 	b.name += "+pressure"
 }
-
-// PressureController returns the controller armed by EnablePressure (nil
-// when pressure is off).
-func (b *Bullet) PressureController() *pressure.Controller { return b.pressure }
 
 // Pressure returns the memory-pressure accounting (zero when off).
 func (b *Bullet) Pressure() metrics.Pressure {
@@ -108,7 +99,7 @@ func (b *Bullet) recoverVictim(v *engine.Req, attempt int) {
 		v.CloseTrail(now)
 		v.DecodeStart = 0 // Accept re-stamps at delivery
 		b.pressure.RecordRecovery(now, v.W.ID, pressure.Retransfer, v.Ctx())
-		b.Buffer.TransferKV(b.pressure.RetransferBytes(v.Ctx()), func() {
+		b.Buffer.TransferKV(b.pressure.RetransferBytes(v.Ctx()), b.pressure.RetransferTime(v.Ctx()), func() {
 			v.AppendTrail("kv-retransfer", now, b.env.Sim.Now())
 			b.Decode.Accept([]*engine.Req{v})
 		})

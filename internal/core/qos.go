@@ -6,22 +6,18 @@ import (
 	"repro/internal/workload"
 )
 
-// EnableQoS arms the SLO-feedback QoS subsystem: the decode batch cap
+// enableQoS arms the SLO-feedback QoS subsystem: the decode batch cap
 // and prefill chunk-token budget come under the AIMD controller's
-// feedback loop, tenant classes drive admission priority at the pressure
-// gate, weighted fairness in the scheduler's SM split, and
+// feedback loop between floors and the engines' static caps maxDecode
+// and maxPrefillTokens, tenant classes drive admission priority at the
+// pressure gate, weighted fairness in the scheduler's SM split, and
 // preemption-victim order, and every completed or shed request feeds the
-// controller's per-class accounting. Options.QoS calls this from New; it
-// may also be called directly on a hand-assembled instance. The
-// completion and shed hooks chain onto any observer already installed
-// (the cluster's outbox hooks, wired before New), preserving per-replica
-// determinism.
-func (b *Bullet) EnableQoS(cfg qos.Config) {
-	if b.qos != nil {
-		panic("core: qos enabled twice")
-	}
-	ctrl := qos.New(b.env.SLO, cfg, b.opts.MaxDecodeBatch, b.opts.MaxPrefillTokens)
-	ctrl.SetTimeline(b.tl)
+// controller's per-class accounting. New calls it when Options.QoS is
+// set. The completion and shed hooks chain onto any observer already
+// installed (the cluster's outbox hooks, wired before New), preserving
+// per-replica determinism.
+func (b *Bullet) enableQoS(maxDecode, maxPrefillTokens int) {
+	ctrl := qos.New(b.env.SLO, maxDecode, maxPrefillTokens)
 	b.qos = ctrl
 	b.Prefill.QoS = ctrl
 	b.Decode.QoS = ctrl
@@ -42,8 +38,8 @@ func (b *Bullet) EnableQoS(cfg qos.Config) {
 	b.name += "+qos"
 }
 
-// QoSController returns the controller armed by EnableQoS (nil when QoS
-// is off).
+// QoSController returns the controller armed by Options.QoS (nil when
+// QoS is off).
 func (b *Bullet) QoSController() *qos.Controller { return b.qos }
 
 // QoS returns the QoS controller's decision and per-class accounting

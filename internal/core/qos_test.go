@@ -20,7 +20,7 @@ import (
 // the result and the system.
 func runQoS(trace *workload.Trace, pcfg pressure.Config) (serving.Result, *Bullet) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: &qos.Config{}})
+	b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: true})
 	b.AttachTimeline(timeline.New(0))
 	return b.RunTrace(trace), b
 }
@@ -100,7 +100,7 @@ func TestQoSShedOrder(t *testing.T) {
 		shedSeq = append(shedSeq, qos.ClassOf(r.Tenant))
 	}
 	pcfg := pressure.Config{DisablePreemption: true, MaxDeferrals: 64}
-	b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: &qos.Config{}})
+	b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: true})
 	res := b.RunTrace(shedTrace())
 	shed := b.QoS().Accounting.Shed
 	if res.Shed == 0 || shed[qos.BestEffort] == 0 || shed[qos.Standard] == 0 {
@@ -172,16 +172,4 @@ func TestQoSOffBitIdentical(t *testing.T) {
 	if got := b2.QoS(); got != (qos.Metrics{}) {
 		t.Fatalf("QoS metrics non-zero without a controller: %+v", got)
 	}
-}
-
-// TestEnableQoSTwicePanics pins the double-enable guard.
-func TestEnableQoSTwicePanics(t *testing.T) {
-	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
-	b := New(env, Options{Mode: ModeFull, QoS: &qos.Config{}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second EnableQoS must panic")
-		}
-	}()
-	b.EnableQoS(qos.Config{})
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/pressure"
-	"repro/internal/qos"
 	"repro/internal/serving"
 	"repro/internal/timeline"
 	"repro/internal/units"
@@ -146,7 +145,7 @@ func TestCountersMatchTimeline(t *testing.T) {
 			env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 			env.KV = kvcache.NewPool(160, serving.KVBlockTokens)
 			pcfg := pressure.Config{DisablePreemption: true, MaxDeferrals: 64}
-			b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: &qos.Config{}})
+			b := New(env, Options{Mode: ModeFull, Pressure: &pcfg, QoS: true})
 			b.AttachTimeline(timeline.New(0))
 			b.RunTrace(shedTrace())
 			return b

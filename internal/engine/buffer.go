@@ -46,20 +46,11 @@ type Buffer struct {
 	// Handoffs counts prefill→decode request migrations.
 	Handoffs int
 
-	// HostBandwidth is the effective host<->device link used by KV
-	// retransfers (0 falls back to DefaultHostBandwidth). In the paper's
-	// architecture the shared pool makes a host round-trip the cheap
-	// alternative to recomputing an evicted sequence's prefill.
-	HostBandwidth units.BytesPerSec
 	// KVRetransfers / KVRetransferBytes count recovery retransfers routed
 	// through the buffer.
 	KVRetransfers     int
 	KVRetransferBytes units.Bytes
 }
-
-// DefaultHostBandwidth is the fallback host link speed (PCIe 4.0 x16
-// practical throughput).
-const DefaultHostBandwidth = units.BytesPerSec(25e9)
 
 // NewBuffer creates the shared buffer.
 func NewBuffer(s *sim.Simulation, latency sim.Time) *Buffer {
@@ -128,17 +119,16 @@ func (b *Buffer) Handoff(reqs []*Req, deliver func([]*Req)) {
 
 // TransferKV moves a preempted sequence's saved KV bytes back to the
 // device through the metadata buffer's host link: the delivery callback
-// fires after the buffer latency (plus any fault-injected extra) and the
-// wire time of the payload. It returns the total transfer duration.
-func (b *Buffer) TransferKV(payload units.Bytes, deliver func()) sim.Time {
+// fires after the buffer latency (plus any fault-injected extra) and
+// wire, the payload's time on the host link. In the paper's architecture
+// the shared pool makes this round-trip the cheap alternative to
+// recomputing an evicted sequence's prefill. It returns the total
+// transfer duration.
+func (b *Buffer) TransferKV(payload units.Bytes, wire sim.Time, deliver func()) sim.Time {
 	if payload < 0 {
 		panic(fmt.Sprintf("engine: negative KV retransfer payload %v", payload))
 	}
-	bw := b.HostBandwidth
-	if bw <= 0 {
-		bw = DefaultHostBandwidth
-	}
-	d := b.Latency + b.extra + payload.Div(bw)
+	d := b.Latency + b.extra + wire
 	b.KVRetransfers++
 	b.KVRetransferBytes += payload
 	b.sim.PostAfter(d, deliver)

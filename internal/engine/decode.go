@@ -27,22 +27,24 @@ type DecodeConfig struct {
 	AllowPause bool
 	// MaxBatch caps the decode batch size.
 	MaxBatch int
-	// CycleOverhead is the CPU cost per iteration (graph launch path).
-	CycleOverhead sim.Time
-	// MaxPause is the failsafe bound on one pause (the engine normally
-	// resumes at the next prefill layer-group sync).
-	MaxPause sim.Time
 }
+
+const (
+	// decodeCycleOverhead is the CPU cost per iteration (graph launch
+	// path).
+	decodeCycleOverhead sim.Time = 100e-6
+	// maxPause is the failsafe bound on one pause (the engine normally
+	// resumes at the next prefill layer-group sync).
+	maxPause sim.Time = 20e-3
+)
 
 // DefaultDecodeConfig returns Bullet's full configuration.
 func DefaultDecodeConfig(numSMs int) DecodeConfig {
 	return DecodeConfig{
-		DynamicSM:     true,
-		FixedSMs:      numSMs,
-		AllowPause:    true,
-		MaxBatch:      256,
-		CycleOverhead: 100e-6,
-		MaxPause:      20e-3,
+		DynamicSM:  true,
+		FixedSMs:   numSMs,
+		AllowPause: true,
+		MaxBatch:   256,
 	}
 }
 
@@ -63,9 +65,8 @@ type DecodeEngine struct {
 	steps   int
 
 	// stalledUntil holds the iteration chain while a fault-injected hang
-	// is in force; stalls counts injected hangs.
+	// is in force.
 	stalledUntil sim.Time
-	stalls       int
 
 	// QoS, when non-nil, is the SLO-feedback controller: it supplies the
 	// live decode batch cap (never above MaxBatch), prioritizes batch
@@ -123,15 +124,11 @@ func (d *DecodeEngine) Stall(dur sim.Time) {
 	if dur < 0 {
 		panic(fmt.Sprintf("engine: negative decode stall %v", dur))
 	}
-	d.stalls++
 	until := d.env.Sim.Now() + dur
 	if until > d.stalledUntil {
 		d.stalledUntil = until
 	}
 }
-
-// Stalls returns how many hangs were injected.
-func (d *DecodeEngine) Stalls() int { return d.stalls }
 
 // Preempt evicts decode sequences until at least blocksNeeded KV blocks
 // have been freed, choosing victims latest-arrival-first (the request
@@ -342,7 +339,7 @@ func (d *DecodeEngine) cycle() {
 		// Resume at the next prefill layer-group sync, or after the
 		// failsafe bound, whichever first.
 		d.buf.OnPrefillProgress(wake)
-		d.env.Sim.PostAfter(d.cfg.MaxPause, wake)
+		d.env.Sim.PostAfter(maxPause, wake)
 		return
 	}
 
@@ -394,6 +391,6 @@ func (d *DecodeEngine) cycle() {
 		if released {
 			d.buf.PublishKVRelease()
 		}
-		d.env.Sim.PostAfter(d.cfg.CycleOverhead, d.cycle)
+		d.env.Sim.PostAfter(decodeCycleOverhead, d.cycle)
 	})
 }

@@ -38,10 +38,11 @@ type PrefillConfig struct {
 	// is used (Naive / w-Scheduler ablations, Fig. 13 sensitivity).
 	DynamicSM bool
 	FixedSMs  int
-	// CycleOverhead is the CPU cost of one scheduling cycle
-	// (snapshot + decision + launch), cf. Table 3.
-	CycleOverhead sim.Time
 }
+
+// prefillCycleOverhead is the CPU cost of one scheduling cycle
+// (snapshot + decision + launch), cf. Table 3.
+const prefillCycleOverhead sim.Time = 150e-6
 
 // DefaultPrefillConfig returns Bullet's full configuration for a device
 // with numSMs SMs.
@@ -54,7 +55,6 @@ func DefaultPrefillConfig(numSMs int) PrefillConfig {
 		SLOAdmission:   true,
 		DynamicSM:      true,
 		FixedSMs:       numSMs,
-		CycleOverhead:  150e-6,
 	}
 }
 
@@ -543,7 +543,7 @@ func (p *PrefillEngine) cycle() {
 			p.finishBatch(stream)
 			return
 		}
-		p.env.Sim.PostAfter(p.cfg.CycleOverhead, func() {
+		p.env.Sim.PostAfter(prefillCycleOverhead, func() {
 			if p.epoch == ep {
 				p.cycle()
 			}
@@ -601,6 +601,6 @@ func (p *PrefillEngine) finishBatch(stream *gpusim.Stream) {
 			panic("engine: no decode engine attached")
 		}
 		p.buf.Handoff(migrate, p.dec.Accept)
-		p.env.Sim.PostAfter(p.cfg.CycleOverhead, p.tryStart)
+		p.env.Sim.PostAfter(prefillCycleOverhead, p.tryStart)
 	})
 }

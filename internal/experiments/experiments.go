@@ -20,7 +20,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/pressure"
-	"repro/internal/qos"
 	"repro/internal/serving"
 	"repro/internal/workload"
 )
@@ -66,8 +65,7 @@ func bulletOptions(name string) (core.Options, bool) {
 	case "bullet-pressure":
 		return core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}}, true
 	case "bullet-qos":
-		return core.Options{Mode: core.ModeFull,
-			Pressure: &pressure.Config{}, QoS: &qos.Config{}}, true
+		return core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}, QoS: true}, true
 	}
 	var sms int
 	if n, err := fmt.Sscanf(name, "bullet-sm%d", &sms); err == nil && n == 1 && sms > 0 {

@@ -37,12 +37,11 @@ type QoSRow struct {
 var QoSSystems = []string{"bullet", "bullet-qos"}
 
 // qosSLOFor returns the per-tenant evaluation SLO: the dataset targets
-// scaled by the class's default SLO scale.
+// scaled by the class's SLO scale.
 func qosSLOFor(dataset string) func(tenant string) metrics.SLO {
 	base := metrics.SLOFor(dataset)
-	cfg := qos.DefaultConfig()
 	return func(tenant string) metrics.SLO {
-		return cfg.SLOFor(qos.ClassOf(tenant), base)
+		return qos.SLOFor(qos.ClassOf(tenant), base)
 	}
 }
 
@@ -121,8 +120,7 @@ func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers 
 	env := serving.NewEnv(spec, cfg, d.Name)
 	cl := cluster.New(env, cluster.Config{
 		Replicas: replicas, Policy: cluster.LeastLoaded,
-		Options: core.Options{Mode: core.ModeFull,
-			Pressure: &pressureDefault, QoS: &qosDefault},
+		Options: core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}, QoS: true},
 		Workers: workers,
 	})
 	res := env.Run(cl, workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
@@ -140,13 +138,6 @@ func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers 
 	}
 	return rows
 }
-
-// The cluster arm's shared option payloads (cluster.Config copies
-// Options per replica; zero configs take each subsystem's defaults).
-var (
-	pressureDefault = pressure.Config{}
-	qosDefault      = qos.Config{}
-)
 
 // RenderExtQoSCluster prints the qos cluster arm.
 func RenderExtQoSCluster(rows []QoSClusterRow) string {

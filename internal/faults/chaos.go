@@ -44,24 +44,29 @@ type ChaosConfig struct {
 	LossProb float64
 	// MeanLinkDuration is the mean link-outage length.
 	MeanLinkDuration sim.Time
-	// MeanLinkDelay is the mean added per-dispatch delay of a degraded
-	// (non-loss) link.
-	MeanLinkDelay sim.Time
 
 	// CascadeProb is the probability a link fault spawns a follow-on
-	// fault at the next replica slot CascadeDelay later; chains continue
+	// fault at the next replica slot cascadeDelay later; chains continue
 	// geometrically (each hop re-draws).
-	CascadeProb  float64
-	CascadeDelay sim.Time
-
-	// BlipRate / MeanBlip parameterize router blips.
-	BlipRate float64
-	MeanBlip sim.Time
-
-	// DrainRate / MeanRestart parameterize replica drain/restart events.
-	DrainRate   float64
-	MeanRestart sim.Time
+	CascadeProb float64
+	// BlipRate / DrainRate are the arrival rates of router blips and of
+	// replica drain/restart events.
+	BlipRate  float64
+	DrainRate float64
 }
+
+// The shapes of GenerateChaos's events.
+const (
+	// meanLinkDelay is the mean added per-dispatch delay of a degraded
+	// (non-loss) link.
+	meanLinkDelay = units.Seconds(120e-3)
+	// cascadeDelay separates the hops of a cascade chain.
+	cascadeDelay = units.Seconds(250e-3)
+	// meanBlip is the mean router-blip length.
+	meanBlip = units.Seconds(400e-3)
+	// meanRestart is the mean delay before a drained replica returns.
+	meanRestart = units.Seconds(2)
+)
 
 // DefaultChaosConfig returns a storm-heavy link-failure mix for a
 // cluster of the given size: calm background noise, storms that take
@@ -81,25 +86,19 @@ func DefaultChaosConfig(replicas int, horizon sim.Time) ChaosConfig {
 		StormLinkRate:    0.6,
 		LossProb:         0.75,
 		MeanLinkDuration: units.Seconds(3),
-		MeanLinkDelay:    units.FromMs(120),
 
-		CascadeProb:  0.4,
-		CascadeDelay: units.FromMs(250),
-
-		BlipRate: 0.02,
-		MeanBlip: units.FromMs(400),
-
+		CascadeProb: 0.4,
+		BlipRate:    0.02,
 		DrainRate:   0.01,
-		MeanRestart: units.Seconds(2),
 	}
 }
 
 // validate panics on nonsensical parameters.
 func (cfg ChaosConfig) validate() {
-	if cfg.Horizon <= 0 || cfg.Replicas <= 0 {
+	if !validSpan(cfg.Horizon) || cfg.Replicas <= 0 {
 		panic(fmt.Sprintf("faults: invalid chaos config horizon=%v replicas=%d", cfg.Horizon, cfg.Replicas))
 	}
-	if cfg.Step <= 0 {
+	if !validSpan(cfg.Step) {
 		panic(fmt.Sprintf("faults: invalid chaos modulation step %v", cfg.Step))
 	}
 	for _, p := range []struct {
@@ -109,12 +108,12 @@ func (cfg ChaosConfig) validate() {
 		{"StormEnter", cfg.StormEnter}, {"StormExit", cfg.StormExit},
 		{"LossProb", cfg.LossProb}, {"CascadeProb", cfg.CascadeProb},
 	} {
-		if p.v < 0 || p.v > 1 {
+		if !validProb(p.v) {
 			panic(fmt.Sprintf("faults: chaos %s %v outside [0,1]", p.name, p.v))
 		}
 	}
-	if cfg.CalmLinkRate < 0 || cfg.StormLinkRate < 0 || cfg.BlipRate < 0 || cfg.DrainRate < 0 {
-		panic(fmt.Sprintf("faults: negative chaos rate in config %+v", cfg))
+	if !validRate(cfg.CalmLinkRate) || !validRate(cfg.StormLinkRate) || !validRate(cfg.BlipRate) || !validRate(cfg.DrainRate) {
+		panic(fmt.Sprintf("faults: negative or non-finite chaos rate in config %+v", cfg))
 	}
 	if cfg.CascadeProb >= 1 {
 		// The range check above admits 1.0, but a chain that never stops
@@ -166,7 +165,7 @@ func GenerateChaos(cfg ChaosConfig) Schedule {
 			at := t
 			for cfg.Replicas > 1 && rng.Float64() < cfg.CascadeProb {
 				replica = (replica + 1) % cfg.Replicas
-				at += cfg.CascadeDelay
+				at += cascadeDelay
 				if at >= cfg.Horizon {
 					break
 				}
@@ -182,7 +181,7 @@ func GenerateChaos(cfg ChaosConfig) Schedule {
 		s.Events = append(s.Events, Event{
 			At:       t,
 			Kind:     KindRouterBlip,
-			Duration: units.Scale(cfg.MeanBlip, 0.5+rng.ExpFloat64()),
+			Duration: units.Scale(meanBlip, 0.5+rng.ExpFloat64()),
 		})
 	}
 	for _, t := range arrivals(rng, cfg.DrainRate, cfg.Horizon) {
@@ -190,7 +189,7 @@ func GenerateChaos(cfg ChaosConfig) Schedule {
 			At:       t,
 			Kind:     KindReplicaDrain,
 			Replica:  rng.Intn(cfg.Replicas),
-			Recovery: units.Scale(cfg.MeanRestart, 0.5+rng.ExpFloat64()),
+			Recovery: units.Scale(meanRestart, 0.5+rng.ExpFloat64()),
 		})
 	}
 
@@ -213,7 +212,7 @@ func linkEvent(rng *rand.Rand, cfg ChaosConfig, t sim.Time, replica int) Event {
 	if rng.Float64() < cfg.LossProb {
 		ev.LinkLoss = true
 	} else {
-		ev.LinkDelay = units.Scale(cfg.MeanLinkDelay, 0.5+rng.ExpFloat64())
+		ev.LinkDelay = units.Scale(meanLinkDelay, 0.5+rng.ExpFloat64())
 	}
 	return ev
 }

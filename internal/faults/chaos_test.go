@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -101,7 +102,7 @@ func TestGenerateChaosBursts(t *testing.T) {
 }
 
 // TestGenerateChaosCascades: with a high cascade probability, link
-// faults must chain to the next replica slot exactly CascadeDelay
+// faults must chain to the next replica slot exactly cascadeDelay
 // apart.
 func TestGenerateChaosCascades(t *testing.T) {
 	cfg := DefaultChaosConfig(4, units.Seconds(60))
@@ -111,7 +112,7 @@ func TestGenerateChaosCascades(t *testing.T) {
 	for i := 1; i < len(s.Events); i++ {
 		prev, ev := s.Events[i-1], s.Events[i]
 		if ev.Kind == KindLinkDegrade && prev.Kind == KindLinkDegrade &&
-			ev.At == prev.At+cfg.CascadeDelay &&
+			ev.At == prev.At+cascadeDelay &&
 			ev.Replica == (prev.Replica+1)%cfg.Replicas {
 			chains++
 		}
@@ -141,6 +142,13 @@ func TestChaosConfigValidation(t *testing.T) {
 		"eternal cascade":    func(c *ChaosConfig) { c.CascadeProb = 1 },
 		"negative exit":      func(c *ChaosConfig) { c.StormExit = -1 },
 		"negative drainrate": func(c *ChaosConfig) { c.DrainRate = -0.5 },
+		"nan horizon":        func(c *ChaosConfig) { c.Horizon = units.Seconds(math.NaN()) },
+		"inf horizon":        func(c *ChaosConfig) { c.Horizon = units.Seconds(math.Inf(1)) },
+		"nan step":           func(c *ChaosConfig) { c.Step = units.Seconds(math.NaN()) },
+		"inf step":           func(c *ChaosConfig) { c.Step = units.Seconds(math.Inf(1)) },
+		"nan rate":           func(c *ChaosConfig) { c.BlipRate = math.NaN() },
+		"inf rate":           func(c *ChaosConfig) { c.StormLinkRate = math.Inf(1) },
+		"nan prob":           func(c *ChaosConfig) { c.CascadeProb = math.NaN() },
 	} {
 		cfg := base
 		mut(&cfg)

@@ -29,6 +29,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -145,23 +146,6 @@ type Config struct {
 	// (0 in DefaultConfig; enable it for memory-pressure runs).
 	KVShrinkRate float64
 
-	// MeanDegradeDuration is the mean transient-degradation length.
-	MeanDegradeDuration sim.Time
-	// MaxDegradeFraction caps the SM span of one degrade event as a
-	// fraction of the device.
-	MaxDegradeFraction float64
-	// DeadProb is the probability a degraded range is fully dead
-	// (Throttle 0) rather than throttled.
-	DeadProb float64
-
-	// MeanStall is the mean engine-cycle hang length.
-	MeanStall sim.Time
-	// MeanBufferDelay is the mean inflated metadata-buffer latency.
-	MeanBufferDelay sim.Time
-
-	// MeanRecovery is the mean replica restart delay.
-	MeanRecovery sim.Time
-
 	// MeanKVShrinkFraction is the mean fraction of KV capacity one
 	// shrink event retires (drawn values are capped at 0.9 so the pool
 	// never vanishes entirely).
@@ -170,24 +154,36 @@ type Config struct {
 	MeanKVShrinkDuration sim.Time
 }
 
+// The shapes of Generate's degrade, stall and crash events.
+const (
+	// meanDegradeDuration is the mean transient-degradation length.
+	meanDegradeDuration = units.Seconds(4)
+	// maxDegradeFraction caps the SM span of one degrade event as a
+	// fraction of the device.
+	maxDegradeFraction = 0.25
+	// deadProb is the probability a degraded range is fully dead
+	// (Throttle 0) rather than throttled.
+	deadProb = 0.5
+	// meanStall is the mean engine-cycle hang length.
+	meanStall = units.Seconds(80e-3)
+	// meanBufferDelay is the mean inflated metadata-buffer latency.
+	meanBufferDelay = units.Seconds(2e-3)
+	// meanRecovery is the mean replica restart delay.
+	meanRecovery = units.Seconds(2)
+)
+
 // DefaultConfig returns a moderate single-replica fault mix for a device
 // of numSMs over the given horizon: transient SM degradations, shorter
 // engine stalls, and no crashes (enable CrashRate for cluster runs).
 func DefaultConfig(numSMs int, horizon sim.Time) Config {
 	return Config{
-		Seed:                1,
-		Horizon:             horizon,
-		NumSMs:              numSMs,
-		Replicas:            1,
-		DegradeRate:         0.05,
-		StallRate:           0.05,
-		CrashRate:           0,
-		MeanDegradeDuration: units.Seconds(4),
-		MaxDegradeFraction:  0.25,
-		DeadProb:            0.5,
-		MeanStall:           units.FromMs(80),
-		MeanBufferDelay:     units.FromMs(2),
-		MeanRecovery:        units.Seconds(2),
+		Seed:        1,
+		Horizon:     horizon,
+		NumSMs:      numSMs,
+		Replicas:    1,
+		DegradeRate: 0.05,
+		StallRate:   0.05,
+		CrashRate:   0,
 
 		KVShrinkRate:         0,
 		MeanKVShrinkFraction: 0.3,
@@ -200,20 +196,14 @@ func DefaultConfig(numSMs int, horizon sim.Time) Config {
 // the merged timeline is sorted by fire time with the generation order
 // (degrade, stall, crash) breaking ties stably.
 func Generate(cfg Config) Schedule {
-	if cfg.Horizon <= 0 || cfg.NumSMs <= 0 {
+	if !validSpan(cfg.Horizon) || cfg.NumSMs <= 0 {
 		panic(fmt.Sprintf("faults: invalid config horizon=%v numSMs=%d", cfg.Horizon, cfg.NumSMs))
 	}
-	if cfg.DegradeRate < 0 || cfg.StallRate < 0 || cfg.CrashRate < 0 || cfg.KVShrinkRate < 0 {
-		panic(fmt.Sprintf("faults: negative fault rate in config %+v", cfg))
+	if !validRate(cfg.DegradeRate) || !validRate(cfg.StallRate) || !validRate(cfg.CrashRate) || !validRate(cfg.KVShrinkRate) {
+		panic(fmt.Sprintf("faults: negative or non-finite fault rate in config %+v", cfg))
 	}
-	if cfg.MeanKVShrinkFraction < 0 || cfg.MeanKVShrinkFraction > 1 {
+	if !validProb(cfg.MeanKVShrinkFraction) {
 		panic(fmt.Sprintf("faults: MeanKVShrinkFraction %v outside [0,1]", cfg.MeanKVShrinkFraction))
-	}
-	if cfg.MaxDegradeFraction < 0 || cfg.MaxDegradeFraction > 1 {
-		panic(fmt.Sprintf("faults: MaxDegradeFraction %v outside [0,1]", cfg.MaxDegradeFraction))
-	}
-	if cfg.DeadProb < 0 || cfg.DeadProb > 1 {
-		panic(fmt.Sprintf("faults: DeadProb %v outside [0,1]", cfg.DeadProb))
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	s := Schedule{Seed: cfg.Seed}
@@ -237,6 +227,15 @@ func Generate(cfg Config) Schedule {
 	return s
 }
 
+// validSpan reports whether t is finite and positive (NaN is not).
+func validSpan(t sim.Time) bool { return t > 0 && !units.IsInf(t, 1) }
+
+// validRate reports whether r is finite and nonnegative (NaN is not).
+func validRate(r float64) bool { return r >= 0 && !math.IsInf(r, 1) }
+
+// validProb reports whether p lies in [0,1] (NaN does not).
+func validProb(p float64) bool { return p >= 0 && p <= 1 }
+
 // arrivals returns Poisson event times in [0, horizon) at the given
 // rate (events/s); a zero rate yields none.
 func arrivals(rng *rand.Rand, rate float64, horizon sim.Time) []sim.Time {
@@ -257,7 +256,7 @@ func arrivals(rng *rand.Rand, rate float64, horizon sim.Time) []sim.Time {
 // degradeEvent draws a granularity-aligned SM range, a throttle factor,
 // and a transient duration.
 func degradeEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
-	maxSMs := int(cfg.MaxDegradeFraction * float64(cfg.NumSMs))
+	maxSMs := int(maxDegradeFraction * float64(cfg.NumSMs))
 	maxSMs -= maxSMs % smmask.Granularity
 	if maxSMs < smmask.Granularity {
 		maxSMs = smmask.Granularity
@@ -269,7 +268,7 @@ func degradeEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
 	slots := (cfg.NumSMs-n)/smmask.Granularity + 1
 	first := smmask.Granularity * rng.Intn(slots)
 	throttle := 0.0
-	if rng.Float64() >= cfg.DeadProb {
+	if rng.Float64() >= deadProb {
 		throttle = 0.25 + 0.5*rng.Float64()
 	}
 	return Event{
@@ -278,7 +277,7 @@ func degradeEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
 		FirstSM:  first,
 		NumSMs:   n,
 		Throttle: throttle,
-		Duration: units.Scale(cfg.MeanDegradeDuration, 0.5+rng.ExpFloat64()),
+		Duration: units.Scale(meanDegradeDuration, 0.5+rng.ExpFloat64()),
 	}
 }
 
@@ -287,9 +286,9 @@ func degradeEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
 func stallEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
 	targets := [3]Target{TargetPrefill, TargetDecode, TargetBuffer}
 	target := targets[rng.Intn(len(targets))]
-	mean := cfg.MeanStall
+	mean := meanStall
 	if target == TargetBuffer {
-		mean = cfg.MeanBufferDelay
+		mean = meanBufferDelay
 	}
 	return Event{
 		At:     t,
@@ -309,7 +308,7 @@ func crashEvent(rng *rand.Rand, cfg Config, t sim.Time) Event {
 		At:       t,
 		Kind:     KindReplicaCrash,
 		Replica:  rng.Intn(replicas),
-		Recovery: units.Scale(cfg.MeanRecovery, 0.5+rng.ExpFloat64()),
+		Recovery: units.Scale(meanRecovery, 0.5+rng.ExpFloat64()),
 	}
 }
 

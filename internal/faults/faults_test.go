@@ -1,7 +1,9 @@
 package faults
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -56,7 +58,7 @@ func TestGenerateSortedAndValid(t *testing.T) {
 				t.Fatalf("event %d: SM range [%d,%d) outside device of %d",
 					i, ev.FirstSM, ev.FirstSM+ev.NumSMs, cfg.NumSMs)
 			}
-			maxN := int(cfg.MaxDegradeFraction * float64(cfg.NumSMs))
+			maxN := int(maxDegradeFraction * float64(cfg.NumSMs))
 			if ev.NumSMs > maxN {
 				t.Fatalf("event %d: degrade span %d exceeds cap %d", i, ev.NumSMs, maxN)
 			}
@@ -103,6 +105,36 @@ func TestGenerateZeroRates(t *testing.T) {
 	}
 	if s.Downtime() != 0 {
 		t.Fatalf("empty schedule reports downtime %v", s.Downtime())
+	}
+}
+
+// TestGenerateRejectsBadConfig: a non-positive, NaN or infinite horizon
+// or rate panics with a message instead of looping forever drawing
+// arrivals that never reach the horizon.
+func TestGenerateRejectsBadConfig(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mut := range map[string]func(*Config){
+		"zero horizon":      func(c *Config) { c.Horizon = 0 },
+		"nan horizon":       func(c *Config) { c.Horizon = units.Seconds(nan) },
+		"inf horizon":       func(c *Config) { c.Horizon = units.Seconds(inf) },
+		"zero sms":          func(c *Config) { c.NumSMs = 0 },
+		"negative rate":     func(c *Config) { c.DegradeRate = -1 },
+		"nan rate":          func(c *Config) { c.StallRate = nan },
+		"inf rate":          func(c *Config) { c.CrashRate = inf },
+		"nan shrink rate":   func(c *Config) { c.KVShrinkRate = nan },
+		"nan shrink frac":   func(c *Config) { c.MeanKVShrinkFraction = nan },
+		"shrink frac above": func(c *Config) { c.MeanKVShrinkFraction = 1.5 },
+	} {
+		cfg := testConfig()
+		mut(&cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "faults: ") {
+					t.Errorf("%s: panic %q, want a faults: message", name, msg)
+				}
+			}()
+			Generate(cfg)
+		}()
 	}
 }
 

@@ -219,12 +219,6 @@ func (c Config) WeightBytes() units.Bytes {
 	return units.Over(units.Bytes(c.ParamCount()*float64(c.BytesPerParam)), c.tp())
 }
 
-// LayerWeightBytes returns one decoder layer's weight bytes.
-func (c Config) LayerWeightBytes() units.Bytes {
-	return units.Bytes(float64(c.HiddenSize*c.QKVOutDim()+c.HiddenSize*c.HiddenSize+
-		3*c.HiddenSize*c.IntermediateSize) * float64(c.BytesPerParam))
-}
-
 // KVBytesPerTokenLayer returns the KV cache bytes one token occupies in
 // one layer (K and V).
 func (c Config) KVBytesPerTokenLayer() units.Bytes {

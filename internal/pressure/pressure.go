@@ -121,20 +121,10 @@ type Config struct {
 	// and 256ms.
 	BackoffBase units.Seconds
 	BackoffCap  units.Seconds
-	// RecomputePenalty biases the cost model against recompute (burning
-	// SMs that could serve admitted work). Default 1.25.
-	RecomputePenalty float64
 	// HostBandwidth is the effective host<->device bandwidth used for the
 	// retransfer cost and transfer latency (PCIe 4.0 x16 practical
 	// throughput). Default 25 GB/s.
 	HostBandwidth units.BytesPerSec
-	// PriorityMargin tightens the effective admission watermark per
-	// priority level below PrioPremium: a PrioStandard request admits
-	// against limit−margin, PrioBestEffort against limit−2·margin. With
-	// the halving deferral budgets this yields the strict shed order
-	// best-effort → standard → premium under sustained pressure.
-	// Default 0.04.
-	PriorityMargin float64
 	// DisablePreemption keeps the admission gate but never preempts
 	// decode sequences — the no-preemption ablation baseline ext-pressure
 	// compares against. Default false (preemption on).
@@ -152,11 +142,21 @@ func DefaultConfig() Config {
 		MaxRecoveryRetries: 5,
 		BackoffBase:        units.FromMs(2),
 		BackoffCap:         units.FromMs(256),
-		RecomputePenalty:   1.25,
 		HostBandwidth:      units.BytesPerSec(25e9),
-		PriorityMargin:     0.04,
 	}
 }
+
+const (
+	// recomputePenalty biases the recovery cost model against recompute
+	// (burning SMs that could serve admitted work).
+	recomputePenalty = 1.25
+	// priorityMargin tightens the effective admission watermark per
+	// priority level below PrioPremium: a PrioStandard request admits
+	// against limit−margin, PrioBestEffort against limit−2·margin. With
+	// the halving deferral budgets this yields the strict shed order
+	// best-effort → standard → premium under sustained pressure.
+	priorityMargin = 0.04
+)
 
 // withDefaults fills zero fields from DefaultConfig.
 func (c Config) withDefaults() Config {
@@ -185,14 +185,8 @@ func (c Config) withDefaults() Config {
 	if c.BackoffCap <= 0 {
 		c.BackoffCap = d.BackoffCap
 	}
-	if c.RecomputePenalty <= 0 {
-		c.RecomputePenalty = d.RecomputePenalty
-	}
 	if c.HostBandwidth <= 0 {
 		c.HostBandwidth = d.HostBandwidth
-	}
-	if c.PriorityMargin <= 0 {
-		c.PriorityMargin = d.PriorityMargin
 	}
 	return c
 }
@@ -263,7 +257,7 @@ func (c *Controller) Admit(now units.Seconds, id string, needTokens, deferrals i
 }
 
 // AdmitPrio is Admit with an explicit admission priority: levels below
-// PrioPremium face a watermark tightened by PriorityMargin per step and
+// PrioPremium face a watermark tightened by priorityMargin per step and
 // a deferral budget halved per step, so the gate defers and sheds
 // best-effort traffic strictly before standard, and standard strictly
 // before premium. AdmitPrio(..., PrioPremium) ≡ Admit.
@@ -316,7 +310,7 @@ func (c *Controller) decide(cur float64, needTokens, deferrals int, prio Prio) T
 	if c.pressured {
 		limit = c.cfg.LowWatermark
 	}
-	limit -= c.cfg.PriorityMargin * float64(steps)
+	limit -= priorityMargin * float64(steps)
 	projected := float64(c.pool.UsedBlocks()+need) / float64(total)
 	if projected > limit || !c.pool.CanAllocate(needTokens) {
 		if projected > c.cfg.HighWatermark {
@@ -439,13 +433,13 @@ func (c *Controller) Backoff(attempt int) units.Seconds {
 
 // ChooseRecovery picks the cheaper restoration path for a victim holding
 // ctxTokens of KV context: re-running its prefill on sms SMs (biased by
-// RecomputePenalty) versus re-transferring the saved bytes through the
+// recomputePenalty) versus re-transferring the saved bytes through the
 // metadata buffer with bufferLatency fixed overhead.
 func (c *Controller) ChooseRecovery(ctxTokens, sms int, bufferLatency units.Seconds) Recovery {
 	if c.est == nil || c.kvBytesPerToken <= 0 {
 		return Recompute
 	}
-	recompute := units.Scale(c.est.PrefillTotalTime(ctxTokens, 0, sms, true), c.cfg.RecomputePenalty)
+	recompute := units.Scale(c.est.PrefillTotalTime(ctxTokens, 0, sms, true), recomputePenalty)
 	retransfer := bufferLatency + c.RetransferTime(ctxTokens)
 	if retransfer < recompute {
 		return Retransfer

@@ -86,103 +86,52 @@ func (c Class) Prio() pressure.Prio {
 	return pressure.PrioStandard
 }
 
-// Config parameterizes the controller. Zero fields take the defaults
-// documented on each; see DefaultConfig.
-type Config struct {
-	// Window is the virtual-time width of one control interval: the
-	// controller re-decides the caps at most once per window, from the
-	// observations accumulated inside it. Default 250ms.
-	Window units.Seconds
-	// MinDecodeBatch / MinPrefillTokens floor the multiplicative
-	// decrease (defaults 8 and 2048). The ceilings are the engines'
-	// static caps, set through Init.
-	MinDecodeBatch   int
-	MinPrefillTokens int
-	// DecodeStep / PrefillStep are the additive-increase increments per
-	// window with slack (defaults 16 and 2048).
-	DecodeStep  int
-	PrefillStep int
-	// DecreaseFactor is the multiplicative decrease applied to both caps
-	// on an SLO violation. Default 0.7.
-	DecreaseFactor float64
-	// DeadBand is the hysteresis band around a violation ratio of 1.0:
-	// inside [1-DeadBand, 1+DeadBand] the controller holds. Default 0.1.
-	DeadBand float64
-	// CooldownWindows is how many windows after a decrease the
+// The controller's fixed policy. The float values are variables, not
+// constants, so that 1+deadBand and 1-deadBand round as run-time float64
+// sums instead of folding exactly at compile time.
+const (
+	// minDecodeBatch / minPrefillTokens floor the multiplicative
+	// decrease; the ceilings are the engines' static caps passed to New.
+	minDecodeBatch   = 8
+	minPrefillTokens = 2048
+	// decodeStep / prefillStep are the additive-increase increments per
+	// window with slack.
+	decodeStep  = 16
+	prefillStep = 2048
+	// cooldownWindows is how many windows after a decrease the
 	// controller refuses to increase again — with the dead band, the
 	// hysteresis that keeps a square-wave load from making the caps
-	// oscillate every window. Default 2.
-	CooldownWindows int
-	// HeadroomFloor is the KV occupancy at or above which increases are
+	// oscillate every window.
+	cooldownWindows = 2
+)
+
+var (
+	// window is the virtual-time width of one control interval: the
+	// controller re-decides the caps at most once per window, from the
+	// observations accumulated inside it.
+	window = units.FromMs(250)
+	// decreaseFactor is the multiplicative decrease applied to both caps
+	// on an SLO violation.
+	decreaseFactor = 0.7
+	// deadBand is the hysteresis band around a violation ratio of 1.0:
+	// inside [1-deadBand, 1+deadBand] the controller holds.
+	deadBand = 0.1
+	// headroomFloor is the KV occupancy at or above which increases are
 	// suppressed regardless of slack, composing with the pressure gate:
-	// growth happens only in the gate's freely-admitting region. Default
-	// is the pressure subsystem's low watermark (0.80).
-	HeadroomFloor float64
-	// SLOScale loosens the base SLO per class: class c's targets are the
-	// dataset targets times SLOScale[c]. Defaults {4, 2, 1} for
+	// growth happens only in the gate's freely-admitting region (its
+	// low watermark).
+	headroomFloor = pressure.DefaultConfig().LowWatermark
+	// sloScale loosens the base SLO per class: {4, 2, 1} for
 	// {best-effort, standard, premium} — premium is held to the paper's
 	// targets, lower classes trade latency for admission.
-	SLOScale [NumClasses]float64
-}
-
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config {
-	return Config{
-		Window:           units.FromMs(250),
-		MinDecodeBatch:   8,
-		MinPrefillTokens: 2048,
-		DecodeStep:       16,
-		PrefillStep:      2048,
-		DecreaseFactor:   0.7,
-		DeadBand:         0.1,
-		CooldownWindows:  2,
-		HeadroomFloor:    pressure.DefaultConfig().LowWatermark,
-		SLOScale:         [NumClasses]float64{4, 2, 1},
-	}
-}
-
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.Window <= 0 {
-		c.Window = d.Window
-	}
-	if c.MinDecodeBatch <= 0 {
-		c.MinDecodeBatch = d.MinDecodeBatch
-	}
-	if c.MinPrefillTokens <= 0 {
-		c.MinPrefillTokens = d.MinPrefillTokens
-	}
-	if c.DecodeStep <= 0 {
-		c.DecodeStep = d.DecodeStep
-	}
-	if c.PrefillStep <= 0 {
-		c.PrefillStep = d.PrefillStep
-	}
-	if c.DecreaseFactor <= 0 {
-		c.DecreaseFactor = d.DecreaseFactor
-	}
-	if c.DeadBand <= 0 {
-		c.DeadBand = d.DeadBand
-	}
-	if c.CooldownWindows <= 0 {
-		c.CooldownWindows = d.CooldownWindows
-	}
-	if c.HeadroomFloor <= 0 {
-		c.HeadroomFloor = d.HeadroomFloor
-	}
-	for i := range c.SLOScale {
-		if c.SLOScale[i] <= 0 {
-			c.SLOScale[i] = d.SLOScale[i]
-		}
-	}
-	return c
-}
+	sloScale = [NumClasses]float64{4, 2, 1}
+)
 
 // SLOFor returns the class's latency targets: the base SLO scaled by
-// SLOScale[class].
-func (c Config) SLOFor(class Class, base metrics.SLO) metrics.SLO {
-	s := c.SLOScale[class]
+// the class's SLO scale (4, 2 and 1 for best-effort, standard and
+// premium).
+func SLOFor(class Class, base metrics.SLO) metrics.SLO {
+	s := sloScale[class]
 	return metrics.SLO{NormTTFTMs: base.NormTTFTMs * s, TPOTMs: base.TPOTMs * s}
 }
 
@@ -238,10 +187,12 @@ type Metrics struct {
 // Controller is the per-replica QoS policy. Not safe for concurrent use;
 // the simulation is single-threaded by design.
 type Controller struct {
-	cfg  Config
 	base metrics.SLO
 	tl   *timeline.Recorder
 
+	// minDecode / minPrefill are the floors, clamped to the caps.
+	minDecode  int
+	minPrefill int
 	maxDecode  int
 	maxPrefill int
 
@@ -264,23 +215,17 @@ type Controller struct {
 	decreases int
 }
 
-// New builds a controller enforcing base targets under cfg; zero cfg
-// fields take defaults. maxDecode and maxPrefillTokens are the engines'
-// static caps — the controller's ceilings and starting point, so an idle
-// or satisfied system behaves exactly like the static configuration.
-func New(base metrics.SLO, cfg Config, maxDecode, maxPrefillTokens int) *Controller {
-	c := cfg.withDefaults()
+// New builds a controller enforcing base targets. maxDecode and
+// maxPrefillTokens are the engines' static caps — the controller's
+// ceilings and starting point, so an idle or satisfied system behaves
+// exactly like the static configuration.
+func New(base metrics.SLO, maxDecode, maxPrefillTokens int) *Controller {
 	if maxDecode <= 0 || maxPrefillTokens <= 0 {
 		panic(fmt.Sprintf("qos: invalid caps decode=%d prefillTokens=%d", maxDecode, maxPrefillTokens))
 	}
-	if c.MinDecodeBatch > maxDecode {
-		c.MinDecodeBatch = maxDecode
-	}
-	if c.MinPrefillTokens > maxPrefillTokens {
-		c.MinPrefillTokens = maxPrefillTokens
-	}
 	return &Controller{
-		cfg: c, base: base,
+		base:      base,
+		minDecode: min(minDecodeBatch, maxDecode), minPrefill: min(minPrefillTokens, maxPrefillTokens),
 		maxDecode: maxDecode, maxPrefill: maxPrefillTokens,
 		decodeCap: maxDecode, prefillTokens: maxPrefillTokens,
 	}
@@ -288,9 +233,6 @@ func New(base metrics.SLO, cfg Config, maxDecode, maxPrefillTokens int) *Control
 
 // SetTimeline attaches a recorder; nil disables qos decision instants.
 func (c *Controller) SetTimeline(tl *timeline.Recorder) { c.tl = tl }
-
-// Config returns the effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // DecodeCap returns the current decode batch cap.
 //
@@ -309,7 +251,7 @@ func (c *Controller) PrefillTokenBudget() int { return c.prefillTokens }
 //
 //bullet:hotpath
 func (c *Controller) WeightOf(class Class) float64 {
-	return 1 / c.cfg.SLOScale[class]
+	return 1 / sloScale[class]
 }
 
 // Accounting returns a copy of the per-class token bookkeeping.
@@ -375,7 +317,7 @@ func (c *Controller) ObserveStep(now units.Seconds, batch int, stepDur units.Sec
 //bullet:hotpath
 func (c *Controller) ObserveCompletion(now units.Seconds, m metrics.Request, occupancy float64) {
 	class := ClassOf(m.Tenant)
-	slo := c.cfg.SLOFor(class, c.base)
+	slo := SLOFor(class, c.base)
 	w := c.WeightOf(class)
 	c.acct.Completed[class]++
 	if slo.NormTTFTMs > 0 {
@@ -396,7 +338,7 @@ func (c *Controller) ObserveCompletion(now units.Seconds, m metrics.Request, occ
 func (c *Controller) Tick(now units.Seconds, occupancy float64) {
 	if !c.started {
 		c.started = true
-		c.nextDecide = now + c.cfg.Window
+		c.nextDecide = now + window
 		return
 	}
 	if now < c.nextDecide {
@@ -416,29 +358,29 @@ func (c *Controller) decide(now units.Seconds, occupancy float64) {
 	n := c.winSamples
 	c.winViol = 0
 	c.winSamples = 0
-	c.nextDecide = now + c.cfg.Window
+	c.nextDecide = now + window
 	c.decisions++
 
 	dir := 0
 	switch {
 	case n == 0:
 		// No traffic this window: hold.
-	case v > 1+c.cfg.DeadBand:
-		nd := clamp(int(float64(c.decodeCap)*c.cfg.DecreaseFactor), c.cfg.MinDecodeBatch, c.maxDecode)
-		np := clamp(int(float64(c.prefillTokens)*c.cfg.DecreaseFactor), c.cfg.MinPrefillTokens, c.maxPrefill)
+	case v > 1+deadBand:
+		nd := clamp(int(float64(c.decodeCap)*decreaseFactor), c.minDecode, c.maxDecode)
+		np := clamp(int(float64(c.prefillTokens)*decreaseFactor), c.minPrefill, c.maxPrefill)
 		if nd < c.decodeCap || np < c.prefillTokens {
 			dir = -1
 			c.decreases++
 		}
 		c.decodeCap, c.prefillTokens = nd, np
-		c.cooldown = c.cfg.CooldownWindows
-	case v < 1-c.cfg.DeadBand && occupancy < c.cfg.HeadroomFloor:
+		c.cooldown = cooldownWindows
+	case v < 1-deadBand && occupancy < headroomFloor:
 		if c.cooldown > 0 {
 			c.cooldown--
 			break
 		}
-		nd := clamp(c.decodeCap+c.cfg.DecodeStep, c.cfg.MinDecodeBatch, c.maxDecode)
-		np := clamp(c.prefillTokens+c.cfg.PrefillStep, c.cfg.MinPrefillTokens, c.maxPrefill)
+		nd := clamp(c.decodeCap+decodeStep, c.minDecode, c.maxDecode)
+		np := clamp(c.prefillTokens+prefillStep, c.minPrefill, c.maxPrefill)
 		if nd > c.decodeCap || np > c.prefillTokens {
 			dir = 1
 			c.increases++

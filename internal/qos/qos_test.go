@@ -11,8 +11,8 @@ import (
 
 var baseSLO = metrics.SLO{NormTTFTMs: 1.5, TPOTMs: 200}
 
-func newTest(cfg Config) *Controller {
-	return New(baseSLO, cfg, 256, 16384)
+func newTest() *Controller {
+	return New(baseSLO, 256, 16384)
 }
 
 func TestClassMapping(t *testing.T) {
@@ -42,22 +42,17 @@ func TestClassMapping(t *testing.T) {
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	c := newTest(Config{})
-	cfg := c.Config()
-	d := DefaultConfig()
-	if cfg != d {
-		t.Fatalf("zero config did not take defaults: got %+v want %+v", cfg, d)
-	}
+func TestNewCapsAndClasses(t *testing.T) {
+	c := newTest()
 	if c.DecodeCap() != 256 || c.PrefillTokenBudget() != 16384 {
 		t.Fatalf("caps not initialized to engine maxes: %d/%d", c.DecodeCap(), c.PrefillTokenBudget())
 	}
 	// SLOFor scales both targets by the class scale.
-	slo := cfg.SLOFor(BestEffort, baseSLO)
+	slo := SLOFor(BestEffort, baseSLO)
 	if slo.NormTTFTMs != baseSLO.NormTTFTMs*4 || slo.TPOTMs != baseSLO.TPOTMs*4 {
 		t.Fatalf("best-effort SLO not 4x base: %+v", slo)
 	}
-	if cfg.SLOFor(Premium, baseSLO) != baseSLO {
+	if SLOFor(Premium, baseSLO) != baseSLO {
 		t.Fatalf("premium SLO must be the base targets")
 	}
 	// Weight is the reciprocal scale: premium full strength.
@@ -75,17 +70,16 @@ func TestNewPanicsOnInvalidCaps(t *testing.T) {
 			t.Fatal("New with zero caps must panic")
 		}
 	}()
-	New(baseSLO, Config{}, 0, 0)
+	New(baseSLO, 0, 0)
 }
 
 // step advances the controller one full window with a constant violation
 // ratio v observed at occupancy occ, and returns the decode cap after
 // the boundary decision.
 func step(c *Controller, now *units.Seconds, v, occ float64) int {
-	w := c.Config().Window
 	c.Tick(*now, occ) // first call arms the window
 	c.observeAt(*now, v, occ)
-	*now += w
+	*now += window
 	c.Tick(*now, occ)
 	return c.DecodeCap()
 }
@@ -98,18 +92,18 @@ func (c *Controller) observeAt(now units.Seconds, v, occ float64) {
 }
 
 func TestDecreaseOnViolation(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	before := c.DecodeCap()
 	after := step(c, &now, 2.0, 0.5) // gross violation
 	if after >= before {
 		t.Fatalf("violation did not shrink decode cap: %d -> %d", before, after)
 	}
-	wantD := int(float64(before) * c.Config().DecreaseFactor)
+	wantD := int(float64(before) * decreaseFactor)
 	if after != wantD {
 		t.Fatalf("decode cap = %d, want %d", after, wantD)
 	}
-	wantP := int(16384 * c.Config().DecreaseFactor)
+	wantP := int(16384 * decreaseFactor)
 	if got := c.PrefillTokenBudget(); got != wantP {
 		t.Fatalf("prefill budget = %d, want %d", got, wantP)
 	}
@@ -121,7 +115,7 @@ func TestDecreaseOnViolation(t *testing.T) {
 
 func TestIncreaseNeedsSlackAndHeadroom(t *testing.T) {
 	// Start from a reduced cap so there is room to grow.
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	step(c, &now, 2.0, 0.5) // shrink once; cooldown armed
 	shrunk := c.DecodeCap()
@@ -134,23 +128,23 @@ func TestIncreaseNeedsSlackAndHeadroom(t *testing.T) {
 	}
 	// Slack with headroom: cooldown has long expired, additive growth.
 	grown := step(c, &now, 0.2, 0.5)
-	if grown != shrunk+c.Config().DecodeStep {
-		t.Fatalf("additive increase: got %d, want %d", grown, shrunk+c.Config().DecodeStep)
+	if grown != shrunk+decodeStep {
+		t.Fatalf("additive increase: got %d, want %d", grown, shrunk+decodeStep)
 	}
 }
 
 func TestCapsClampToBounds(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	// Hammer violations: caps must floor at the minimums, never below.
 	for i := 0; i < 50; i++ {
 		step(c, &now, 5.0, 0.99)
 	}
-	if c.DecodeCap() != c.Config().MinDecodeBatch {
-		t.Fatalf("decode cap floored at %d, want %d", c.DecodeCap(), c.Config().MinDecodeBatch)
+	if c.DecodeCap() != minDecodeBatch {
+		t.Fatalf("decode cap floored at %d, want %d", c.DecodeCap(), minDecodeBatch)
 	}
-	if c.PrefillTokenBudget() != c.Config().MinPrefillTokens {
-		t.Fatalf("prefill budget floored at %d, want %d", c.PrefillTokenBudget(), c.Config().MinPrefillTokens)
+	if c.PrefillTokenBudget() != minPrefillTokens {
+		t.Fatalf("prefill budget floored at %d, want %d", c.PrefillTokenBudget(), minPrefillTokens)
 	}
 	// Sustained slack: caps must ceiling at the engine maxes, never above.
 	for i := 0; i < 100; i++ {
@@ -168,7 +162,7 @@ func TestCapMonotoneInSlack(t *testing.T) {
 	ratios := []float64{0.3, 0.8, 1.0, 1.3, 2.0, 4.0}
 	prevCap, prevBudget := -1, -1
 	for i, v := range ratios {
-		c := newTest(Config{})
+		c := newTest()
 		now := units.Seconds(0)
 		for k := 0; k < 10; k++ {
 			step(c, &now, v, 0.5)
@@ -184,9 +178,9 @@ func TestCapMonotoneInSlack(t *testing.T) {
 // TestHysteresisSquareWave: a load alternating between violation and
 // slack every window cannot make the caps oscillate every window — the
 // post-decrease cooldown blocks the immediate re-increase, so direction
-// flips are at most one per (1 + CooldownWindows) windows.
+// flips are at most one per (1 + cooldownWindows) windows.
 func TestHysteresisSquareWave(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	const windows = 40
 	flips, dirChanges := 0, 0
@@ -212,7 +206,7 @@ func TestHysteresisSquareWave(t *testing.T) {
 		}
 		prev = cur
 	}
-	maxFlips := windows / (1 + c.Config().CooldownWindows)
+	maxFlips := windows / (1 + cooldownWindows)
 	if flips > maxFlips {
 		t.Fatalf("square wave produced %d cap changes over %d windows (hysteresis bound %d)",
 			flips, windows, maxFlips)
@@ -225,7 +219,7 @@ func TestHysteresisSquareWave(t *testing.T) {
 // TestDeadBandHolds: a wave entirely inside the dead band changes
 // nothing, ever.
 func TestDeadBandHolds(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	for i := 0; i < 20; i++ {
 		v := 0.95
@@ -244,13 +238,13 @@ func TestDeadBandHolds(t *testing.T) {
 // TestEmptyWindowHolds: windows with no observations hold the caps even
 // under stale violation state.
 func TestEmptyWindowHolds(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	step(c, &now, 2.0, 0.5)
 	shrunk := c.DecodeCap()
 	// Advance many empty windows: no traffic, no movement.
 	for i := 0; i < 5; i++ {
-		now += c.Config().Window
+		now += window
 		c.Tick(now, 0.1)
 	}
 	if c.DecodeCap() != shrunk {
@@ -270,22 +264,22 @@ func TestObserveCompletionWeighting(t *testing.T) {
 	// A best-effort request at 4x the base target is exactly on its own
 	// scaled target, and its weighted ratio is 0.25 — deep in the dead
 	// band's slack side, so it must not trigger a decrease.
-	c := newTest(Config{})
+	c := newTest()
 	now := units.Seconds(0)
 	c.Tick(now, 0.5)
 	c.ObserveCompletion(now, mk("best-effort", 4*baseSLO.NormTTFTMs*1000), 0.5)
-	now += c.Config().Window
+	now += window
 	c.Tick(now, 0.5)
 	if c.Metrics().Decreases != 0 {
 		t.Fatal("on-target best-effort completion triggered a decrease")
 	}
 	// The same absolute latency from a premium tenant is a 4x violation
 	// at full weight: decrease.
-	c2 := newTest(Config{})
+	c2 := newTest()
 	now = 0
 	c2.Tick(now, 0.5)
 	c2.ObserveCompletion(now, mk("premium", 4*baseSLO.NormTTFTMs*1000), 0.5)
-	now += c2.Config().Window
+	now += window
 	c2.Tick(now, 0.5)
 	if c2.Metrics().Decreases != 1 {
 		t.Fatal("violating premium completion did not trigger a decrease")
@@ -296,7 +290,7 @@ func TestObserveCompletionWeighting(t *testing.T) {
 }
 
 func TestAccountingConserves(t *testing.T) {
-	c := newTest(Config{})
+	c := newTest()
 	c.AddPrefill(Premium, 100)
 	c.AddPrefill(BestEffort, 50)
 	c.AddDecode(Standard)
@@ -319,7 +313,7 @@ func TestAccountingConserves(t *testing.T) {
 func TestControllerDeterminism(t *testing.T) {
 	run := func() (Metrics, []timeline.Event) {
 		rec := timeline.New(1024)
-		c := newTest(Config{})
+		c := newTest()
 		c.SetTimeline(rec)
 		now := units.Seconds(0)
 		for i := 0; i < 30; i++ {

@@ -160,9 +160,6 @@ func (m *Manager) NumSMs() int { return m.numSMs }
 // Avail returns the healthy SM count the current table draws from.
 func (m *Manager) Avail() int { return m.avail }
 
-// Healthy returns the healthy-SM set the current table draws from.
-func (m *Manager) Healthy() smmask.Mask { return m.healthy }
-
 // Rebuilds returns how many times the table was re-derived after health
 // changes.
 func (m *Manager) Rebuilds() int { return m.rebuilds }

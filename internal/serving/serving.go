@@ -40,10 +40,9 @@ type Env struct {
 	// run completion and Result.Shed use the counter, not the slice.
 	MaxShed int
 
-	completed   []metrics.Request
-	shed        []workload.Request
-	shedCount   int
-	shedDropped int
+	completed []metrics.Request
+	shed      []workload.Request
+	shedCount int
 	// OnComplete, when set, observes every completion as it happens.
 	OnComplete func(metrics.Request)
 	// OnShed, when set, observes every shed request as it happens.
@@ -124,24 +123,19 @@ func (e *Env) Shed(r workload.Request) {
 	if len(e.shed) < limit {
 		//lint:ignore hotalloc one append per shed request lifetime, bounded by MaxShed
 		e.shed = append(e.shed, r)
-	} else {
-		e.shedDropped++
 	}
 	if e.OnShed != nil {
 		e.OnShed(r)
 	}
 }
 
-// ShedRequests returns the retained shed requests (at most MaxShed; see
-// ShedDropped for the overflow count).
+// ShedRequests returns the retained shed requests (at most MaxShed; the
+// overflow dropped past the cap is ShedCount() − len(ShedRequests())).
 func (e *Env) ShedRequests() []workload.Request { return e.shed }
 
 // ShedCount returns how many requests were shed in total, including any
 // dropped past the retention cap.
 func (e *Env) ShedCount() int { return e.shedCount }
-
-// ShedDropped returns how many shed records were dropped by the cap.
-func (e *Env) ShedDropped() int { return e.shedDropped }
 
 // System is a serving engine under test. Submit is invoked from the
 // simulation event loop at each request's arrival time; the system must

@@ -114,3 +114,29 @@ func TestGammaPanicsOnBadArgs(t *testing.T) {
 	}()
 	GenerateGamma(ShareGPT, 1, 0, 10, 1)
 }
+
+// TestGeneratorsPanicOnNonFiniteArgs: a NaN or infinite rate (or mix
+// fraction) is rejected with a message rather than yielding NaN
+// arrivals.
+func TestGeneratorsPanicOnNonFiniteArgs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, gen := range map[string]func(){
+		"poisson nan":    func() { Generate(ShareGPT, nan, 10, 1) },
+		"poisson inf":    func() { Generate(ShareGPT, inf, 10, 1) },
+		"constant nan":   func() { GenerateConstant(ShareGPT, nan, 10, 1) },
+		"gamma nan rate": func() { GenerateGamma(ShareGPT, nan, 1, 10, 1) },
+		"gamma nan cv":   func() { GenerateGamma(ShareGPT, 1, nan, 10, 1) },
+		"bursty nan":     func() { GenerateBursty(ShareGPT, 1, nan, 1, 10, 1) },
+		"shared nan":     func() { GenerateShared(ShareGPT, 1, 10, 1, 2, 8, nan) },
+		"tenant mix nan": func() { GenerateTenantMix(ShareGPT, 1, 10, 1, TenantMix{Premium: nan}) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "workload: ") {
+					t.Errorf("%s: panic %q, want a workload: message", name, msg)
+				}
+			}()
+			gen()
+		}()
+	}
+}

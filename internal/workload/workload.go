@@ -143,10 +143,14 @@ func (d Dataset) SampleInput(rng *rand.Rand) int { return d.input.sample(rng) }
 // SampleOutput draws an output length.
 func (d Dataset) SampleOutput(rng *rand.Rand) int { return d.output.sample(rng) }
 
+// positive reports whether a generator parameter is finite and > 0 (NaN
+// is not, so a NaN rate cannot yield NaN arrivals).
+func positive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // Generate produces a trace of n requests with Poisson arrivals at rate
 // req/s, deterministically from seed.
 func Generate(d Dataset, rate float64, n int, seed int64) *Trace {
-	if rate <= 0 || n <= 0 {
+	if !positive(rate) || n <= 0 {
 		panic(fmt.Sprintf("workload: invalid trace rate=%v n=%d", rate, n))
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -169,7 +173,7 @@ func Generate(d Dataset, rate float64, n int, seed int64) *Trace {
 // and burstFactor*baseRate every period seconds, exercising the dynamic
 // re-provisioning scenario of Fig. 12.
 func GenerateBursty(d Dataset, baseRate, burstFactor, period float64, n int, seed int64) *Trace {
-	if baseRate <= 0 || burstFactor < 1 || period <= 0 || n <= 0 {
+	if !positive(baseRate) || !positive(burstFactor) || burstFactor < 1 || !positive(period) || n <= 0 {
 		panic("workload: invalid bursty trace parameters")
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -197,7 +201,7 @@ func GenerateBursty(d Dataset, baseRate, burstFactor, period float64, n int, see
 // family's common prefix is prefixTokens long and counts toward the
 // request's InputTokens.
 func GenerateShared(d Dataset, rate float64, n int, seed int64, groups, prefixTokens int, shareProb float64) *Trace {
-	if groups <= 0 || prefixTokens <= 0 || shareProb < 0 || shareProb > 1 {
+	if groups <= 0 || prefixTokens <= 0 || !(shareProb >= 0 && shareProb <= 1) {
 		panic(fmt.Sprintf("workload: invalid shared-prefix parameters groups=%d prefix=%d p=%v",
 			groups, prefixTokens, shareProb))
 	}
@@ -243,7 +247,7 @@ func GenerateTenantMix(d Dataset, rate float64, n int, seed int64, mix TenantMix
 		panic(fmt.Sprintf("workload: negative tenant mix %+v", mix))
 	}
 	total := mix.Premium + mix.Standard + mix.BestEffort
-	if math.Abs(total-1) > 1e-9 {
+	if !(math.Abs(total-1) <= 1e-9) {
 		panic(fmt.Sprintf("workload: tenant mix sums to %v, want 1: %+v", total, mix))
 	}
 	tr := Generate(d, rate, n, seed)
@@ -266,7 +270,7 @@ func GenerateTenantMix(d Dataset, rate float64, n int, seed int64, mix TenantMix
 // arrivals at rate req/s (zero arrival jitter — the lowest-variance
 // arrival process, useful to isolate scheduling effects from burstiness).
 func GenerateConstant(d Dataset, rate float64, n int, seed int64) *Trace {
-	if rate <= 0 || n <= 0 {
+	if !positive(rate) || n <= 0 {
 		panic(fmt.Sprintf("workload: invalid trace rate=%v n=%d", rate, n))
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -288,7 +292,7 @@ func GenerateConstant(d Dataset, rate float64, n int, seed int64) *Trace {
 // cv>1 is burstier, cv<1 smoother), following the methodology of
 // burstiness-sensitivity studies.
 func GenerateGamma(d Dataset, rate, cv float64, n int, seed int64) *Trace {
-	if rate <= 0 || n <= 0 || cv <= 0 {
+	if !positive(rate) || n <= 0 || !positive(cv) {
 		panic(fmt.Sprintf("workload: invalid gamma trace rate=%v cv=%v n=%d", rate, cv, n))
 	}
 	rng := rand.New(rand.NewSource(seed))
