@@ -21,7 +21,7 @@ lint:
 # The rows of ci.sh's fuzz table, as package:target, 5s each.
 fuzz:
 	for row in smmask:FuzzSetAlgebra calib:FuzzCalibParse timeline:FuzzWriteChrome \
-		workload:FuzzRead workload:FuzzRoundTrip; do \
+		workload:FuzzRead workload:FuzzRoundTrip metrics:FuzzPercentileInPlace; do \
 		go test -run='^$$' -fuzz="^$${row#*:}\$$" -fuzztime=5s ./internal/$${row%%:*} || exit 1; \
 	done
 

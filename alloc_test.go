@@ -10,9 +10,11 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/estimator"
 	"repro/internal/gpusim"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/qos"
 	"repro/internal/resilience"
 	"repro/internal/sched"
@@ -114,6 +116,31 @@ func TestGPUReRateZeroAlloc(t *testing.T) {
 func TestSchedDecideZeroAlloc(t *testing.T) {
 	s, st := benchScheduler()
 	pinAllocs(t, "sched decide", 0, func() { _ = s.Decide(st) })
+}
+
+// TestEstimatorPredictorsZeroAlloc pins Algorithm 1's predictors at
+// zero: a prefill memo hit, a miss on a new key every call, a burst of
+// misses that clears the preallocated table on every call, and a decode
+// step whose state changes every call.
+func TestEstimatorPredictorsZeroAlloc(t *testing.T) {
+	est := estimator.New(model.Llama31_8B(), gpusim.A100(), estimator.DefaultParams())
+	pinAllocs(t, "estimator prefill hit", 0, func() { _ = est.PrefillTotalTime(2048, 84, true) })
+	tokens := 0
+	pinAllocs(t, "estimator prefill miss", 0, func() {
+		tokens++
+		_ = est.PrefillTotalTime(tokens, 84, true)
+	})
+	pinAllocs(t, "estimator prefill clear", 0, func() {
+		for i := 0; i < 4096; i++ { // more new keys than the table has slots
+			tokens++
+			_ = est.PrefillTotalTime(tokens, 84, true)
+		}
+	})
+	batch := 0
+	pinAllocs(t, "estimator decode step", 0, func() {
+		batch = batch%64 + 1
+		_ = est.DecodeStepTime(batch, 1024, 24, true)
+	})
 }
 
 // TestSchedSortWaitingZeroAlloc pins the deadline reorder at zero: the

@@ -203,11 +203,14 @@ func Compare(systems []string, dataset string, trace []Request) (map[string]Resu
 }
 
 // Run serves a trace to completion and returns the metrics. Requests must
-// arrive in nondecreasing order with positive token counts.
+// arrive in nondecreasing order with positive token counts, and each must
+// fit the KV pool on its own.
 func (s *Server) Run(reqs []Request) (Result, error) {
 	if len(reqs) == 0 {
 		return Result{}, fmt.Errorf("bullet: empty trace")
 	}
+	env := serving.NewEnv(gpusim.A100(), s.modelC, s.dataset)
+	capacity := env.KV.TotalTokens()
 	prev := 0.0
 	wl := &workload.Trace{Dataset: s.dataset, Rate: 1}
 	for i, r := range reqs {
@@ -219,6 +222,10 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 		}
 		if r.InputTokens <= 0 || r.OutputTokens <= 0 {
 			return Result{}, fmt.Errorf("bullet: request %d has non-positive tokens", i)
+		}
+		if r.InputTokens > capacity-r.OutputTokens {
+			return Result{}, fmt.Errorf("bullet: request %d needs %d+%d KV tokens, more than the %d-token pool",
+				i, r.InputTokens, r.OutputTokens, capacity)
 		}
 		prev = r.Arrival
 		id := r.ID
@@ -233,7 +240,6 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 	if n := len(reqs); n > 1 {
 		wl.Rate = float64(n) / (reqs[n-1].Arrival + 1e-9)
 	}
-	env := serving.NewEnv(gpusim.A100(), s.modelC, s.dataset)
 	sys, err := experiments.NewSystemWithBackend(s.cfg.System, env, s.cfg.Backend, s.cfg.BackendSeed)
 	if err != nil {
 		return Result{}, fmt.Errorf("bullet: %w", err)

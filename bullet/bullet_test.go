@@ -2,8 +2,12 @@ package bullet
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/gpusim"
+	"repro/internal/serving"
 )
 
 func TestNewDefaults(t *testing.T) {
@@ -130,6 +134,23 @@ func TestRunRejectsBadTraces(t *testing.T) {
 	for _, at := range []float64{math.NaN(), math.Inf(1)} {
 		if _, err := srv.Run([]Request{{Arrival: at, InputTokens: 10, OutputTokens: 2}}); err == nil || !strings.Contains(err.Error(), "arrival") {
 			t.Fatalf("arrival %v: err = %v, want an arrival error", at, err)
+		}
+	}
+	// A request one token over the KV pool is an error naming it and the
+	// pool's capacity; one exactly at capacity completes.
+	capacity := serving.NewEnv(gpusim.A100(), srv.modelC, srv.dataset).KV.TotalTokens()
+	for _, sys := range []string{"bullet", "vllm-1024"} {
+		s, err := New(Config{System: sys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = s.Run([]Request{{Arrival: 0, InputTokens: capacity - 3, OutputTokens: 4}})
+		if err == nil || !strings.Contains(err.Error(), "request 0") || !strings.Contains(err.Error(), strconv.Itoa(capacity)) {
+			t.Fatalf("%s: request over the %d-token pool: err = %v, want one naming request 0 and the capacity", sys, capacity, err)
+		}
+		res, err := s.Run([]Request{{Arrival: 0, InputTokens: capacity - 4, OutputTokens: 4}})
+		if err != nil || res.Requests != 1 {
+			t.Fatalf("%s: request at the %d-token capacity: %d completed, err = %v", sys, capacity, res.Requests, err)
 		}
 	}
 }

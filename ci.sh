@@ -56,6 +56,8 @@ repro/internal/pressure               90
 repro/internal/qos                    90
 repro/internal/calib                  90
 repro/internal/resilience             90
+repro/internal/estimator              92
+repro/internal/metrics                91
 repro/internal/gpusim/backend.go      90
 repro/internal/gpusim/sampled.go      90
 repro/internal/gpusim/hierarchy.go    90
@@ -100,8 +102,9 @@ rm -f "$profile"
 step "allocation contract: steady-state AllocsPerRun pins"
 # The hot-path allocation contract (DESIGN.md, "Allocation contract"):
 # the sim event push/pop cycle, disabled-timeline call sites, the
-# water-filling re-rate, the gpusim re-rate, partition rebuilds, pressure gates, and
-# in-place percentiles must allocate nothing at steady state; the After
+# water-filling re-rate, the gpusim re-rate, the estimator's predictors,
+# partition rebuilds, pressure gates, and in-place percentiles must
+# allocate nothing at steady state; the After
 # handle and per-request KV sequence header are pinned at exactly one.
 # Run the pins explicitly so an allocation regression fails CI by name
 # even if the broader test pass is trimmed.
@@ -116,14 +119,15 @@ step "fuzz table (5s per target)"
 # One row per fuzz target: go test fuzzes one target per run, so the
 # table is looped like the coverage floors. The rows cover the SM-mask
 # set algebra, the calibration trace parser, the Chrome trace writer,
-# and the reader of replay traces from outside the program. make fuzz
-# runs the same rows.
+# the reader of replay traces from outside the program, and the
+# percentile selection against a full sort. make fuzz runs the same rows.
 fuzz_targets='
-FuzzSetAlgebra   ./internal/smmask
-FuzzCalibParse   ./internal/calib
-FuzzWriteChrome  ./internal/timeline
-FuzzRead         ./internal/workload
-FuzzRoundTrip    ./internal/workload
+FuzzSetAlgebra         ./internal/smmask
+FuzzCalibParse         ./internal/calib
+FuzzWriteChrome        ./internal/timeline
+FuzzRead               ./internal/workload
+FuzzRoundTrip          ./internal/workload
+FuzzPercentileInPlace  ./internal/metrics
 '
 while read -r target pkg; do
     [[ -n "$target" ]] || continue

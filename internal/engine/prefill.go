@@ -323,7 +323,7 @@ func (p *PrefillEngine) tryStart() {
 		if p.cfg.SLOAdmission && len(p.batch) > 0 {
 			// Batched requests all finish at the batch's completion;
 			// do not grow the batch past any member's deadline.
-			grown := p.est.PrefillTotalTime(p.batchTokens+r.W.InputTokens, 0,
+			grown := p.est.PrefillTotalTime(p.batchTokens+r.W.InputTokens,
 				p.res.NumSMs(), true)
 			violates := false
 			for _, member := range append(p.batch, r) {
@@ -517,7 +517,7 @@ func (p *PrefillEngine) cycle() {
 		histLens[i] = r.PrefixHit
 	}
 	colocated := p.dec != nil && p.dec.BatchSize() > 0
-	predicted := units.Scale(p.est.PrefillLayerTime(p.batchTokens, 0, pm, colocated), float64(group))
+	predicted := units.Scale(p.est.PrefillLayerTime(p.batchTokens, pm, colocated), float64(group))
 	start := p.env.Sim.Now()
 	for l := 0; l < group; l++ {
 		for _, k := range p.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill") {

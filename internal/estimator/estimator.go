@@ -53,10 +53,57 @@ type Estimator struct {
 	// feedbackOff freezes the online corrections (ablation switch).
 	feedbackOff bool
 
-	// ks is the kernel-list scratch buffer PrefillLayerTime rebuilds
-	// each call; predictions run many times per scheduling cycle and
+	// ks is the kernel-list scratch buffer a memo miss or a new decode
+	// state rebuilds; predictions run many times per scheduling cycle and
 	// must not allocate per call.
 	ks []gpusim.Kernel
+
+	// memo holds the raw (uncorrected) Eq. 2 prefill terms by key: an
+	// open-addressing table with linear probing, allocated once in New
+	// and cleared whole, never regrown, when memoLimit keys fill it.
+	// memoLen counts the filled slots.
+	memo    []memoSlot
+	memoLen int
+
+	// step is the aggregated decode-step kernel of the last decode state
+	// priced, (stepBatch, stepCtx) with stepCtx the bits of avgCtx; one
+	// Decide prices a single decode state at every SM level.
+	step      gpusim.Kernel
+	stepBatch int
+	stepCtx   uint64
+}
+
+// The prefill memo's shape: memoSlots slots of 24 B (96 KB), cleared when
+// memoLimit of them are full so that linear probes stay short. A deep
+// waiting queue keeps up to about 95 prompts × 19 (SMs, co-located)
+// pairs live at once, which a direct-mapped table of this size thrashes.
+const (
+	memoBits  = 12
+	memoSlots = 1 << memoBits
+	memoLimit = memoSlots / 2
+)
+
+// memoSlot caches the raw Eq. 2 time of one prefill layer and of the
+// LM-head row for one key.
+type memoSlot struct {
+	key   uint64 // memoKey's value; 0 marks an empty slot
+	layer units.Seconds
+	head  units.Seconds
+}
+
+// memoKey packs a prefill prediction's inputs into a nonzero word, or
+// returns 0 when they cannot be packed (non-positive or huge), which
+// sends the call around the memo to the uncached path and its panics.
+func memoKey(newTokens, sms int, colocated bool) uint64 {
+	t, m := uint64(newTokens), uint64(sms)
+	if newTokens <= 0 || sms <= 0 || t >= 1<<40 || m >= 1<<20 {
+		return 0
+	}
+	k := t<<21 | m<<1
+	if colocated {
+		k |= 1
+	}
+	return k
 }
 
 const (
@@ -70,7 +117,8 @@ func New(cfg model.Config, spec gpusim.Spec, p Params) *Estimator {
 	if p.DC <= 0 || p.DB <= 0 || p.PC <= 0 || p.PB <= 0 {
 		panic(fmt.Sprintf("estimator: non-positive params %+v", p))
 	}
-	return &Estimator{cfg: cfg, spec: spec, params: p, prefillCorr: 1, decodeCorr: 1}
+	return &Estimator{cfg: cfg, spec: spec, params: p, prefillCorr: 1, decodeCorr: 1,
+		memo: make([]memoSlot, memoSlots)}
 }
 
 // Params returns the fitted parameters.
@@ -110,47 +158,94 @@ func (e *Estimator) kernelTime(k gpusim.Kernel, m int, colocated bool) units.Sec
 	return units.Over(t, wave)
 }
 
-// PrefillLayerTime predicts one decoder layer of prefill over newTokens
-// tokens (with histTokens of cached context) on sms SMs.
+// prefillTerms returns the raw Eq. 2 time of one prefill layer over
+// newTokens tokens and of the LM-head row for the first token, on sms
+// SMs. For one estimator they are a pure function of the arguments (the
+// model, the device and Params are fixed in New), so a memo hit returns
+// the very floats a recomputation would.
 //
 //bullet:hotpath
-func (e *Estimator) PrefillLayerTime(newTokens, histTokens, sms int, colocated bool) units.Seconds {
-	e.ks = e.cfg.AppendPrefillLayerKernels(e.ks[:0], newTokens, histTokens, "")
-	t := units.Seconds(0)
-	for _, k := range e.ks {
-		t += e.kernelTime(k, sms, colocated)
+func (e *Estimator) prefillTerms(newTokens, sms int, colocated bool) (layer, head units.Seconds) {
+	key := memoKey(newTokens, sms, colocated)
+	if key == 0 {
+		return e.rawPrefillTerms(newTokens, sms, colocated)
 	}
-	return units.Scale(t, e.prefillCorr)
+	home := (key * 0x9E3779B97F4A7C15) >> (64 - memoBits)
+	i := home
+	for {
+		s := &e.memo[i]
+		if s.key == key {
+			return s.layer, s.head
+		}
+		if s.key == 0 {
+			break
+		}
+		i = (i + 1) & (memoSlots - 1)
+	}
+	layer, head = e.rawPrefillTerms(newTokens, sms, colocated)
+	if e.memoLen == memoLimit {
+		clear(e.memo)
+		e.memoLen = 0
+		i = home
+	}
+	e.memo[i] = memoSlot{key: key, layer: layer, head: head}
+	e.memoLen++
+	return layer, head
+}
+
+// rawPrefillTerms is prefillTerms without the memo.
+func (e *Estimator) rawPrefillTerms(newTokens, sms int, colocated bool) (layer, head units.Seconds) {
+	e.ks = e.cfg.AppendPrefillLayerKernels(e.ks[:0], newTokens, 0, "")
+	for _, k := range e.ks {
+		layer += e.kernelTime(k, sms, colocated)
+	}
+	return layer, e.kernelTime(e.cfg.LMHeadKernel(1, ""), sms, colocated)
+}
+
+// PrefillLayerTime predicts one decoder layer of prefill over newTokens
+// tokens on sms SMs.
+//
+//bullet:hotpath
+func (e *Estimator) PrefillLayerTime(newTokens, sms int, colocated bool) units.Seconds {
+	layer, _ := e.prefillTerms(newTokens, sms, colocated)
+	return units.Scale(layer, e.prefillCorr)
 }
 
 // PrefillRemainingTime predicts the time to finish a prefill that still
 // has layersLeft layers to run.
-func (e *Estimator) PrefillRemainingTime(newTokens, histTokens, layersLeft, sms int, colocated bool) units.Seconds {
+func (e *Estimator) PrefillRemainingTime(newTokens, layersLeft, sms int, colocated bool) units.Seconds {
 	if layersLeft <= 0 {
 		return 0
 	}
-	return units.Scale(e.PrefillLayerTime(newTokens, histTokens, sms, colocated), float64(layersLeft))
+	return units.Scale(e.PrefillLayerTime(newTokens, sms, colocated), float64(layersLeft))
 }
 
 // PrefillTotalTime predicts a full prefill pass (all layers plus the LM
 // head row for the first token).
-func (e *Estimator) PrefillTotalTime(newTokens, histTokens, sms int, colocated bool) units.Seconds {
-	t := e.PrefillRemainingTime(newTokens, histTokens, e.cfg.NumLayers, sms, colocated)
-	return t + units.Scale(e.kernelTime(e.cfg.LMHeadKernel(1, ""), sms, colocated), e.prefillCorr)
+//
+//bullet:hotpath
+func (e *Estimator) PrefillTotalTime(newTokens, sms int, colocated bool) units.Seconds {
+	layer, head := e.prefillTerms(newTokens, sms, colocated)
+	t := units.Scale(units.Scale(layer, e.prefillCorr), float64(e.cfg.NumLayers))
+	return t + units.Scale(head, e.prefillCorr)
 }
 
 // DecodeStepTime predicts one full decode iteration (all layers + LM head,
-// launched as a CUDA graph) for a batch with avgCtx average context.
+// launched as a CUDA graph) for a batch with avgCtx average context. The
+// aggregated kernel is rebuilt only when (batch, avgCtx) changes.
 //
 //bullet:hotpath
 func (e *Estimator) DecodeStepTime(batch int, avgCtx units.Tokens, sms int, colocated bool) units.Seconds {
 	if batch <= 0 {
 		return 0
 	}
-	k, ks := e.cfg.DecodeStepKernelScratch(e.ks, batch, avgCtx, "")
-	e.ks = ks
-	k.Efficiency = 0 // the estimator does not know device efficiencies
-	return units.Scale(e.kernelTime(k, sms, colocated), e.decodeCorr)
+	if ctx := math.Float64bits(avgCtx.Float()); batch != e.stepBatch || ctx != e.stepCtx {
+		k, ks := e.cfg.DecodeStepKernelScratch(e.ks, batch, avgCtx, "")
+		e.ks = ks
+		k.Efficiency = 0 // the estimator does not know device efficiencies
+		e.step, e.stepBatch, e.stepCtx = k, batch, ctx
+	}
+	return units.Scale(e.kernelTime(e.step, sms, colocated), e.decodeCorr)
 }
 
 // ObservePrefill feeds back an observed prefill-layer duration against the

@@ -104,7 +104,7 @@ func Table3(iters int, timer func() float64) []Table3Row {
 	return []Table3Row{
 		measure("Metadata Snapshot", func(i int) { _ = buf.Snapshot() }),
 		measure("Performance Predict", func(i int) {
-			_ = est.PrefillLayerTime(2048, 0, 84, true)
+			_ = est.PrefillLayerTime(2048, 84, true)
 			_ = est.DecodeStepTime(64, units.Tokens(1500), 24, true)
 		}),
 		measure("Scheduler Decide", func(i int) { _ = schd.Decide(st) }),

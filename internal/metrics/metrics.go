@@ -5,9 +5,9 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/units"
@@ -121,28 +121,97 @@ func Percentile[F ~float64](xs []F, p float64) F {
 	return PercentileInPlace(s, p)
 }
 
-// PercentileInPlace is Percentile without the defensive copy: it sorts
-// xs and therefore reorders the caller's slice. It exists for per-cycle
-// callers (the scheduler's SLO predictions) that reuse a scratch buffer
-// and cannot afford an allocation per call.
+// PercentileInPlace is Percentile without the defensive copy: it may
+// reorder xs, without fully sorting it, to select the two order
+// statistics it interpolates. It exists for per-cycle callers (the
+// scheduler's SLO predictions) that reuse a scratch buffer and cannot
+// afford an allocation per call. Elements are ordered by cmp.Less, NaN
+// first, as slices.Sort orders them, so the result is the value a full
+// sort would interpolate.
 func PercentileInPlace[F ~float64](s []F, p float64) F {
 	if len(s) == 0 {
 		return F(math.NaN())
 	}
-	slices.Sort(s)
 	if p <= 0 {
-		return s[0]
+		return least(s)
 	}
 	if p >= 1 {
-		return s[len(s)-1]
+		return greatest(s)
 	}
 	pos := p * float64(len(s)-1)
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(s) {
-		return s[len(s)-1]
+		return greatest(s)
 	}
-	return F(float64(s[lo])*(1-frac) + float64(s[lo+1])*frac)
+	selectNth(s, lo)
+	return F(float64(s[lo])*(1-frac) + float64(least(s[lo+1:]))*frac)
+}
+
+// selectNth reorders s so that s[k] holds the element a full sort would
+// put there, with nothing after it less and nothing before it greater: a
+// quickselect with Hoare partitioning around a median-of-three pivot.
+func selectNth[F ~float64](s []F, k int) {
+	lo, hi := 0, len(s)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cmp.Less(s[mid], s[lo]) {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if cmp.Less(s[hi], s[lo]) {
+			s[hi], s[lo] = s[lo], s[hi]
+		}
+		if cmp.Less(s[hi], s[mid]) {
+			s[hi], s[mid] = s[mid], s[hi]
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for cmp.Less(s[i], pivot) {
+				i++
+			}
+			for cmp.Less(pivot, s[j]) {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// s[lo..j] ≤ pivot ≤ s[i..hi], and anything between equals it.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// least returns the first least element of a non-empty s under cmp.Less.
+func least[F ~float64](s []F) F {
+	m := s[0]
+	for _, x := range s[1:] {
+		if cmp.Less(x, m) {
+			m = x
+		}
+	}
+	return m
+}
+
+// greatest returns the first greatest element of a non-empty s under
+// cmp.Less.
+func greatest[F ~float64](s []F) F {
+	m := s[0]
+	for _, x := range s[1:] {
+		if cmp.Less(m, x) {
+			m = x
+		}
+	}
+	return m
 }
 
 // Mean returns the arithmetic mean, NaN if empty. Like Percentile it is

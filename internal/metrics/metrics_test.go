@@ -1,8 +1,10 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -231,6 +233,79 @@ func TestSeriesBackwardsTimePanics(t *testing.T) {
 		}
 	}()
 	s.Add(1, 1)
+}
+
+// sortedPercentile is the reference PercentileInPlace selects against:
+// the same interpolation over a fully sorted copy.
+func sortedPercentile(xs []float64, p float64) float64 {
+	s := slices.Clone(xs)
+	if len(s) == 0 {
+		return math.NaN()
+	}
+	slices.Sort(s)
+	if p <= 0 {
+		return s[0]
+	}
+	if p >= 1 {
+		return s[len(s)-1]
+	}
+	pos := p * float64(len(s)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	return s[lo]*(1-frac) + s[lo+1]*frac
+}
+
+// FuzzPercentileInPlace checks the selection against a full sort, bit for
+// bit. Two NaNs count as equal, and so do +0 and -0: elements tied under
+// cmp.Less are interchangeable to slices.Sort too, which does not keep
+// their input order, so a tied rank may hold either zero or any NaN.
+func FuzzPercentileInPlace(f *testing.F) {
+	add := func(q uint16, xs ...float64) {
+		raw := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(x))
+		}
+		f.Add(raw, q)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	add(0, 1)
+	add(math.MaxUint16, 2)
+	add(30000, 2, 1)
+	add(math.MaxUint16/2, 3, 1, 2)
+	add(59000, nan, 1, 2)
+	add(12000, inf, -inf, 0)
+	add(40000, nan, nan, 5)
+	add(50000, 2, 2, 2, 2, 1, 2)
+	add(65000, -inf, nan, inf, 3, 3, nan, -inf)
+	add(0, 2, nan, 1)
+	add(math.MaxUint16, nan, 1, inf, 3)
+	add(16384, 1, nan, nan, 2)
+	perm := make([]float64, 64)
+	for i := range perm {
+		perm[i] = float64((i * 37) % 64)
+	}
+	add(58982, perm...)
+	f.Fuzz(func(t *testing.T, raw []byte, q uint16) {
+		if len(raw) > 8*256 {
+			return
+		}
+		xs := make([]float64, len(raw)/8)
+		for i := range xs {
+			xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		for _, p := range []float64{float64(q) / math.MaxUint16, 0.5, 0.9, 0.99} {
+			want := sortedPercentile(xs, p)
+			got := PercentileInPlace(slices.Clone(xs), p)
+			same := math.Float64bits(got) == math.Float64bits(want) ||
+				(math.IsNaN(got) && math.IsNaN(want)) || (got == 0 && want == 0)
+			if !same {
+				t.Fatalf("PercentileInPlace(%v, %v) = %v, sorted reference %v", xs, p, got, want)
+			}
+		}
+	})
 }
 
 // Property: Percentile is monotone in p and bounded by min/max.

@@ -439,7 +439,7 @@ func (c *Controller) ChooseRecovery(ctxTokens, sms int, bufferLatency units.Seco
 	if c.est == nil || c.kvBytesPerToken <= 0 {
 		return Recompute
 	}
-	recompute := units.Scale(c.est.PrefillTotalTime(ctxTokens, 0, sms, true), recomputePenalty)
+	recompute := units.Scale(c.est.PrefillTotalTime(ctxTokens, sms, true), recomputePenalty)
 	retransfer := bufferLatency + c.RetransferTime(ctxTokens)
 	if retransfer < recompute {
 		return Retransfer

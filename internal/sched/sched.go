@@ -196,7 +196,7 @@ func (s *Scheduler) predictNormTTFT(st State, pm int, coloc bool) float64 {
 	rem := units.Seconds(0)
 	if st.Prefill.Active {
 		layersLeft := s.cfg.TotalLayers - st.Prefill.LayersDone
-		rem = s.est.PrefillRemainingTime(st.Prefill.Tokens, 0, layersLeft, pm, coloc)
+		rem = s.est.PrefillRemainingTime(st.Prefill.Tokens, layersLeft, pm, coloc)
 		for i, arr := range st.Prefill.Arrivals {
 			ttft := (st.Now - arr) + rem
 			wt := 1.0
@@ -212,7 +212,7 @@ func (s *Scheduler) predictNormTTFT(st State, pm int, coloc bool) float64 {
 	// weighted violation Algorithm 1 should balance across classes.
 	ahead := rem
 	for _, w := range st.Waiting {
-		own := s.est.PrefillTotalTime(w.InputTokens, 0, pm, coloc)
+		own := s.est.PrefillTotalTime(w.InputTokens, pm, coloc)
 		ahead += own
 		ttft := (st.Now - w.Arrival) + ahead
 		s.norms = append(s.norms, w.weight()*1000*ttft.Float()/float64(w.InputTokens))
@@ -318,7 +318,7 @@ func (s *Scheduler) Decide(st State) Decision {
 	// tail (§3.4.2's smooth transition).
 	if st.Prefill.Active {
 		layersLeft := s.cfg.TotalLayers - st.Prefill.LayersDone
-		rem := s.est.PrefillRemainingTime(st.Prefill.Tokens, 0, layersLeft, st.PrefillSMs, true)
+		rem := s.est.PrefillRemainingTime(st.Prefill.Tokens, layersLeft, st.PrefillSMs, true)
 		step := s.est.DecodeStepTime(st.Decode.Batch, st.Decode.AvgCtx, st.DecodeSMs, true)
 		if rem < step && len(st.Waiting) == 0 {
 			return Decision{PrefillSMs: st.PrefillSMs, DecodeSMs: M, Branch: "handover",
@@ -388,7 +388,7 @@ func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
 		if tokens <= 0 {
 			tokens = 1
 		}
-		pause := units.Scale(s.est.PrefillLayerTime(tokens, 0, M, false),
+		pause := units.Scale(s.est.PrefillLayerTime(tokens, M, false),
 			float64(s.cfg.LayerGroup))
 		if s.predictTPOTMs(st, M, false, pause) <= s.slo.TPOTMs {
 			return Decision{PrefillSMs: M, DecodeSMs: s.cfg.MinDecodeSMs,
