@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"repro/internal/experiments"
-	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/serving"
@@ -115,12 +114,10 @@ type Result struct {
 	PerRequest    []RequestMetrics
 }
 
-// Server runs one system configuration. Each Run uses a fresh simulated
-// environment, so a Server is reusable and runs are independent.
+// Server runs one system configuration. Each Run builds a fresh
+// deployment, so a Server is reusable and runs are independent.
 type Server struct {
-	cfg     Config
-	modelC  model.Config
-	dataset string
+	spec experiments.Spec
 }
 
 // New validates a configuration and returns a Server.
@@ -144,27 +141,31 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("bullet: %w", err)
 		}
 	}
-	if _, err := workload.ByName(cfg.Dataset); err != nil {
+	d, err := workload.ByName(cfg.Dataset)
+	if err != nil {
 		return nil, fmt.Errorf("bullet: unknown dataset %q (have %v)", cfg.Dataset, Datasets())
 	}
-	// Validate system and backend eagerly by building a throwaway instance.
-	if err := validateSystem(cfg, mc, cfg.Dataset); err != nil {
+	s := &Server{spec: experiments.Spec{System: cfg.System, Dataset: d, Model: mc,
+		Backend: cfg.Backend, BackendSeed: cfg.BackendSeed}}
+	// Validate system and backend eagerly by building a throwaway deployment.
+	if _, err := s.build(); err != nil {
 		return nil, err
 	}
-	return &Server{cfg: cfg, modelC: mc, dataset: cfg.Dataset}, nil
+	return s, nil
 }
 
-func validateSystem(cfg Config, mc model.Config, dataset string) (err error) {
+// build makes a fresh deployment of the server's spec. A panic in the
+// layers below becomes an error here, at the API boundary.
+func (s *Server) build() (d *experiments.Deployment, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("bullet: %v", r)
 		}
 	}()
-	env := serving.NewEnv(gpusim.A100(), mc, dataset)
-	if _, err := experiments.NewSystemWithBackend(cfg.System, env, cfg.Backend, cfg.BackendSeed); err != nil {
-		return fmt.Errorf("bullet: %w", err)
+	if d, err = experiments.Build(s.spec); err != nil {
+		return nil, fmt.Errorf("bullet: %w", err)
 	}
-	return nil
+	return d, nil
 }
 
 // GenerateTrace produces a Poisson trace from a built-in dataset.
@@ -209,10 +210,14 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 	if len(reqs) == 0 {
 		return Result{}, fmt.Errorf("bullet: empty trace")
 	}
-	env := serving.NewEnv(gpusim.A100(), s.modelC, s.dataset)
-	capacity := env.KV.TotalTokens()
+	d, err := s.build()
+	if err != nil {
+		return Result{}, err
+	}
+	capacity := d.Env.KV.TotalTokens()
+	dataset := s.spec.Dataset.Name
 	prev := 0.0
-	wl := &workload.Trace{Dataset: s.dataset, Rate: 1}
+	wl := &workload.Trace{Dataset: dataset, Rate: 1}
 	for i, r := range reqs {
 		if math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0) {
 			return Result{}, fmt.Errorf("bullet: request %d has non-finite arrival %v", i, r.Arrival)
@@ -234,18 +239,13 @@ func (s *Server) Run(reqs []Request) (Result, error) {
 		}
 		wl.Requests = append(wl.Requests, workload.Request{
 			ID: id, Arrival: units.Seconds(r.Arrival), InputTokens: r.InputTokens,
-			OutputTokens: r.OutputTokens, Dataset: s.dataset,
+			OutputTokens: r.OutputTokens, Dataset: dataset,
 		})
 	}
 	if n := len(reqs); n > 1 {
 		wl.Rate = float64(n) / (reqs[n-1].Arrival + 1e-9)
 	}
-	sys, err := experiments.NewSystemWithBackend(s.cfg.System, env, s.cfg.Backend, s.cfg.BackendSeed)
-	if err != nil {
-		return Result{}, fmt.Errorf("bullet: %w", err)
-	}
-	res := env.Run(sys, wl)
-	return convert(res, env.SLO), nil
+	return convert(d.Run(wl), d.Env.SLO), nil
 }
 
 func convert(res serving.Result, slo metrics.SLO) Result {

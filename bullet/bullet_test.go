@@ -15,8 +15,8 @@ func TestNewDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.cfg.System != "bullet" || srv.cfg.Model != "llama-3.1-8b" {
-		t.Fatalf("defaults = %+v", srv.cfg)
+	if srv.spec.System != "bullet" || srv.spec.Model.Name != "llama-3.1-8b" || srv.spec.Dataset.Name != "sharegpt" {
+		t.Fatalf("defaults = %+v", srv.spec)
 	}
 }
 
@@ -29,6 +29,14 @@ func TestNewValidation(t *testing.T) {
 	for _, c := range cases {
 		if _, err := New(c); err == nil {
 			t.Errorf("config %+v accepted", c)
+		}
+	}
+	// A static split off the device's SM grid would run at the nearest
+	// level under its own name; it is an error naming the levels.
+	for _, sys := range []string{"bullet-sm500", "bullet-sm50", "bullet-sm1"} {
+		_, err := New(Config{System: sys})
+		if err == nil || !strings.Contains(err.Error(), `"`+sys+`"`) || !strings.Contains(err.Error(), "(levels [6 12 18 ") {
+			t.Errorf("%s: err = %v, want one naming the system and the SM levels", sys, err)
 		}
 	}
 }
@@ -138,7 +146,7 @@ func TestRunRejectsBadTraces(t *testing.T) {
 	}
 	// A request one token over the KV pool is an error naming it and the
 	// pool's capacity; one exactly at capacity completes.
-	capacity := serving.NewEnv(gpusim.A100(), srv.modelC, srv.dataset).KV.TotalTokens()
+	capacity := serving.NewEnv(gpusim.A100(), srv.spec.Model, srv.spec.Dataset.Name).KV.TotalTokens()
 	for _, sys := range []string{"bullet", "vllm-1024"} {
 		s, err := New(Config{System: sys})
 		if err != nil {

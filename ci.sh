@@ -63,6 +63,7 @@ repro/internal/gpusim/sampled.go      90
 repro/internal/gpusim/hierarchy.go    90
 repro/internal/cluster/cluster.go     91
 repro/internal/cluster/resilience.go  90
+repro/internal/experiments/build.go   100
 mean                                  86
 '
 profile=$(mktemp)

@@ -30,9 +30,9 @@
 // runs instead of a single serving run, parameterized by -dataset, -rate,
 // -n, -seed and -workers; rate sweeps such as ext-pressure and ext-qos
 // cover -rate, 2× and 3×. Any other flag except -cpuprofile and
-// -memprofile is an error with -exp. Output is byte-identical across
-// runs of the same flags and at every -workers value (except table3,
-// which times the host).
+// -memprofile is an error with -exp, and -workers is an error without
+// it. Output is byte-identical across runs of the same flags and at
+// every -workers value (except table3, which times the host).
 package main
 
 import (
@@ -46,12 +46,10 @@ import (
 	"time"
 
 	"repro/bullet"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/prof"
-	"repro/internal/serving"
 	"repro/internal/timeline"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -112,8 +110,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Reject bad load before anything is built or written: a NaN rate
-	// would otherwise reach the simulator as NaN arrival times.
+	// Reject bad load, and a -workers no run would use, before anything
+	// is built or written: a NaN rate would otherwise reach the
+	// simulator as NaN arrival times.
+	workersSet := false
+	fs.Visit(func(f *flag.Flag) { workersSet = workersSet || f.Name == "workers" })
 	switch {
 	case !(o.rate > 0) || math.IsInf(o.rate, 1):
 		return fail(fmt.Errorf("-rate must be finite and > 0, got %v", o.rate))
@@ -121,6 +122,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("-n must be > 0, got %d", o.n))
 	case !(o.faultRate >= 0) || math.IsInf(o.faultRate, 1):
 		return fail(fmt.Errorf("-fault-rate must be finite and >= 0, got %v", o.faultRate))
+	case *workers < 0:
+		return fail(fmt.Errorf("-workers must be >= 0, got %d", *workers))
+	case workersSet && *exp == "":
+		return fail(fmt.Errorf("-workers sizes the cluster arms of -exp and needs it"))
 	}
 
 	if *cpuProf != "" || *memProf != "" {
@@ -207,51 +212,40 @@ type serveFlags struct {
 	json, faults    bool
 }
 
-// runInstrumented executes one serving run built by the backend-aware
-// constructor. -faults injects a generated fault schedule and prints the
-// resilience accounting; -trace-out attaches the timeline recorder to
-// every layer and writes a deterministic Chrome trace-event file (the
-// same flags always produce a byte-identical trace, loadable at
-// ui.perfetto.dev). Under -json the timeline summary goes to stderr.
+// runInstrumented executes one serving run built by experiments.Build.
+// -faults injects a generated fault schedule and prints the resilience
+// accounting; -trace-out attaches the timeline recorder to every layer
+// and writes a deterministic Chrome trace-event file (the same flags
+// always produce a byte-identical trace, loadable at ui.perfetto.dev).
+// Under -json the timeline summary goes to stderr.
 func runInstrumented(o serveFlags, stdout, stderr io.Writer) error {
 	d, err := workload.ByName(o.Dataset)
 	if err != nil {
 		return err
 	}
-	spec, cfg := experiments.Platform()
-	env := serving.NewEnv(spec, cfg, o.Dataset)
-	sys, err := experiments.NewSystemWithBackend(o.System, env, o.Backend, o.BackendSeed)
-	if err != nil {
-		return err
-	}
-	b, isBullet := sys.(*core.Bullet)
-	var inj *faults.Injector
+	spec := experiments.Spec{System: o.System, Dataset: d, Backend: o.Backend, BackendSeed: o.BackendSeed}
 	if o.faults {
-		if !isBullet {
-			return fmt.Errorf("-faults requires a Bullet variant, got %q", o.System)
-		}
+		device, _ := experiments.Platform()
 		// Cover the arrival span plus drain slack with faults.
 		horizon := units.Scale(units.Over(units.Seconds(float64(o.n)), o.rate), 1.5)
-		fcfg := faults.DefaultConfig(spec.NumSMs, horizon)
+		fcfg := faults.DefaultConfig(device.NumSMs, horizon)
 		fcfg.Seed = o.faultSeed
 		fcfg.DegradeRate = o.faultRate
 		fcfg.StallRate = o.faultRate
-		inj = faults.NewInjector(env.Sim, faults.Generate(fcfg))
-		b.AttachFaults(inj, core.DefaultWatchdog())
-		inj.Arm()
+		sched := faults.Generate(fcfg)
+		spec.Faults = &sched
+	}
+	dep, err := experiments.Build(spec)
+	if err != nil {
+		return err
 	}
 	var rec *timeline.Recorder
 	if o.traceOut != "" {
 		rec = timeline.New(0)
-		experiments.AttachTimeline(sys, env, rec)
+		dep.AttachTimeline(rec)
 	}
-	res := env.Run(sys, workload.Generate(d, o.rate, o.n, o.seed))
-	var rl metrics.Resilience
-	if inj != nil {
-		rl = b.Resilience()
-		rl.FaultsInjected = inj.Injected()
-		rl.Downtime = inj.ScheduledDowntime()
-	}
+	res := dep.Run(workload.Generate(d, o.rate, o.n, o.seed))
+	rl := dep.Resilience()
 
 	info := stdout
 	switch s := res.Summary; {

@@ -182,6 +182,14 @@ func TestInstrumentedRunFlags(t *testing.T) {
 		{"exp-rate-nan", []string{"-exp", "ext-pressure", "-rate", "NaN", "-n", "5"}, 1, "-rate must be finite", ""},
 		{"exp-rate-negative", []string{"-exp", "fig13", "-rate", "-3", "-n", "5"}, 1, "-rate must be finite", ""},
 		{"exp-n-zero", []string{"-exp", "fig13", "-n", "0"}, 1, "-n must be > 0", ""},
+		{"exp-workers-negative", []string{"-exp", "ext-chaos", "-workers", "-1", "-n", "5"}, 1, "-workers must be >= 0, got -1", ""},
+		{"exp-cluster-workers-negative", []string{"-exp", "ext-cluster", "-workers", "-1", "-n", "5"}, 1, "-workers must be >= 0, got -1", ""},
+		{"workers-without-exp", []string{"-workers", "4", "-n", "5"}, 1, "-workers sizes the cluster arms of -exp and needs it", ""},
+		{"workers-negative-without-exp", []string{"-workers", "-3", "-n", "5"}, 1, "-workers must be >= 0, got -3", ""},
+		{"static-off-grid", []string{"-system", "bullet-sm500", "-n", "5"}, 1,
+			`system "bullet-sm500": 500 SMs is not an SM level of the A100-PCIe-80GB (levels [6 12 18 24 30 36 42 48 54 60 66 72 78 84 90 96 102 108])`, ""},
+		{"faults-static-off-grid", []string{"-faults", "-system", "bullet-sm50", "-n", "5"}, 1,
+			`system "bullet-sm50": 50 SMs is not an SM level of the A100-PCIe-80GB (levels [6 12 18 24 30 36 42 48 54 60 66 72 78 84 90 96 102 108])`, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -45,6 +45,28 @@ func TestClusterCompletesAll(t *testing.T) {
 	}
 }
 
+// TestOneReplicaMatchesBareBullet: a 1-replica cluster serves exactly
+// what one bare Bullet instance serves — every request's metrics, in
+// completion order, and the makespan — so the router, the pump and the
+// replica's private clock add nothing. (On the sampled backend the two
+// differ by design: the replica draws from ForkSeed(seed, 0).)
+func TestOneReplicaMatchesBareBullet(t *testing.T) {
+	bullet := core.Options{Mode: core.ModeFull}
+	for _, d := range workload.Datasets {
+		for _, rate := range []float64{2, 6, 12} {
+			trace := workload.Generate(d, rate, 150, 42)
+			envB := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), d.Name)
+			bare := envB.Run(core.New(envB, bullet), trace)
+			envC := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), d.Name)
+			one := envC.Run(New(envC, Config{Replicas: 1, Policy: LeastLoaded, Options: bullet}), trace)
+			if !reflect.DeepEqual(one.Requests, bare.Requests) || one.Makespan != bare.Makespan {
+				t.Errorf("%s @ %v req/s: 1-replica cluster (%d requests, makespan %v) differs from bare Bullet (%d, %v)",
+					d.Name, rate, len(one.Requests), one.Makespan, len(bare.Requests), bare.Makespan)
+			}
+		}
+	}
+}
+
 func TestRoundRobinBalances(t *testing.T) {
 	c, _ := run(t, Config{Replicas: 3, Policy: RoundRobin, Options: opts()}, 6, 60, 2)
 	for _, n := range c.Replicas() {

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/qos"
 	"repro/internal/resilience"
-	"repro/internal/serving"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -64,40 +62,32 @@ func chaosStorm(replicas int, horizon units.Seconds, seed int64) faults.ChaosCon
 // (seed, workers-independent): the rows are byte-identical across
 // same-seed runs and serial vs parallel replica advancement.
 func ExtChaos(d workload.Dataset, rate float64, n int, seed int64, workers int) []ChaosRow {
-	spec, cfg := Platform()
-	core.FittedParams(cfg, spec)
 	const replicas = 4
 	horizon := units.Scale(units.Seconds(float64(n)/rate), 1.25)
-	storm := chaosStorm(replicas, horizon, seed)
+	storm := faults.GenerateChaos(chaosStorm(replicas, horizon, seed))
+	trace := workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix())
 	sloFor := qosSLOFor(d.Name)
 	var rows []ChaosRow
 	for _, arm := range ChaosArms {
-		ccfg := cluster.Config{
-			Replicas: replicas, Policy: cluster.RoundRobin,
-			Options: core.Options{Mode: core.ModeFull},
-			Workers: workers,
-		}
+		spec := Spec{System: "bullet", Dataset: d, Replicas: replicas,
+			Policy: cluster.RoundRobin, Workers: workers, Faults: &storm}
 		if arm == "resilience-on" {
 			rcfg := resilience.DefaultConfig()
 			// A loose admission budget: the buckets only clip the
 			// best-effort backlog that piles up behind storm outages.
 			rcfg.BucketRate = 12000
 			rcfg.BucketBurst = 90000
-			ccfg.Resilience = &rcfg
+			spec.Resilience = &rcfg
 		}
-		env := serving.NewEnv(spec, cfg, d.Name)
-		cl := cluster.New(env, ccfg)
-		inj := faults.NewInjector(env.Sim, faults.GenerateChaos(storm))
-		cl.AttachFaults(inj, core.DefaultWatchdog())
-		inj.Arm()
-		res := env.Run(cl, workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
-		rl := cl.Resilience()
+		dep := MustBuild(spec)
+		res := dep.Run(trace)
+		rl := dep.Resilience()
 		row := ChaosRow{
 			Arm:           arm,
 			Completed:     res.Summary.Requests,
 			Shed:          res.Shed,
 			Retried:       rl.Retried,
-			Timeouts:      cl.DispatchTimeouts(),
+			Timeouts:      dep.Cluster.DispatchTimeouts(),
 			BreakerOpens:  rl.BreakerOpens,
 			Hedges:        rl.Hedges,
 			HedgeWins:     rl.HedgeWins,
@@ -107,7 +97,7 @@ func ExtChaos(d workload.Dataset, rate float64, n int, seed int64, workers int) 
 			LinkFaults:    rl.LinkFaults,
 			Recoveries:    rl.Recoveries,
 			MTTRSeconds:   rl.MTTR().Float(),
-			FaultsApplied: inj.Injected(),
+			FaultsApplied: rl.FaultsInjected,
 		}
 		for _, ts := range metrics.SummarizeByTenant(res.Requests, sloFor) {
 			row.Goodput += ts.Goodput

@@ -13,13 +13,9 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/baselines/chunked"
-	"repro/internal/baselines/disagg"
-	"repro/internal/core"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/pressure"
 	"repro/internal/serving"
 	"repro/internal/workload"
 )
@@ -29,86 +25,6 @@ var SystemNames = []string{
 	"bullet", "vllm-1024", "sglang-1024", "sglang-2048", "nanoflow-1024",
 }
 
-// NewSystem instantiates a serving system by name on an environment.
-// Bullet ablation and static variants are addressable as
-// "bullet-naive", "bullet-partition", "bullet-scheduler" and
-// "bullet-sm<N>"; "bullet-gate" and "bullet-pressure" arm the
-// memory-pressure subsystem (admission gate only, and gate plus decode
-// preemption with recompute/retransfer recovery); "bullet-qos" stacks
-// the SLO-feedback QoS controller on top of the pressure subsystem.
-// An unknown name panics; NewSystemWithBackend returns it as an error.
-func NewSystem(name string, env *serving.Env) serving.System {
-	sys, err := NewSystemWithBackend(name, env, "", 0)
-	if err != nil {
-		panic(err.Error())
-	}
-	return sys
-}
-
-// bulletOptions resolves a Bullet variant name to its core options;
-// false means the name is not a Bullet variant (a baseline or unknown).
-func bulletOptions(name string) (core.Options, bool) {
-	switch name {
-	case "bullet":
-		return core.Options{Mode: core.ModeFull}, true
-	case "bullet-naive":
-		return core.Options{Mode: core.ModeNaive}, true
-	case "bullet-partition":
-		return core.Options{Mode: core.ModePartitionOnly}, true
-	case "bullet-scheduler":
-		return core.Options{Mode: core.ModeSchedulerOnly}, true
-	case "bullet-prefix":
-		return core.Options{Mode: core.ModeFull, EnablePrefixCache: true}, true
-	case "bullet-gate":
-		return core.Options{Mode: core.ModeFull,
-			Pressure: &pressure.Config{DisablePreemption: true}}, true
-	case "bullet-pressure":
-		return core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}}, true
-	case "bullet-qos":
-		return core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}, QoS: true}, true
-	}
-	var sms int
-	if n, err := fmt.Sscanf(name, "bullet-sm%d", &sms); err == nil && n == 1 && sms > 0 {
-		return core.Options{Mode: core.ModeStatic, FixedPrefillSMs: sms}, true
-	}
-	return core.Options{}, false
-}
-
-// NewSystemWithBackend instantiates a system by name with a per-kernel
-// latency backend (DESIGN.md §15), returning unknown names as errors.
-// Baselines have no pluggable latency model, so a backend other than ""
-// or analytic on a non-Bullet name is an error, not a silent fallback.
-func NewSystemWithBackend(name string, env *serving.Env, backend string, seed int64) (serving.System, error) {
-	switch backend {
-	case "", gpusim.BackendAnalytic, gpusim.BackendSampled, gpusim.BackendHierarchy:
-	default:
-		return nil, fmt.Errorf("experiments: unknown backend %q (have analytic, sampled, hierarchy)", backend)
-	}
-	if opts, ok := bulletOptions(name); ok {
-		opts.Backend = backend
-		opts.BackendSeed = seed
-		return core.New(env, opts), nil
-	}
-	if backend != "" && backend != gpusim.BackendAnalytic {
-		return nil, fmt.Errorf("experiments: backend %q requires a Bullet variant, got %q", backend, name)
-	}
-	switch name {
-	case "vllm-1024":
-		return chunked.New(env, chunked.VLLM1024()), nil
-	case "sglang-1024":
-		return chunked.New(env, chunked.SGLang1024()), nil
-	case "sglang-2048":
-		return chunked.New(env, chunked.SGLang2048()), nil
-	case "nanoflow-1024":
-		return chunked.New(env, chunked.NanoFlow1024()), nil
-	case "disagg-nvlink":
-		return disagg.New(env, disagg.DefaultConfig()), nil
-	case "disagg-pcie":
-		return disagg.New(env, disagg.PCIeConfig()), nil
-	}
-	return nil, fmt.Errorf("experiments: unknown system %q", name)
-}
-
 // Platform returns the evaluation device and model (§4.1).
 func Platform() (gpusim.Spec, model.Config) {
 	return gpusim.A100(), model.Llama31_8B()
@@ -116,27 +32,7 @@ func Platform() (gpusim.Spec, model.Config) {
 
 // RunOne executes a single serving experiment.
 func RunOne(system string, dataset workload.Dataset, rate float64, n int, seed int64) serving.Result {
-	spec, cfg := Platform()
-	env := serving.NewEnv(spec, cfg, dataset.Name)
-	sys := NewSystem(system, env)
-	return env.Run(sys, workload.Generate(dataset, rate, n, seed))
-}
-
-// runOnDevice executes a serving experiment on a named device profile.
-func runOnDevice(device, system string, dataset workload.Dataset, rate float64, n int, seed int64) serving.Result {
-	var spec gpusim.Spec
-	switch device {
-	case "a100":
-		spec = gpusim.A100()
-	case "h100":
-		spec = gpusim.H100()
-	default:
-		panic(fmt.Sprintf("experiments: unknown device %q", device))
-	}
-	_, cfg := Platform()
-	env := serving.NewEnv(spec, cfg, dataset.Name)
-	sys := NewSystem(system, env)
-	return env.Run(sys, workload.Generate(dataset, rate, n, seed))
+	return MustBuild(Spec{System: system, Dataset: dataset}).Run(workload.Generate(dataset, rate, n, seed))
 }
 
 // E2EConfig scales the end-to-end sweeps.

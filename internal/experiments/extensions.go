@@ -9,6 +9,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/faults"
 	"repro/internal/forkjoin"
+	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/serving"
 	"repro/internal/sim"
@@ -107,12 +108,9 @@ func AblationEstimator(d workload.Dataset, rate float64, n int, seed int64) []Kn
 // AblationBurstiness sweeps the arrival process's coefficient of
 // variation at a fixed mean rate.
 func AblationBurstiness(d workload.Dataset, rate float64, n int, seed int64) []KnobRow {
-	spec, cfg := Platform()
 	var rows []KnobRow
 	for _, cv := range []float64{0.5, 1.0, 2.0, 4.0} {
-		env := serving.NewEnv(spec, cfg, d.Name)
-		b := core.New(env, core.Options{Mode: core.ModeFull})
-		res := env.Run(b, workload.GenerateGamma(d, rate, cv, n, seed))
+		res := MustBuild(Spec{System: "bullet", Dataset: d}).Run(workload.GenerateGamma(d, rate, cv, n, seed))
 		rows = append(rows, knobRow("arrival-cv", fmt.Sprintf("%.1f", cv), res))
 	}
 	return rows
@@ -204,12 +202,15 @@ type CrossDeviceRow struct {
 // and roofline ratios.
 func ExtCrossDevice(d workload.Dataset, rate float64, n int, seed int64) []CrossDeviceRow {
 	var rows []CrossDeviceRow
-	for _, spec := range []struct{ name string }{{"a100"}, {"h100"}} {
+	for _, dev := range []struct {
+		name string
+		spec gpusim.Spec
+	}{{"a100", gpusim.A100()}, {"h100", gpusim.H100()}} {
 		for _, sys := range []string{"bullet", "sglang-1024"} {
-			res := runOnDevice(spec.name, sys, d, rate, n, seed)
+			res := MustBuild(Spec{System: sys, Dataset: d, Device: dev.spec}).Run(workload.Generate(d, rate, n, seed))
 			s := res.Summary
 			rows = append(rows, CrossDeviceRow{
-				Device: spec.name, System: sys,
+				Device: dev.name, System: sys,
 				MeanTTFT: s.MeanTTFT.Float(), MeanTPOTMs: s.MeanTPOTMs,
 				Throughput: s.Throughput, SLOAttainment: s.SLOAttainment,
 			})
@@ -245,21 +246,19 @@ type PrefixRow struct {
 // prefix reuse on workloads whose requests share system prompts with the
 // given probabilities.
 func ExtPrefixCache(d workload.Dataset, rate float64, n int, seed int64, shareProbs []float64) []PrefixRow {
-	spec, cfg := Platform()
 	var rows []PrefixRow
 	for _, p := range shareProbs {
 		trace := workload.GenerateShared(d, rate, n, seed, 4, 1024, p)
-		for _, enable := range []bool{false, true} {
-			env := serving.NewEnv(spec, cfg, d.Name)
-			b := core.New(env, core.Options{Mode: core.ModeFull, EnablePrefixCache: enable})
-			res := env.Run(b, trace)
+		for _, sys := range []string{"bullet", "bullet-prefix"} {
+			dep := MustBuild(Spec{System: sys, Dataset: d})
+			res := dep.Run(trace)
 			row := PrefixRow{
-				System: b.Name(), ShareProb: p,
+				System: res.System, ShareProb: p,
 				MeanTTFT: res.Summary.MeanTTFT.Float(), Throughput: res.Summary.Throughput,
 				SLOAttainment: res.Summary.SLOAttainment,
 			}
-			if b.PrefixCache != nil {
-				st := b.PrefixCache.Stats()
+			if pc := dep.Bullet.PrefixCache; pc != nil {
+				st := pc.Stats()
 				row.HitTokens = st.HitTokens
 				if st.Hits+st.Misses > 0 {
 					row.HitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
@@ -304,24 +303,11 @@ type ClusterRow struct {
 // byte — the equivalence cmd/bulletsim's cluster golden pins at 1 and 4
 // workers.
 func ExtClusterN(d workload.Dataset, rate float64, n int, seed int64, workers int) []ClusterRow {
-	spec, cfg := Platform()
-	// Profile once before forking so the rows share the memoized fit
-	// instead of racing to compute it.
-	core.FittedParams(cfg, spec)
 	sizes := []int{1, 2, 4}
 	return forkjoin.Map(len(sizes), workers, func(i int) ClusterRow {
 		replicas := sizes[i]
-		env := serving.NewEnv(spec, cfg, d.Name)
-		var sys serving.System
-		if replicas == 1 {
-			sys = core.New(env, core.Options{Mode: core.ModeFull})
-		} else {
-			sys = cluster.New(env, cluster.Config{
-				Replicas: replicas, Policy: cluster.LeastLoaded,
-				Options: core.Options{Mode: core.ModeFull}, Workers: 1,
-			})
-		}
-		res := env.Run(sys, workload.Generate(d, rate, n, seed))
+		res := MustBuild(Spec{System: "bullet", Dataset: d, Replicas: replicas,
+			Policy: cluster.LeastLoaded, Workers: 1}).Run(workload.Generate(d, rate, n, seed))
 		s := res.Summary
 		return ClusterRow{
 			Replicas: replicas, Policy: string(cluster.LeastLoaded), Rate: rate,
@@ -368,7 +354,7 @@ var FaultSystems = []string{"bullet", "bullet-sm54", "bullet-sm84"}
 // resilience mechanism. Engine stalls and crashes are disabled here —
 // SM loss is the fault mode where the provisioning policy matters.
 func ExtFaults(d workload.Dataset, rate float64, n int, seed int64, degradeRates []float64, systems []string) []FaultRow {
-	spec, cfg := Platform()
+	spec, _ := Platform()
 	trace := workload.Generate(d, rate, n, seed)
 	// Cover the arrival span plus drain slack with faults.
 	horizon := units.Scale(units.Over(units.Seconds(float64(n)), rate), 1.5)
@@ -380,24 +366,13 @@ func ExtFaults(d workload.Dataset, rate float64, n int, seed int64, degradeRates
 		fcfg.StallRate = 0
 		sched := faults.Generate(fcfg)
 		for _, name := range systems {
-			env := serving.NewEnv(spec, cfg, d.Name)
-			sys := NewSystem(name, env)
-			b, ok := sys.(*core.Bullet)
-			if !ok {
-				panic(fmt.Sprintf("experiments: ext-faults needs a Bullet variant, got %q", name))
-			}
-			inj := faults.NewInjector(env.Sim, sched)
-			b.AttachFaults(inj, core.DefaultWatchdog())
-			inj.Arm()
-			res := env.Run(sys, trace)
-			rl := b.Resilience()
-			rl.FaultsInjected = inj.Injected()
-			rl.Downtime = inj.ScheduledDowntime()
+			dep := MustBuild(Spec{System: name, Dataset: d, Faults: &sched})
+			res := dep.Run(trace)
 			rows = append(rows, FaultRow{
 				System: res.System, DegradeRate: fr,
 				Completed: res.Summary.Requests, Shed: res.Shed,
 				Goodput: res.Summary.Goodput, Throughput: res.Summary.Throughput,
-				SLOAttainment: res.Summary.SLOAttainment, Resilience: rl,
+				SLOAttainment: res.Summary.SLOAttainment, Resilience: dep.Resilience(),
 			})
 		}
 	}
@@ -485,13 +460,10 @@ type TPRow struct {
 // compute, but allreduces and replicated elementwise work erode per-GPU
 // efficiency — the classic TP tradeoff Bullet is orthogonal to.
 func ExtTensorParallel(d workload.Dataset, rate float64, n int, seed int64) []TPRow {
-	spec, cfg := Platform()
+	_, cfg := Platform()
 	var rows []TPRow
 	for _, tp := range []int{1, 2, 4} {
-		mc := cfg.TP(tp)
-		env := serving.NewEnv(spec, mc, d.Name)
-		b := core.New(env, core.Options{Mode: core.ModeFull})
-		res := env.Run(b, workload.Generate(d, rate, n, seed))
+		res := MustBuild(Spec{System: "bullet", Dataset: d, Model: cfg.TP(tp)}).Run(workload.Generate(d, rate, n, seed))
 		s := res.Summary
 		rows = append(rows, TPRow{
 			TP: tp, MeanTTFT: s.MeanTTFT.Float(), MeanTPOTMs: s.MeanTPOTMs,

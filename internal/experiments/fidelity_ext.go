@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/gpusim"
-	"repro/internal/serving"
 	"repro/internal/timeline"
 	"repro/internal/workload"
 )
@@ -66,24 +63,17 @@ func branchDivergence(ref, got []string) int {
 // the reference: its divergence is zero by construction, and its serving
 // metrics are byte-for-byte those of a default bullet run.
 func ExtFidelity(d workload.Dataset, rate float64, n int, seed int64) []FidelityRow {
-	spec, cfg := Platform()
 	trace := workload.Generate(d, rate, n, seed)
 	var ref []string
 	rows := make([]FidelityRow, 0, len(FidelityBackends))
 	for _, backend := range FidelityBackends {
-		env := serving.NewEnv(spec, cfg, d.Name)
-		b := core.New(env, core.Options{Mode: core.ModeFull, Backend: backend})
+		dep := MustBuild(Spec{System: "bullet", Dataset: d, Backend: backend})
 		rec := timeline.New(0)
-		b.Prefill.TL, b.Decode.TL = rec, rec // the engines' events alone, as in Figure12
-		res := env.Run(b, trace)
+		dep.Bullet.Prefill.TL, dep.Bullet.Decode.TL = rec, rec // the engines' events alone, as in Figure12
+		res := dep.Run(trace)
 		tl := SeriesFromTimeline(rec)
 		branches := tl.Branches
-		var rels []float64
-		for _, o := range tl.Observations {
-			if o.Predicted > 0 && o.Actual > 0 {
-				rels = append(rels, o.RelError())
-			}
-		}
+		_, rels, mean := relErrors(tl.Observations)
 		if backend == gpusim.BackendAnalytic {
 			ref = branches
 		}
@@ -97,13 +87,8 @@ func ExtFidelity(d workload.Dataset, rate float64, n int, seed int64) []Fidelity
 			SLOAttainment: res.Summary.SLOAttainment,
 		}
 		if len(rels) > 0 {
-			sort.Float64s(rels)
-			sum := 0.0
-			for _, r := range rels {
-				sum += r
-			}
 			row.EstPairs = len(rels)
-			row.EstMeanRel = sum / float64(len(rels))
+			row.EstMeanRel = mean
 			row.EstP90Rel = rels[(len(rels)*9)/10]
 		}
 		rows = append(rows, row)
@@ -121,31 +106,16 @@ type FidelityClusterRow struct {
 	SLOAttainment float64
 }
 
-// ExtFidelityCluster runs the sampled backend under the deterministic
-// fork/join cluster harness (1 and 2 replicas). Per-replica backends
-// draw from splitmix-forked seed streams, so the rows are identical for
-// any worker count — the serial ≡ parallel property the backend
-// contract demands (pinned by TestFidelityClusterSerialParallel).
+// ExtFidelityCluster runs the sampled backend on bare Bullet and under
+// the deterministic fork/join cluster harness (2 replicas). Per-replica
+// backends draw from splitmix-forked seed streams, so the rows are
+// identical for any worker count — the serial ≡ parallel property the
+// backend contract demands (pinned by TestFidelityClusterSerialParallel).
 func ExtFidelityCluster(d workload.Dataset, rate float64, n int, seed int64, workers int) []FidelityClusterRow {
-	spec, cfg := Platform()
-	// Warm the memoized profile and calibration table before forking so
-	// parallel replicas share them instead of racing to compute them.
-	core.FittedParams(cfg, spec)
-	core.FittedLatencyTable(cfg, spec)
 	var rows []FidelityClusterRow
 	for _, replicas := range []int{1, 2} {
-		env := serving.NewEnv(spec, cfg, d.Name)
-		opts := core.Options{Mode: core.ModeFull, Backend: gpusim.BackendSampled}
-		var sys serving.System
-		if replicas == 1 {
-			sys = core.New(env, opts)
-		} else {
-			sys = cluster.New(env, cluster.Config{
-				Replicas: replicas, Policy: cluster.LeastLoaded,
-				Options: opts, Workers: workers,
-			})
-		}
-		res := env.Run(sys, workload.Generate(d, rate, n, seed))
+		res := MustBuild(Spec{System: "bullet", Dataset: d, Backend: gpusim.BackendSampled, Replicas: replicas,
+			Policy: cluster.LeastLoaded, Workers: workers}).Run(workload.Generate(d, rate, n, seed))
 		rows = append(rows, FidelityClusterRow{
 			Replicas: replicas, Backend: gpusim.BackendSampled,
 			MeanTTFT:      res.Summary.MeanTTFT.Float(),

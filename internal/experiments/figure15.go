@@ -53,30 +53,37 @@ func Figure15(n int, seed int64) Figure15Result {
 	b.Prefill.TL, b.Decode.TL = rec, rec // the estimator feedback, as in Figure12
 	b.RunTrace(workload.Generate(workload.AzureCode, 4.5, n, seed))
 
-	pairs := SeriesFromTimeline(rec).Observations
-	if len(pairs) == 0 {
+	samples, rels, mean := relErrors(SeriesFromTimeline(rec).Observations)
+	if len(rels) == 0 {
 		return out
 	}
-	var rels []float64
-	var samples []estimator.Sample
-	for _, p := range pairs {
-		if p.Actual <= 0 || p.Predicted <= 0 {
-			continue
-		}
-		rels = append(rels, p.RelError())
-		samples = append(samples, p)
-	}
-	sort.Float64s(rels)
-	sum := 0.0
-	for _, r := range rels {
-		sum += r
-	}
 	out.OnlinePairs = len(rels)
-	out.OnlineMeanRel = sum / float64(len(rels))
+	out.OnlineMeanRel = mean
 	out.OnlineP50Rel = rels[len(rels)/2]
 	out.OnlineP90Rel = rels[(len(rels)*9)/10]
 	out.OnlineAccuracy = estimator.ClassificationAccuracy(samples, 1.0)
 	return out
+}
+
+// relErrors keeps the (prediction, observation) pairs whose values are
+// both positive and returns them, their relative errors sorted
+// ascending, and the mean error, summed in that sorted order (0 when no
+// pair is kept).
+func relErrors(pairs []estimator.Sample) (kept []estimator.Sample, rels []float64, mean float64) {
+	for _, p := range pairs {
+		if p.Predicted > 0 && p.Actual > 0 {
+			kept = append(kept, p)
+			rels = append(rels, p.RelError())
+		}
+	}
+	if len(rels) == 0 {
+		return kept, rels, 0
+	}
+	sort.Float64s(rels)
+	for _, r := range rels {
+		mean += r
+	}
+	return kept, rels, mean / float64(len(rels))
 }
 
 // RenderFigure15 prints the accuracy summary.

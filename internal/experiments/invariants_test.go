@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/serving"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -69,7 +68,7 @@ func TestEverySystemDeterministic(t *testing.T) {
 // TestGPUWorkAccounting cross-checks that the device's accumulated FLOPs
 // roughly match the analytic workload demand for a prefill-only run.
 func TestGPUWorkAccounting(t *testing.T) {
-	spec, cfg := Platform()
+	_, cfg := Platform()
 	d := workload.AzureCode
 	trace := &workload.Trace{Dataset: d.Name, Rate: 1}
 	var demand units.FLOPs
@@ -83,9 +82,7 @@ func TestGPUWorkAccounting(t *testing.T) {
 		demand += w.FLOPs
 		demand += cfg.LMHeadKernel(1, "").FLOPs
 	}
-	env := serving.NewEnv(spec, cfg, d.Name)
-	sys := NewSystem("bullet", env)
-	res := env.Run(sys, trace)
+	res := MustBuild(Spec{System: "bullet", Dataset: d}).Run(trace)
 	got := res.GPUStats.FLOPs
 	// Requests may batch (shared LM head rows), so allow a few percent.
 	if got < demand*0.9 || got > demand*1.1 {

@@ -1,12 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/serving"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -61,7 +57,7 @@ func pressureFaultConfig(numSMs int, horizon units.Seconds, seed int64) faults.C
 // panics on a wedged pipeline, so a non-zero cell can only come from
 // accounting drift).
 func ExtPressure(d workload.Dataset, rates []float64, n int, seed int64, withShrink bool) []PressureRow {
-	spec, cfg := Platform()
+	spec, _ := Platform()
 	var rows []PressureRow
 	for _, rate := range rates {
 		trace := workload.Generate(d, rate, n, seed)
@@ -73,16 +69,8 @@ func ExtPressure(d workload.Dataset, rates []float64, n int, seed int64, withShr
 		}
 		sched := faults.Generate(fcfg)
 		for _, name := range PressureSystems {
-			env := serving.NewEnv(spec, cfg, d.Name)
-			sys := NewSystem(name, env)
-			b, ok := sys.(*core.Bullet)
-			if !ok {
-				panic(fmt.Sprintf("experiments: ext-pressure needs a Bullet variant, got %q", name))
-			}
-			inj := faults.NewInjector(env.Sim, sched)
-			b.AttachFaults(inj, core.DefaultWatchdog())
-			inj.Arm()
-			res := env.Run(sys, trace)
+			dep := MustBuild(Spec{System: name, Dataset: d, Faults: &sched})
+			res := dep.Run(trace)
 			var ttfts []units.Seconds
 			for _, r := range res.Requests {
 				ttfts = append(ttfts, r.TTFT())
@@ -95,7 +83,7 @@ func ExtPressure(d workload.Dataset, rates []float64, n int, seed int64, withShr
 				Goodput: s.Goodput, Throughput: s.Throughput,
 				P99TTFT:       metrics.Percentile(ttfts, 0.99).Float(),
 				SLOAttainment: s.SLOAttainment,
-				Pressure:      b.Pressure(),
+				Pressure:      dep.Bullet.Pressure(),
 			})
 		}
 	}

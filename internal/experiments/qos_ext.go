@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pressure"
 	"repro/internal/qos"
-	"repro/internal/serving"
 	"repro/internal/workload"
 )
 
@@ -50,20 +45,15 @@ func qosSLOFor(dataset string) func(tenant string) metrics.SLO {
 // arrivals, so the per-class rows isolate the QoS policy. Rows come back
 // grouped by rate, then system, then tenant tag (sorted).
 func ExtQoS(d workload.Dataset, rates []float64, n int, seed int64, mix workload.TenantMix) []QoSRow {
-	spec, cfg := Platform()
 	sloFor := qosSLOFor(d.Name)
 	var rows []QoSRow
 	for _, rate := range rates {
 		trace := workload.GenerateTenantMix(d, rate, n, seed, mix)
 		for _, name := range QoSSystems {
-			env := serving.NewEnv(spec, cfg, d.Name)
-			sys := NewSystem(name, env)
-			if _, ok := sys.(*core.Bullet); !ok {
-				panic(fmt.Sprintf("experiments: ext-qos needs a Bullet variant, got %q", name))
-			}
-			res := env.Run(sys, trace)
+			dep := MustBuild(Spec{System: name, Dataset: d})
+			res := dep.Run(trace)
 			shedByTenant := map[string]int{}
-			for _, r := range env.ShedRequests() {
+			for _, r := range dep.Env.ShedRequests() {
 				shedByTenant[r.Tenant]++
 			}
 			for _, ts := range metrics.SummarizeByTenant(res.Requests, sloFor) {
@@ -114,17 +104,11 @@ type QoSClusterRow struct {
 // step serially (workers=1) or in parallel — the property the -workers 4
 // rows of cmd/bulletsim's TestGolden pin.
 func ExtQoSCluster(d workload.Dataset, rate float64, n int, seed int64, workers int) []QoSClusterRow {
-	spec, cfg := Platform()
-	core.FittedParams(cfg, spec)
 	const replicas = 2
-	env := serving.NewEnv(spec, cfg, d.Name)
-	cl := cluster.New(env, cluster.Config{
-		Replicas: replicas, Policy: cluster.LeastLoaded,
-		Options: core.Options{Mode: core.ModeFull, Pressure: &pressure.Config{}, QoS: true},
-		Workers: workers,
-	})
-	res := env.Run(cl, workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
-	acct := cl.QoS()
+	dep := MustBuild(Spec{System: "bullet-qos", Dataset: d, Replicas: replicas,
+		Policy: cluster.LeastLoaded, Workers: workers})
+	res := dep.Run(workload.GenerateTenantMix(d, rate, n, seed, workload.DefaultTenantMix()))
+	acct := dep.Cluster.QoS()
 	var rows []QoSClusterRow
 	for _, ts := range metrics.SummarizeByTenant(res.Requests, qosSLOFor(d.Name)) {
 		class := qos.ClassOf(ts.Tenant)

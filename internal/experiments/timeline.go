@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/baselines/chunked"
-	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/metrics"
 	"repro/internal/serving"
@@ -16,28 +14,10 @@ import (
 // RunOneTraced executes a single serving experiment with the timeline
 // recorder attached, returning both the result and the recorded trace.
 func RunOneTraced(system string, dataset workload.Dataset, rate float64, n int, seed int64) (serving.Result, *timeline.Recorder) {
-	spec, cfg := Platform()
-	env := serving.NewEnv(spec, cfg, dataset.Name)
-	sys := NewSystem(system, env)
+	d := MustBuild(Spec{System: system, Dataset: dataset})
 	rec := timeline.New(0)
-	AttachTimeline(sys, env, rec)
-	res := env.Run(sys, workload.Generate(dataset, rate, n, seed))
-	return res, rec
-}
-
-// AttachTimeline attaches rec to a system built on env. Bullet variants
-// thread the recorder through every layer; chunked baselines add their
-// hybrid-batch counters; every other system still gets GPU-level kernel
-// spans and occupancy counters.
-func AttachTimeline(sys serving.System, env *serving.Env, rec *timeline.Recorder) {
-	switch s := sys.(type) {
-	case *core.Bullet:
-		s.AttachTimeline(rec)
-	case *chunked.Engine:
-		s.TL, env.GPU.TL = rec, rec
-	default:
-		env.GPU.TL = rec
-	}
+	d.AttachTimeline(rec)
+	return d.Run(workload.Generate(dataset, rate, n, seed)), rec
 }
 
 // TimelineSeries is the Fig. 12 view of one traced single-GPU run: step

@@ -117,11 +117,7 @@ func (m *Manager) build(healthy smmask.Mask) {
 		panic("resource: rebuild with no healthy SMs")
 	}
 	m.idx = healthy.AppendIndices(m.idx[:0])
-	levels := m.levels[:0]
-	for n := m.step; n < avail; n += m.step {
-		levels = append(levels, n)
-	}
-	levels = append(levels, avail)
+	levels := SMLevels(m.levels, avail, m.step)
 
 	for _, n := range levels {
 		m.setStream(Prefill, n, maskOf(m.idx[:n]))
@@ -130,6 +126,17 @@ func (m *Manager) build(healthy smmask.Mask) {
 	m.healthy = healthy
 	m.avail = avail
 	m.levels = levels
+}
+
+// SMLevels returns the SM counts a table over numSMs SMs offers, in
+// ascending order: each multiple of step below numSMs, then numSMs. It
+// reuses buf's storage.
+func SMLevels(buf []int, numSMs, step int) []int {
+	levels := buf[:0]
+	for n := step; n < numSMs; n += step {
+		levels = append(levels, n)
+	}
+	return append(levels, numSMs)
 }
 
 // setStream reuses the stream object for a (phase, level) pair when one
