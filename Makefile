@@ -28,9 +28,10 @@ fuzz:
 bench:
 	go test -bench=. -benchtime=1x -short
 
-# Serial vs forkjoin-parallel replica sweep (see BENCH_cluster_sweep.json).
+# Cost per simulated request at 4, 16 and 64 replicas, serial and at the
+# default fork/join width (see BENCH_cluster_sweep.json).
 bench-cluster:
-	GOMAXPROCS=4 go test -run='^$$' -bench ClusterSweepParallelism -benchtime 5x -count 1 .
+	go test -run='^$$' -bench ClusterScale -benchtime 1x -count 1 .
 
 # Steady-state hot-path microbenchmarks (see BENCH_hotpath.json).
 bench-hotpath:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/estimator"
+	"repro/internal/forkjoin"
 	"repro/internal/gpusim"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
@@ -60,6 +61,31 @@ func TestSimHandleEventOneAlloc(t *testing.T) {
 		s.Cancel(e)
 		s.Step()
 	})
+}
+
+// TestSimRearmZeroAlloc pins the kept-handle cycle at zero: re-arming a
+// fired handle event and firing it again reuses the handle, so a
+// callback scheduled over and over (the cluster's pump) allocates its
+// handle once.
+func TestSimRearmZeroAlloc(t *testing.T) {
+	s := sim.New()
+	e := s.After(1e-6, func() {})
+	s.Step()
+	pinAllocs(t, "sim rearm+step", 0, func() {
+		s.Rearm(e, s.Now()+1e-6)
+		s.Step()
+	})
+}
+
+// TestForkJoinInlineZeroAlloc pins the regions that run on the calling
+// goroutine, one task or one worker, at zero: no panic record on the
+// heap and no goroutine, which is what a cluster window with a single
+// due replica costs.
+func TestForkJoinInlineZeroAlloc(t *testing.T) {
+	sum := 0
+	task := func(i int) { sum += i }
+	pinAllocs(t, "forkjoin one task", 0, func() { forkjoin.Do(1, 0, task) })
+	pinAllocs(t, "forkjoin one worker", 0, func() { forkjoin.Do(3, 1, task) })
 }
 
 // TestTimelineDisabledCallSiteZeroAlloc pins the cost of a fully

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/workload"
 )
@@ -71,28 +72,30 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkClusterSweepParallelism pins the forkjoin speedup claim: the
-// replica sweep (cluster sizes 1/2/4) run serially (workers=1) versus
-// through the harness default (GOMAXPROCS-bounded workers). By the
-// concurrency contract the two produce byte-identical tables — the
-// cluster row of cmd/bulletsim's TestGolden checks both widths — so the
-// only thing allowed to differ is the wall-clock this benchmark
-// measures. Each sub-benchmark reports the simulated-request completion
-// rate; BENCH_cluster_sweep.json records a measured run.
-func BenchmarkClusterSweepParallelism(b *testing.B) {
-	n := 150
-	if testing.Short() {
-		n = 60
-	}
-	const sweepSizes = 3 // cluster sizes 1, 2, 4
-	run := func(workers int) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				experiments.ExtClusterN(workload.AzureCode, 9, n, 42, workers)
-			}
-			b.ReportMetric(float64(sweepSizes*n*b.N)/b.Elapsed().Seconds(), "req/s")
+// BenchmarkClusterScale measures what a simulated request costs as the
+// cluster grows: azure-code behind a least-loaded router at 4.5 req/s
+// and 100 requests per replica (3,200 at most), seed 42, for 4, 16 and
+// 64 replicas, advanced serially (workers 1) and at the fork/join
+// default width. Both widths produce identical results (the cluster
+// package's serial ≡ parallel tests and the -workers 4 golden rows pin
+// that), so only the wall time may differ. Each sub-benchmark reports
+// wall-clock µs per simulated request; BENCH_cluster_sweep.json records
+// measured runs.
+func BenchmarkClusterScale(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		reqs := min(100*n, 3200)
+		trace := workload.Generate(workload.AzureCode, 4.5*float64(n), reqs, 42)
+		for _, width := range []struct {
+			name    string
+			workers int
+		}{{"serial", 1}, {"default", 0}} {
+			b.Run(fmt.Sprintf("%d/%s", n, width.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					experiments.MustBuild(experiments.Spec{System: "bullet", Dataset: workload.AzureCode,
+						Replicas: n, Policy: cluster.LeastLoaded, Workers: width.workers}).Run(trace)
+				}
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(reqs*b.N), "us/req")
+			})
 		}
 	}
-	b.Run("serial", run(1))
-	b.Run("parallel", run(0))
 }

@@ -102,14 +102,15 @@ rm -f "$profile"
 
 step "allocation contract: steady-state AllocsPerRun pins"
 # The hot-path allocation contract (DESIGN.md, "Allocation contract"):
-# the sim event push/pop cycle, disabled-timeline call sites, the
-# water-filling re-rate, the gpusim re-rate, the estimator's predictors,
-# partition rebuilds, pressure gates, and in-place percentiles must
-# allocate nothing at steady state; the After
-# handle and per-request KV sequence header are pinned at exactly one.
-# Run the pins explicitly so an allocation regression fails CI by name
-# even if the broader test pass is trimmed.
-go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' .
+# the sim event push/pop cycle and handle re-arm, disabled-timeline call
+# sites, the water-filling re-rate, the gpusim re-rate, the estimator's
+# predictors, partition rebuilds, pressure gates, in-place percentiles
+# and inline fork/join regions must allocate nothing at steady state;
+# the After handle, the per-request KV sequence header and a cluster
+# pump decision (its fork-site task closure, pinned in internal/cluster)
+# are pinned at exactly one. Run the pins explicitly so an allocation
+# regression fails CI by name even if the broader test pass is trimmed.
+go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' . ./internal/cluster
 
 step "allocation contract: bulletlint -rules hotalloc smoke"
 # The analyzer must hold the whole module clean on its own (the full

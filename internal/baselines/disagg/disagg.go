@@ -166,8 +166,9 @@ func (e *Engine) prefillCycle() {
 	for i, r := range batch {
 		seqLens[i] = r.w.InputTokens
 	}
+	layer := e.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill")
 	for l := 0; l < e.env.Model.NumLayers; l++ {
-		for _, k := range e.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill") {
+		for _, k := range layer {
 			e.prefillGPU.Launch(e.pStream, k, nil)
 		}
 	}

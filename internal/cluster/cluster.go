@@ -14,20 +14,27 @@
 // replica can advance independently — the Revati-style conservative
 // window. Advancement runs through the internal/forkjoin harness:
 //
-//   - each fork task advances exactly one replica (index-addressed, no
-//     shared writes — machine-checked by bulletlint's replicaisolation
-//     analyzer);
+//   - only the replicas with an event due in the window fork, one task
+//     each (index-addressed, no shared writes — machine-checked by
+//     bulletlint's replicaisolation analyzer); the others just move
+//     their clocks to the window's end;
 //   - completions and sheds produced inside the window are buffered in
 //     the owning replica's outbox, never pushed to shared state;
 //   - at the join, outboxes merge in deterministic (time, replica slot,
 //     intra-replica order) order before touching router state.
 //
+// A window ends at the next outer event, and the pump makes every
+// replica event an outer event, so a window almost always has one
+// replica due and runs it inline on the router's goroutine; a parallel
+// speed-up needs a wider window (ROADMAP item 2).
+//
 // The output is therefore a pure function of (trace, seed, config):
 // byte-identical whether replicas advance serially or on GOMAXPROCS
 // workers, which the -workers 4 rows of cmd/bulletsim's TestGolden pin
 // against the serial goldens and cluster_test.go pins per worker count
-// under -race. Attaching a timeline recorder forces serial advancement
-// so the shared trace keeps one deterministic event order.
+// under -race, with twin arrivals for windows that really fork.
+// Attaching a timeline recorder forces serial advancement so the shared
+// trace keeps one deterministic event order.
 package cluster
 
 import (
@@ -164,6 +171,8 @@ type Cluster struct {
 	// pump is the outer-clock event that re-advances replicas between
 	// router decision points, scheduled at the earliest pending replica
 	// event so replica progress keeps flowing into the outer run loop.
+	// The handle is allocated at the first arm and re-armed after every
+	// fire or cancel.
 	pump *sim.Event
 
 	// wcfg is non-nil once AttachFaults armed resilience; restarted
@@ -185,6 +194,11 @@ type Cluster struct {
 	// router-tier recovery (restarts, link restorations, drain
 	// readmissions) for metrics.Resilience.RecoveryTime.
 	recoveryTime units.Seconds
+	// retired and retiredQoS hold the watchdog and QoS accounting of the
+	// crashed instances that restarts replaced, so Resilience and QoS
+	// still count the work and repairs they did.
+	retired    metrics.Resilience
+	retiredQoS qos.Accounting
 
 	// tl is the root recorder attached by AttachTimeline; each replica
 	// records through a per-replica scoped view of it. Non-nil forces
@@ -195,6 +209,9 @@ type Cluster struct {
 	// merge is the outbox-merge scratch, resliced to zero length on every
 	// window so steady-state merges stay allocation-free.
 	merge []outboxKey
+	// due is advanceTo's scratch: the replicas with an event at or
+	// before the horizon, the only ones a window forks.
+	due []*replica
 }
 
 // New builds the cluster on an outer environment. The outer env's own GPU
@@ -288,14 +305,29 @@ func (c *Cluster) advanceWorkers() int {
 	return c.cfg.Workers
 }
 
-// advanceTo forks one task per replica to advance every private clock to
-// horizon t, then joins and merges the buffered outcomes in
-// deterministic order. This is the only place replica state crosses back
-// into router state.
+// advanceTo brings every private clock to horizon t, then merges the
+// buffered outcomes in deterministic order. Only the replicas with an
+// event at or before t have work to do, so only they fork, one task
+// each; every other replica just moves its clock to t on the calling
+// goroutine, a Run that finds nothing due. Each replica still fires the
+// same events in the same order, so the outcomes and their merge are
+// those of advancing every replica. This is the only place replica state
+// crosses back into router state.
+//
+//bullet:hotpath
 func (c *Cluster) advanceTo(t sim.Time) {
-	reps := c.replicas
-	forkjoin.Do(len(reps), c.advanceWorkers(), func(i int) {
-		reps[i].advance(t)
+	due := c.due[:0]
+	for _, r := range c.replicas {
+		if at, ok := r.env.Sim.NextAt(); ok && at <= t {
+			due = append(due, r)
+		} else {
+			r.advance(t)
+		}
+	}
+	c.due = due
+	//lint:ignore hotalloc replicaisolation checks the task only as a literal at the fork site: one closure per decision
+	forkjoin.Do(len(due), c.advanceWorkers(), func(i int) {
+		due[i].advance(t)
 	})
 	c.mergeOutboxes()
 }
@@ -413,7 +445,11 @@ func (c *Cluster) after(d sim.Time, fn func()) {
 // replica event at it) and the pump re-arms at the next one. Without
 // pending replica events the pump stands down — the outer run loop then
 // correctly treats an idle cluster with outstanding requests as a
-// deadlock.
+// deadlock. Moving, re-arming or scheduling the pump each take the next
+// outer sequence number, so its place among simultaneous outer events
+// does not depend on which of the three happened.
+//
+//bullet:hotpath
 func (c *Cluster) schedulePump() {
 	var at sim.Time
 	found := false
@@ -422,21 +458,21 @@ func (c *Cluster) schedulePump() {
 			at, found = t, true
 		}
 	}
-	if !found {
-		c.outer.Sim.Cancel(c.pump)
-		c.pump = nil
-		return
+	outer := c.outer.Sim
+	switch {
+	case !found:
+		outer.Cancel(c.pump)
+	case c.pump == nil:
+		//lint:ignore hotalloc the first arm binds the method value once; the handle is re-armed after that
+		c.pump = outer.At(at, c.onPump)
+	case !outer.Reschedule(c.pump, at):
+		outer.Rearm(c.pump, at)
 	}
-	if c.pump != nil && c.outer.Sim.Reschedule(c.pump, at) {
-		return
-	}
-	c.pump = c.outer.Sim.At(at, c.onPump)
 }
 
 // onPump is a router decision point with no decision: the wrapper alone
 // advances replicas to the outer clock and re-arms.
 func (c *Cluster) onPump() {
-	c.pump = nil
 	c.decide(func() {})
 }
 
@@ -569,6 +605,9 @@ func (c *Cluster) onReplicaCrash(ev faults.Event) {
 		c.submit(w, false)
 	}
 	c.after(ev.Recovery, func() {
+		old := c.replicas[idx]
+		c.retired.Add(old.sys.Resilience())
+		c.retiredQoS.Add(old.sys.QoS().Accounting)
 		c.replicas[idx] = c.newReplica(idx)
 		c.recoveries++
 		c.recoveryTime += ev.Recovery
@@ -636,9 +675,9 @@ func (c *Cluster) Crashes() int { return c.crashes }
 func (c *Cluster) StaleCompletions() int { return c.stale }
 
 // Resilience aggregates recovery accounting across the cluster: the
-// router's own failover counters plus every current replica's local
-// watchdog counters. The caller owns injector-level counters
-// (FaultsInjected, Downtime).
+// router's own failover counters plus the local watchdog counters of
+// every replica instance, current or replaced after a crash. The caller
+// owns injector-level counters (FaultsInjected, Downtime).
 func (c *Cluster) Resilience() metrics.Resilience {
 	out := metrics.Resilience{
 		Retried:      c.retried,
@@ -664,19 +703,21 @@ func (c *Cluster) Resilience() metrics.Resilience {
 	for _, r := range c.replicas {
 		out.Add(r.sys.Resilience())
 	}
+	out.Add(c.retired)
 	return out
 }
 
 // QoS aggregates the QoS controllers' per-class token accounting across
-// every current replica (zero when Options.QoS is off). The scalar
-// decision counters and final caps are per-replica control state and are
-// summed/zeroed respectively — only the accounting is meaningful
-// cluster-wide.
+// every replica instance, current or replaced after a crash (zero when
+// Options.QoS is off). The scalar decision counters and final caps are
+// per-replica control state and are summed/zeroed respectively — only
+// the accounting is meaningful cluster-wide.
 func (c *Cluster) QoS() qos.Accounting {
 	var out qos.Accounting
 	for _, r := range c.replicas {
 		out.Add(r.sys.QoS().Accounting)
 	}
+	out.Add(c.retiredQoS)
 	return out
 }
 

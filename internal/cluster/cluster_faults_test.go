@@ -207,3 +207,52 @@ func TestRoutingUnderUnequalReplicaSpeeds(t *testing.T) {
 		})
 	}
 }
+
+// TestReplacedReplicaKeepsItsCounters: a restart replaces the crashed
+// instance, and the cluster totals must still count what that instance
+// did. Replica 0 repairs an SM degrade (one watchdog recovery of 0.3 s)
+// and later crashes; Resilience must report both repairs, and QoS the
+// completions and prefill tokens the instance served before the crash.
+func TestReplacedReplicaKeepsItsCounters(t *testing.T) {
+	degrade := faults.Event{At: 0.2, Kind: faults.KindSMDegrade, Replica: 0,
+		FirstSM: 0, NumSMs: 54, Throttle: 0.5, Duration: 0.3}
+	crash := faults.Event{At: 1.0, Kind: faults.KindReplicaCrash, Replica: 0, Recovery: 1}
+	o := opts()
+	o.QoS = true
+	for _, p := range []struct {
+		name     string
+		events   []faults.Event
+		recs     int
+		recovery units.Seconds
+	}{
+		{"degrade", []faults.Event{degrade}, 1, 0.3},
+		{"degrade+crash", []faults.Event{degrade, crash}, 2, 1 + 0.3},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+			c := New(env, Config{Replicas: 2, Policy: LeastLoaded, Options: o})
+			inj := faults.NewInjector(env.Sim, faults.Schedule{Events: p.events})
+			c.AttachFaults(inj, core.DefaultWatchdog())
+			inj.Arm()
+			res := env.Run(c, workload.Generate(workload.AzureCode, 12, 30, 5))
+			rl := c.Resilience()
+			if rl.Recoveries != p.recs || rl.RecoveryTime != p.recovery {
+				t.Fatalf("recoveries %d over %v, want %d over %v", rl.Recoveries, rl.RecoveryTime, p.recs, p.recovery)
+			}
+			// Every delivered completion was prefilled, and counted, by
+			// some instance; stale and hedge-loser copies only add.
+			acct := c.QoS()
+			completed, tokens := 0, 0
+			for cl := range acct.Completed {
+				completed += acct.Completed[cl]
+			}
+			for _, r := range res.Requests {
+				tokens += r.InputTokens
+			}
+			if completed < len(res.Requests) || acct.TotalPrefillTokens() < tokens {
+				t.Fatalf("QoS accounting counts %d completions and %d prefill tokens, below the %d requests and %d input tokens delivered",
+					completed, acct.TotalPrefillTokens(), len(res.Requests), tokens)
+			}
+		})
+	}
+}

@@ -158,6 +158,75 @@ func TestSerialParallelByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSerialParallelByteIdenticalTwinArrivals is the equivalence on a
+// run whose windows really fork: a window forks only the replicas with
+// an event due, and every request arrives twice at once (same lengths,
+// distinct IDs), so round-robin hands the two replicas identical work
+// and nearly every window finds both due at the same instant. Under
+// -race this is the concurrent case of the data-race gate.
+func TestSerialParallelByteIdenticalTwinArrivals(t *testing.T) {
+	base := workload.Generate(workload.AzureCode, 6, 60, 12)
+	twins := *base
+	twins.Requests = nil
+	for _, r := range base.Requests {
+		twin := r
+		twin.ID += "-twin"
+		twins.Requests = append(twins.Requests, r, twin)
+	}
+	mk := func(workers int) (serving.Result, []int) {
+		env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+		c := New(env, Config{Replicas: 2, Policy: RoundRobin, Options: opts(), Workers: workers})
+		res := env.Run(c, &twins)
+		if cap(c.due) < 2 {
+			t.Fatalf("workers=%d: no window had both replicas due; the run never forked", workers)
+		}
+		return res, c.Replicas()
+	}
+	ref, refCounts := mk(1)
+	if ref.Summary.Requests != len(twins.Requests) {
+		t.Fatalf("completed %d/%d", ref.Summary.Requests, len(twins.Requests))
+	}
+	for _, w := range []int{2, 0} {
+		res, counts := mk(w)
+		if !reflect.DeepEqual(ref, res) {
+			t.Fatalf("workers=%d diverged from serial: %+v vs %+v", w, res.Summary, ref.Summary)
+		}
+		if !reflect.DeepEqual(refCounts, counts) {
+			t.Fatalf("workers=%d replica counts %v, serial %v", w, counts, refCounts)
+		}
+	}
+}
+
+// TestPumpDecisionOneAlloc pins the cost of a pump decision that
+// advances one replica through an event that allocates nothing: one
+// allocation, the fork-site task closure. The pump handle is re-armed,
+// the one-task region runs inline, and the due set, the merge and the
+// replica's event all reuse their storage.
+func TestPumpDecisionOneAlloc(t *testing.T) {
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+	c := New(env, Config{Replicas: 2, Policy: LeastLoaded, Options: opts()})
+	rsim := c.replicas[0].env.Sim
+	if n := rsim.Pending() + c.replicas[1].env.Sim.Pending(); n != 0 {
+		t.Fatalf("idle replicas hold %d events", n)
+	}
+	noop := func() {}
+	decision := func() {
+		rsim.PostAfter(1e-6, noop)
+		c.schedulePump()
+		if !env.Sim.Step() {
+			t.Fatal("the pump was not armed")
+		}
+	}
+	decision() // warm: the pump handle, the due set, the replica's event arena
+	if got := testing.AllocsPerRun(100, decision); got != 1 {
+		t.Errorf("pump decision: %v allocs/op, want 1 (the task closure)", got)
+	}
+	if rsim.Now() != env.Sim.Now() || c.replicas[1].env.Sim.Now() != env.Sim.Now() {
+		t.Fatalf("replica clocks %v, %v left behind the router's %v",
+			rsim.Now(), c.replicas[1].env.Sim.Now(), env.Sim.Now())
+	}
+}
+
 // TestSerialParallelByteIdenticalUnderFaults extends the equivalence to
 // the resilience path: crash, failover, recovery, and stale-completion
 // swallowing must all land identically at every worker count.

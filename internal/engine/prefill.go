@@ -111,6 +111,12 @@ type PrefillEngine struct {
 	TL *timeline.Recorder
 	// batchStart is when the in-flight batch formed, for its span.
 	batchStart sim.Time
+	// layer is the in-flight batch's kernel list for one decoder layer,
+	// built from the seqLens/histLens scratch when the batch forms: the
+	// batch stays fixed until it finishes or aborts, and every cycle
+	// launches the list once per layer of its group.
+	layer             []gpusim.Kernel
+	seqLens, histLens []int
 }
 
 // NewPrefillEngine wires a prefill engine. Call SetDecode before use.
@@ -420,6 +426,12 @@ func (p *PrefillEngine) tryStart() {
 	p.running = true
 	p.layersDone = 0
 	p.batchStart = now
+	p.seqLens, p.histLens = p.seqLens[:0], p.histLens[:0]
+	for _, r := range p.batch {
+		p.seqLens = append(p.seqLens, r.NewTokens())
+		p.histLens = append(p.histLens, r.PrefixHit)
+	}
+	p.layer = p.env.Model.AppendPrefillBatchLayerKernels(p.layer[:0], p.seqLens, p.histLens, "prefill")
 	if p.TL != nil {
 		p.TL.Instant("prefill", "batch-start", now,
 			timeline.I("tokens", p.batchTokens),
@@ -510,17 +522,11 @@ func (p *PrefillEngine) cycle() {
 	if left := p.env.Model.NumLayers - p.layersDone; group > left {
 		group = left
 	}
-	seqLens := make([]int, len(p.batch))
-	histLens := make([]int, len(p.batch))
-	for i, r := range p.batch {
-		seqLens[i] = r.NewTokens()
-		histLens[i] = r.PrefixHit
-	}
 	colocated := p.dec != nil && p.dec.BatchSize() > 0
 	predicted := units.Scale(p.est.PrefillLayerTime(p.batchTokens, pm, colocated), float64(group))
 	start := p.env.Sim.Now()
 	for l := 0; l < group; l++ {
-		for _, k := range p.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill") {
+		for _, k := range p.layer {
 			p.env.GPU.Launch(stream, k, nil)
 		}
 	}

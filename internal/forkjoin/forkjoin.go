@@ -77,34 +77,43 @@ func (e *TaskPanic) Unwrap() error {
 // Do runs fn(0), fn(1), ..., fn(n-1) with at most `workers` concurrent
 // executions and blocks until every task has finished. workers <= 0
 // selects the Workers() default; workers == 1 (or n == 1) runs every
-// task inline on the calling goroutine in index order.
+// task inline on the calling goroutine in index order, without reading
+// the runtime configuration and without allocating.
 //
 // Task bodies must satisfy the isolation contract in the package
 // comment. If any task panics, Do panics with a *TaskPanic for the
 // lowest-indexed panicking task after all other tasks have completed, in
 // serial and parallel mode alike.
 func Do(n, workers int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = Workers()
-	}
-	if workers > n {
-		workers = n
-	}
-	var box panicBox
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			box.runTask(i, n, fn)
+	if n > 1 && workers != 1 {
+		if workers <= 0 {
+			workers = Workers()
 		}
-		box.rethrow()
-		return
+		if workers > 1 {
+			doParallel(n, min(workers, n), fn)
+			return
+		}
 	}
+	var first *TaskPanic
+	for i := 0; i < n; i++ {
+		if tp := runTask(i, n, fn); tp != nil && first == nil {
+			first = tp
+		}
+	}
+	rethrow(first)
+}
 
+// doParallel runs Do's region on workers goroutines that claim task
+// indices from a shared counter. The lowest-indexed panic wins at the
+// join whatever order the tasks ran in.
+//
+//bullet:hotpath-ignore a region forks only when two or more tasks are due at once, which per-event cluster windows almost never have
+func doParallel(n, workers int, fn func(i int)) {
 	var (
-		next int64 // next undispatched task index
-		wg   sync.WaitGroup
+		next  int64 // next undispatched task index
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first *TaskPanic
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -115,50 +124,39 @@ func Do(n, workers int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				box.runTask(i, n, fn)
+				if tp := runTask(i, n, fn); tp != nil {
+					mu.Lock()
+					if first == nil || tp.Task < first.Task {
+						first = tp
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	box.rethrow()
+	rethrow(first)
 }
 
-// panicBox keeps the lowest-task-index panic of one fork/join region.
-// Each Do call owns its own box, so nested and concurrent regions never
-// see each other's panics.
-type panicBox struct {
-	mu sync.Mutex
-	tp *TaskPanic
-}
-
-// runTask executes one task, converting a panic into the deterministic
-// TaskPanic record; the region runs its remaining tasks to completion
-// (in serial and parallel mode alike) and the lowest index wins at the
-// join.
-func (b *panicBox) runTask(i, n int, fn func(int)) {
+// runTask executes one task and returns the TaskPanic record of its
+// panic, nil when it finished normally; the region runs its remaining
+// tasks to completion either way.
+func runTask(i, n int, fn func(int)) (tp *TaskPanic) {
 	defer func() {
 		if v := recover(); v != nil {
+			//lint:ignore hotalloc a panicking task ends the run: the stack buffer is built once, on the way out
 			stack := make([]byte, 16<<10)
 			stack = stack[:runtime.Stack(stack, false)]
-			b.record(&TaskPanic{Task: i, N: n, Value: v, Stack: stack})
+			//lint:ignore hotalloc a panicking task ends the run: the record is built once, on the way out
+			tp = &TaskPanic{Task: i, N: n, Value: v, Stack: stack}
 		}
 	}()
 	fn(i)
+	return nil
 }
 
-func (b *panicBox) record(tp *TaskPanic) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tp == nil || tp.Task < b.tp.Task {
-		b.tp = tp
-	}
-}
-
-func (b *panicBox) rethrow() {
-	b.mu.Lock()
-	tp := b.tp
-	b.tp = nil
-	b.mu.Unlock()
+// rethrow re-raises a region's winning task panic at the join.
+func rethrow(tp *TaskPanic) {
 	if tp != nil {
 		//lint:ignore panicmsg TaskPanic's Error carries the task index, region size, and original stack
 		panic(tp)

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,35 @@ func TestHybridZeroLengthChunkSkipped(t *testing.T) {
 	// plus one decode attention.
 	if attn != 2 {
 		t.Fatalf("attention kernels = %d, want 2", attn)
+	}
+}
+
+// TestAppendPrefillBatchLayerKernels pins the batch layer's layout: the
+// single-sequence layer over the concatenated rows with its attention
+// replaced by each sequence's own attention, in batch order (tensor
+// parallel too, where all-reduces follow the attention), appended after
+// whatever dst already holds.
+func TestAppendPrefillBatchLayerKernels(t *testing.T) {
+	seqLens, histLens := []int{512, 64, 1000}, []int{0, 128, 7}
+	for _, c := range []Config{Llama31_8B(), Llama31_8B().TP(2)} {
+		var want []gpusim.Kernel
+		for _, k := range c.PrefillLayerKernels(1576, 0, "p") {
+			if k.Name != "attn" {
+				want = append(want, k)
+				continue
+			}
+			for i, n := range seqLens {
+				want = append(want, c.PrefillLayerKernels(n, histLens[i], "p")[2])
+			}
+		}
+		if got := c.PrefillBatchLayerKernels(seqLens, histLens, "p"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batch layer\n%+v\nwant\n%+v", c.Name, got, want)
+		}
+		head := gpusim.Kernel{Name: "prior"}
+		got := c.AppendPrefillBatchLayerKernels([]gpusim.Kernel{head}, seqLens, histLens, "p")
+		if got[0] != head || !reflect.DeepEqual(got[1:], want) {
+			t.Errorf("%s: appending after a prior kernel changed the layer or the prefix", c.Name)
+		}
 	}
 }
 

@@ -10,11 +10,13 @@
 // Two scheduling APIs coexist. At/After return a cancellable *Event
 // handle and allocate a fresh event per call — callers like the GPU
 // launch path retain the handle across arbitrary simulated time, so
-// those events are garbage-collected, never recycled. Post/PostAfter are
-// the hot-path variants: no handle, no cancellation, and the event
-// struct comes from an internal arena that recycles it the moment it
-// fires, so the steady-state schedule/fire cycle performs zero heap
-// allocations.
+// those events are garbage-collected, never recycled; Reschedule moves a
+// pending handle and Rearm queues a fired or cancelled one again, so a
+// caller that keeps scheduling one callback allocates its handle once.
+// Post/PostAfter are the hot-path variants: no handle, no cancellation,
+// and the event struct comes from an internal arena that recycles it the
+// moment it fires, so the steady-state schedule/fire cycle performs zero
+// heap allocations.
 package sim
 
 import (
@@ -33,13 +35,12 @@ type Time = units.Seconds
 // cancel it before it fires. Events scheduled through Post/PostAfter are
 // pool-owned and never escape to callers.
 type Event struct {
-	at      Time
-	seq     uint64 // tie-break: FIFO among simultaneous events
-	fn      func()
-	index   int // heap index, -1 when not queued
-	dead    bool
-	pooled  bool // owned by the arena; recycled when it fires
-	created Time
+	at     Time
+	seq    uint64 // tie-break: FIFO among simultaneous events
+	fn     func()
+	index  int // heap index, -1 when not queued
+	dead   bool
+	pooled bool // owned by the arena; recycled when it fires
 }
 
 // At returns the simulated time this event fires at.
@@ -258,7 +259,7 @@ func (s *Simulation) checkTime(t Time, verb string) {
 func (s *Simulation) At(t Time, fn func()) *Event {
 	s.checkTime(t, "scheduling")
 	//lint:ignore hotalloc the handle escapes to the caller by design; pooled Post covers no-handle call sites
-	e := &Event{at: t, seq: s.seq, fn: fn, created: s.now}
+	e := &Event{at: t, seq: s.seq, fn: fn}
 	s.seq++
 	s.pushEvent(e)
 	return e
@@ -281,7 +282,7 @@ func (s *Simulation) After(d Time, fn func()) *Event {
 func (s *Simulation) Post(t Time, fn func()) {
 	s.checkTime(t, "posting")
 	e := s.allocEvent()
-	*e = Event{at: t, seq: s.seq, fn: fn, created: s.now, pooled: true}
+	*e = Event{at: t, seq: s.seq, fn: fn, pooled: true}
 	s.seq++
 	s.pushEvent(e)
 }
@@ -325,6 +326,26 @@ func (s *Simulation) Reschedule(e *Event, t Time) bool {
 		s.siftUp(i)
 	}
 	return true
+}
+
+// Rearm queues a handle event that has fired or been cancelled again, at
+// absolute time t with a fresh sequence number: the tie-break At gives a
+// new event, so among simultaneous events it fires exactly where a fresh
+// At would have put it, without allocating one. Callers that schedule
+// the same callback over and over (the cluster's pump) keep one handle
+// this way. Rearming a pending event panics; move it with Reschedule.
+//
+//bullet:hotpath
+func (s *Simulation) Rearm(e *Event, t Time) {
+	if e.index >= 0 {
+		panic(fmt.Sprintf("sim: rearming an event still pending at %.9g", e.at))
+	}
+	s.checkTime(t, "rearming")
+	e.at = t
+	e.seq = s.seq
+	e.dead = false
+	s.seq++
+	s.pushEvent(e)
 }
 
 // Step fires the next event, advancing the clock. It returns false when no

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -118,6 +119,46 @@ func TestRescheduleLater(t *testing.T) {
 	s.RunAll(10)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v", order)
+	}
+}
+
+// TestRearm: a fired or cancelled handle event queues again with the
+// sequence number a fresh At would take at that moment, so it fires in
+// the same place among simultaneous events; a pending event cannot be
+// rearmed, nor can any event into the past.
+func TestRearm(t *testing.T) {
+	s := New()
+	var order []string
+	e := s.At(1, func() { order = append(order, "kept") })
+	s.RunAll(10)
+	s.At(2, func() { order = append(order, "before") })
+	s.Rearm(e, 2)
+	s.At(2, func() { order = append(order, "after") })
+	s.RunAll(10)
+	c := s.At(3, func() { order = append(order, "cancelled") })
+	s.Cancel(c)
+	s.Rearm(c, 4)
+	s.RunAll(10)
+	want := []string{"kept", "before", "kept", "after", "cancelled"}
+	if !reflect.DeepEqual(order, want) || s.Now() != 4 {
+		t.Fatalf("order %v at %v, want %v at 4", order, s.Now(), want)
+	}
+	pending := s.At(5, func() {})
+	for _, bad := range []struct {
+		name  string
+		rearm func()
+	}{
+		{"pending", func() { s.Rearm(pending, 6) }},
+		{"past", func() { s.Cancel(pending); s.Rearm(pending, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("rearming a %s event did not panic", bad.name)
+				}
+			}()
+			bad.rearm()
+		}()
 	}
 }
 
