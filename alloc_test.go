@@ -169,6 +169,36 @@ func TestEstimatorPredictorsZeroAlloc(t *testing.T) {
 	})
 }
 
+// TestLayerKernelsZeroAlloc pins the layer builder at zero allocations
+// into warm scratch for the three shapes the engines rebuild every step:
+// a prefill batch, a chunked hybrid batch and a decode layer.
+func TestLayerKernelsZeroAlloc(t *testing.T) {
+	cfg := model.Llama31_8B()
+	seqLens, histLens := []int{512, 64, 1000}, []int{0, 128, 7}
+	var ks []gpusim.Kernel
+	pinAllocs(t, "prefill batch layer", 0, func() {
+		ks = cfg.AppendLayerKernels(ks[:0], seqLens, histLens, 0, 0, "p")
+	})
+	pinAllocs(t, "hybrid layer", 0, func() {
+		ks = cfg.AppendLayerKernels(ks[:0], seqLens, histLens, 32, 1500.5, "h")
+	})
+	pinAllocs(t, "decode layer", 0, func() {
+		ks = cfg.AppendLayerKernels(ks[:0], nil, nil, 256, 1500.5, "d")
+	})
+}
+
+// TestLayerKernelsNilDstOneAlloc pins a layer built with no destination
+// slice at exactly one allocation: the list is sized before it is
+// written, allreduces included.
+func TestLayerKernelsNilDstOneAlloc(t *testing.T) {
+	seqLens, histLens := []int{512, 64, 1000}, []int{0, 128, 7}
+	for _, cfg := range []model.Config{model.Llama31_8B(), model.Llama31_8B().TP(2)} {
+		pinAllocs(t, cfg.Name+" hybrid layer into nil", 1, func() {
+			_ = cfg.AppendLayerKernels(nil, seqLens, histLens, 32, 1500.5, "h")
+		})
+	}
+}
+
 // TestSchedSortWaitingZeroAlloc pins the deadline reorder at zero: the
 // insertion sort compares in place with no comparator closure.
 func TestSchedSortWaitingZeroAlloc(t *testing.T) {

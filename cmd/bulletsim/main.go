@@ -27,12 +27,13 @@
 // -backend: the trace records the run those flags describe.
 //
 // With -exp any registered experiment (the ids bulletbench -list prints)
-// runs instead of a single serving run, parameterized by -dataset, -rate,
-// -n, -seed and -workers; rate sweeps such as ext-pressure and ext-qos
-// cover -rate, 2× and 3×. Any other flag except -cpuprofile and
-// -memprofile is an error with -exp, and -workers is an error without
-// it. Output is byte-identical across runs of the same flags and at
-// every -workers value (except table3, which times the host).
+// runs instead of a single serving run, parameterized by whichever of
+// -dataset, -rate, -n, -seed and -workers its registry entry lists; rate
+// sweeps such as ext-pressure and ext-qos cover -rate, 2× and 3×. Any
+// other flag except -cpuprofile and -memprofile is an error with that
+// -exp, and -workers is an error without -exp. Output is byte-identical
+// across runs of the same flags and at every -workers value (except
+// table3, which times the host).
 package main
 
 import (
@@ -42,6 +43,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -93,20 +95,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	var e experiments.Experiment
 	if *exp != "" {
-		// An experiment reads only these flags; reject any other rather
-		// than run without it.
-		uses := map[string]bool{"exp": true, "dataset": true, "rate": true, "n": true,
-			"seed": true, "workers": true, "cpuprofile": true, "memprofile": true}
+		var ok bool
+		if e, ok = experiments.Lookup(*exp); !ok {
+			return fail(fmt.Errorf("unknown experiment %q (have %s)", *exp, strings.Join(experiments.IDs(), ", ")))
+		}
+		// An experiment reads only the flags its entry lists, plus the
+		// profiles; reject any other rather than run without it.
+		takes := append(slices.Clone(e.Flags), "cpuprofile", "memprofile")
 		var ignored []string
 		fs.Visit(func(f *flag.Flag) {
-			if !uses[f.Name] {
+			if f.Name != "exp" && !slices.Contains(takes, f.Name) {
 				ignored = append(ignored, "-"+f.Name)
 			}
 		})
 		if len(ignored) > 0 {
-			return fail(fmt.Errorf("-exp does not use %s (it takes -dataset, -rate, -n, -seed, -workers, -cpuprofile, -memprofile)",
-				strings.Join(ignored, ", ")))
+			return fail(fmt.Errorf("-exp does not use %s (%s takes -%s)",
+				strings.Join(ignored, ", "), e.ID, strings.Join(takes, ", -")))
 		}
 	}
 
@@ -153,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *exp != "" {
-		if err := runExperiment(*exp, o.Dataset, o.rate, o.n, o.seed, *workers, stdout); err != nil {
+		if err := runExperiment(e, o.Dataset, o.rate, o.n, o.seed, *workers, stdout); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -301,11 +307,7 @@ func runInstrumented(o serveFlags, stdout, stderr io.Writer) error {
 
 // runExperiment runs a registered experiment with its parameters taken
 // from the command line and prints its rendered tables.
-func runExperiment(id, dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(experiments.IDs(), ", "))
-	}
+func runExperiment(e experiments.Experiment, dataset string, rate float64, n int, seed int64, workers int, stdout io.Writer) error {
 	d, err := workload.ByName(dataset)
 	if err != nil {
 		return err

@@ -174,6 +174,10 @@ func TestInstrumentedRunFlags(t *testing.T) {
 			"-exp does not use -trace-out", ""},
 		{"exp-serving-flags", []string{"-exp", "fig15", "-faults", "-system", "vllm-1024", "-backend", "sampled", "-json"}, 1,
 			"-exp does not use -backend, -faults, -json, -system", ""},
+		{"exp-unread-workers", []string{"-exp", "fig13", "-workers", "4", "-n", "5"}, 1,
+			"-exp does not use -workers (fig13 takes -dataset, -rate, -n, -seed, -cpuprofile, -memprofile)", ""},
+		{"exp-unread-rate", []string{"-exp", "fig14", "-rate", "3", "-n", "5"}, 1,
+			"-exp does not use -rate (fig14 takes -n, -seed, -cpuprofile, -memprofile)", ""},
 		{"rate-nan", []string{"-rate", "NaN", "-n", "5"}, 1, "-rate must be finite", ""},
 		{"rate-inf-trace", []string{"-rate", "+Inf", "-n", "5", "-trace-out", trace("rate-inf-trace")}, 1, "-rate must be finite", ""},
 		{"faults-rate-nan", []string{"-rate", "NaN", "-n", "5", "-faults", "-trace-out", trace("faults-rate-nan")}, 1, "-rate must be finite", ""},

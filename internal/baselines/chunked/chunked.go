@@ -108,6 +108,11 @@ type Engine struct {
 	// TL, when non-nil, records each iteration's budget composition as a
 	// hybrid/batch counter (the Fig. 12(b) view).
 	TL *timeline.Recorder
+
+	// layer is the scratch list each iteration builds its hybrid layer
+	// (or, fused, its one kernel) into once; every layer of the pass
+	// launches it.
+	layer []gpusim.Kernel
 }
 
 // New creates a chunked-prefill engine on an environment.
@@ -213,14 +218,15 @@ func (e *Engine) cycle() {
 			timeline.I("waiting", len(e.waiting)-len(chunkReqs)))
 	}
 
-	// One lockstep pass over all layers plus the LM head.
+	// One lockstep pass over all layers plus the LM head. Every layer
+	// launches the same list, or the same fused kernel, and Launch
+	// copies each kernel, so the layer is built once per iteration.
+	e.layer = e.env.Model.AppendLayerKernels(e.layer[:0], chunkLens, histLens, len(e.decode), units.Tokens(avgCtx), "hybrid")
+	if e.scheme.PipelineEfficiency > 0 {
+		e.layer = append(e.layer[:0], e.fuseLayer(e.layer))
+	}
 	for l := 0; l < e.env.Model.NumLayers; l++ {
-		ks := e.env.Model.HybridLayerKernels(chunkLens, histLens, len(e.decode), units.Tokens(avgCtx), "hybrid")
-		if e.scheme.PipelineEfficiency > 0 {
-			e.env.GPU.Launch(e.stream, e.fuseLayer(ks), nil)
-			continue
-		}
-		for _, k := range ks {
+		for _, k := range e.layer {
 			e.env.GPU.Launch(e.stream, k, nil)
 		}
 	}

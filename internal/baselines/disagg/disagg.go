@@ -92,6 +92,12 @@ type Engine struct {
 	decodeRun   bool
 	migrations  int
 	linkBusyTil sim.Time
+
+	// layer is the scratch list a prefill batch or a decode step builds
+	// its layer into, from the seqLens/histLens scratch; each cycle
+	// launches or aggregates it before returning.
+	layer             []gpusim.Kernel
+	seqLens, histLens []int
 }
 
 // New creates a disaggregated engine pair.
@@ -161,14 +167,14 @@ func (e *Engine) prefillCycle() {
 		e.prefillRun = false
 		return
 	}
-	seqLens := make([]int, len(batch))
-	histLens := make([]int, len(batch))
-	for i, r := range batch {
-		seqLens[i] = r.w.InputTokens
+	e.seqLens, e.histLens = e.seqLens[:0], e.histLens[:0]
+	for _, r := range batch {
+		e.seqLens = append(e.seqLens, r.w.InputTokens)
+		e.histLens = append(e.histLens, 0)
 	}
-	layer := e.env.Model.PrefillBatchLayerKernels(seqLens, histLens, "prefill")
+	e.layer = e.env.Model.AppendLayerKernels(e.layer[:0], e.seqLens, e.histLens, 0, 0, "prefill")
 	for l := 0; l < e.env.Model.NumLayers; l++ {
-		for _, k := range layer {
+		for _, k := range e.layer {
 			e.prefillGPU.Launch(e.pStream, k, nil)
 		}
 	}
@@ -258,7 +264,8 @@ func (e *Engine) decodeCycle() {
 		ctx += r.w.InputTokens + r.generated
 	}
 	avgCtx := float64(ctx) / float64(bs)
-	step := e.env.Model.DecodeStepKernel(bs, units.Tokens(avgCtx), "decode")
+	step, layer := e.env.Model.DecodeStepKernelScratch(e.layer, bs, units.Tokens(avgCtx), "decode")
+	e.layer = layer
 	e.env.GPU.Launch(e.dStream, step, func(gpusim.KernelRecord) {
 		now := e.env.Sim.Now()
 		kept := e.decode[:0]

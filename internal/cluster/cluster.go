@@ -194,11 +194,14 @@ type Cluster struct {
 	// router-tier recovery (restarts, link restorations, drain
 	// readmissions) for metrics.Resilience.RecoveryTime.
 	recoveryTime units.Seconds
-	// retired and retiredQoS hold the watchdog and QoS accounting of the
-	// crashed instances that restarts replaced, so Resilience and QoS
-	// still count the work and repairs they did.
-	retired    metrics.Resilience
-	retiredQoS qos.Accounting
+	// retired holds the watchdog accounting of the crashed instances
+	// that restarts replaced, so Resilience still counts the repairs
+	// they did.
+	retired metrics.Resilience
+	// qos is the cluster's per-class QoS accounting apart from the live
+	// instances' token buckets: the outcomes the router delivered or
+	// shed (Completed, Shed) and the tokens of replaced instances.
+	qos qos.Accounting
 
 	// tl is the root recorder attached by AttachTimeline; each replica
 	// records through a per-replica scoped view of it. Non-nil forces
@@ -416,9 +419,19 @@ func (c *Cluster) applyOutcome(r *replica, o outcome) {
 // deliver hands a settled outcome to the outer environment.
 func (c *Cluster) deliver(o outcome) {
 	if o.isShed {
+		c.countOutcome(&c.qos.Shed, o.shed.Tenant)
 		c.outer.Shed(o.shed)
 	} else {
+		c.countOutcome(&c.qos.Completed, o.done.Tenant)
 		c.outer.Complete(o.done)
+	}
+}
+
+// countOutcome counts one outcome the router hands to the outer
+// environment in tenant's class, when the replicas run QoS.
+func (c *Cluster) countOutcome(perClass *[qos.NumClasses]int, tenant string) {
+	if c.cfg.Options.QoS {
+		perClass[qos.ClassOf(tenant)]++
 	}
 }
 
@@ -607,7 +620,7 @@ func (c *Cluster) onReplicaCrash(ev faults.Event) {
 	c.after(ev.Recovery, func() {
 		old := c.replicas[idx]
 		c.retired.Add(old.sys.Resilience())
-		c.retiredQoS.Add(old.sys.QoS().Accounting)
+		c.qos.Add(tokensOf(old))
 		c.replicas[idx] = c.newReplica(idx)
 		c.recoveries++
 		c.recoveryTime += ev.Recovery
@@ -707,18 +720,28 @@ func (c *Cluster) Resilience() metrics.Resilience {
 	return out
 }
 
-// QoS aggregates the QoS controllers' per-class token accounting across
-// every replica instance, current or replaced after a crash (zero when
-// Options.QoS is off). The scalar decision counters and final caps are
-// per-replica control state and are summed/zeroed respectively — only
-// the accounting is meaningful cluster-wide.
+// QoS returns the cluster's per-class QoS accounting (zero when
+// Options.QoS is off). Completed and Shed count outcomes, once per
+// request, as the router delivers or sheds them: an instance's own
+// counts would add the late completion of a crashed replica still
+// draining its GPU, or the losing copy of a hedged request. The token
+// buckets measure work done, so they sum every replica instance,
+// current or replaced after a crash. The controllers' decision counters
+// and caps are per-replica control state and stay out.
 func (c *Cluster) QoS() qos.Accounting {
-	var out qos.Accounting
+	out := c.qos
 	for _, r := range c.replicas {
-		out.Add(r.sys.QoS().Accounting)
+		out.Add(tokensOf(r))
 	}
-	out.Add(c.retiredQoS)
 	return out
+}
+
+// tokensOf is a replica instance's QoS accounting with only its token
+// buckets kept.
+func tokensOf(r *replica) qos.Accounting {
+	a := r.sys.QoS().Accounting
+	a.Completed, a.Shed = [qos.NumClasses]int{}, [qos.NumClasses]int{}
+	return a
 }
 
 // GPUStats aggregates device counters across replicas.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/qos"
 	"repro/internal/serving"
 	"repro/internal/timeline"
 	"repro/internal/units"
@@ -239,8 +240,9 @@ func TestReplacedReplicaKeepsItsCounters(t *testing.T) {
 			if rl.Recoveries != p.recs || rl.RecoveryTime != p.recovery {
 				t.Fatalf("recoveries %d over %v, want %d over %v", rl.Recoveries, rl.RecoveryTime, p.recs, p.recovery)
 			}
-			// Every delivered completion was prefilled, and counted, by
-			// some instance; stale and hedge-loser copies only add.
+			// Every delivered completion counts once; its prefill was
+			// done, and counted, by some instance, and stale and
+			// hedge-loser copies only add tokens.
 			acct := c.QoS()
 			completed, tokens := 0, 0
 			for cl := range acct.Completed {
@@ -249,10 +251,37 @@ func TestReplacedReplicaKeepsItsCounters(t *testing.T) {
 			for _, r := range res.Requests {
 				tokens += r.InputTokens
 			}
-			if completed < len(res.Requests) || acct.TotalPrefillTokens() < tokens {
-				t.Fatalf("QoS accounting counts %d completions and %d prefill tokens, below the %d requests and %d input tokens delivered",
+			if completed != len(res.Requests) || acct.TotalPrefillTokens() < tokens {
+				t.Fatalf("QoS accounting counts %d completions and %d prefill tokens for the %d requests and %d input tokens delivered",
 					completed, acct.TotalPrefillTokens(), len(res.Requests), tokens)
 			}
 		})
+	}
+}
+
+// TestQoSCountsEachOutcomeOnce: a crashed replica keeps draining its GPU,
+// and its QoS controller counts completions that the router then
+// discards as stale. The cluster's per-class counts hold each delivered
+// outcome once, in its tenant's class.
+func TestQoSCountsEachOutcomeOnce(t *testing.T) {
+	o := opts()
+	o.QoS = true
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+	c := New(env, Config{Replicas: 2, Policy: RoundRobin, Options: o})
+	crash := faults.Event{At: 0.8, Kind: faults.KindReplicaCrash, Replica: 1, Recovery: 40}
+	inj := faults.NewInjector(env.Sim, faults.Schedule{Events: []faults.Event{crash}})
+	c.AttachFaults(inj, core.DefaultWatchdog())
+	inj.Arm()
+	res := env.Run(c, workload.GenerateTenantMix(workload.AzureCode, 8, 60, 22, workload.DefaultTenantMix()))
+	if c.StaleCompletions() == 0 {
+		t.Fatal("no stale completion: the crashed replica never finished a request it lost")
+	}
+	var want [qos.NumClasses]int
+	for _, r := range res.Requests {
+		want[qos.ClassOf(r.Tenant)]++
+	}
+	if got := c.QoS(); got.Completed != want || got.Shed != [qos.NumClasses]int{} {
+		t.Fatalf("per-class completed %v shed %v, want %v delivered and none shed (%d shed)",
+			got.Completed, got.Shed, want, res.Shed)
 	}
 }

@@ -158,6 +158,7 @@ func (c *Cluster) submit(r workload.Request, admit bool) {
 				c.tl.Instant("router", "rate-limit", now,
 					timeline.S("tenant", r.Tenant))
 			}
+			c.countOutcome(&c.qos.Shed, r.Tenant)
 			c.outer.Shed(r)
 			return
 		}

@@ -78,6 +78,10 @@ type DecodeEngine struct {
 	// TL, when non-nil, records step spans, pause/decision instants and
 	// request lifecycle spans on the shared timeline.
 	TL *timeline.Recorder
+
+	// layer is the scratch list each step's decode layer is built into
+	// before it is aggregated into the step kernel.
+	layer []gpusim.Kernel
 }
 
 // NewDecodeEngine wires a decode engine.
@@ -349,7 +353,8 @@ func (d *DecodeEngine) cycle() {
 	ctx := d.avgCtx()
 	colocated := true // conservatively assume overlap for the prediction
 	predicted := d.est.DecodeStepTime(bs, ctx, dm, colocated)
-	step := d.env.Model.DecodeStepKernel(bs, ctx, "decode")
+	step, layer := d.env.Model.DecodeStepKernelScratch(d.layer, bs, ctx, "decode")
+	d.layer = layer
 	d.env.GPU.Launch(stream, step, func(rec gpusim.KernelRecord) {
 		d.est.ObserveDecode(predicted, rec.Duration())
 		d.steps++

@@ -431,7 +431,7 @@ func (p *PrefillEngine) tryStart() {
 		p.seqLens = append(p.seqLens, r.NewTokens())
 		p.histLens = append(p.histLens, r.PrefixHit)
 	}
-	p.layer = p.env.Model.AppendPrefillBatchLayerKernels(p.layer[:0], p.seqLens, p.histLens, "prefill")
+	p.layer = p.env.Model.AppendLayerKernels(p.layer[:0], p.seqLens, p.histLens, 0, 0, "prefill")
 	if p.TL != nil {
 		p.TL.Instant("prefill", "batch-start", now,
 			timeline.I("tokens", p.batchTokens),

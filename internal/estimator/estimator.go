@@ -55,8 +55,10 @@ type Estimator struct {
 
 	// ks is the kernel-list scratch buffer a memo miss or a new decode
 	// state rebuilds; predictions run many times per scheduling cycle and
-	// must not allocate per call.
-	ks []gpusim.Kernel
+	// must not allocate per call. seq and hist are a memo miss's
+	// one-sequence prefill batch (hist stays 0).
+	ks        []gpusim.Kernel
+	seq, hist [1]int
 
 	// memo holds the raw (uncorrected) Eq. 2 prefill terms by key: an
 	// open-addressing table with linear probing, allocated once in New
@@ -195,7 +197,8 @@ func (e *Estimator) prefillTerms(newTokens, sms int, colocated bool) (layer, hea
 
 // rawPrefillTerms is prefillTerms without the memo.
 func (e *Estimator) rawPrefillTerms(newTokens, sms int, colocated bool) (layer, head units.Seconds) {
-	e.ks = e.cfg.AppendPrefillLayerKernels(e.ks[:0], newTokens, 0, "")
+	e.seq[0] = newTokens
+	e.ks = e.cfg.AppendLayerKernels(e.ks[:0], e.seq[:], e.hist[:], 0, 0, "")
 	for _, k := range e.ks {
 		layer += e.kernelTime(k, sms, colocated)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/gpusim"
 	"repro/internal/model"
+	"repro/internal/smmask"
 	"repro/internal/units"
 )
 
@@ -150,7 +151,7 @@ func TestProfileQuick(t *testing.T) {
 	}
 	// The fitted model should predict a real configuration reasonably:
 	// compare against a fresh ground-truth measurement.
-	actual := measurePrefillLayer(cfg, spec, 2048, 0, spec.NumSMs)
+	actual := gpusim.RunIsolated(spec, smmask.Range(0, spec.NumSMs), cfg.PrefillLayerKernels(2048, 0, ""), nil)
 	pred := est.PrefillLayerTime(2048, spec.NumSMs, false)
 	if units.Ratio(units.Abs(pred-actual), actual) > 0.6 {
 		t.Fatalf("pred %v vs actual %v: too far off", pred, actual)
@@ -191,7 +192,7 @@ func TestMeasureColocatedProducesBothSamples(t *testing.T) {
 		t.Fatalf("colocated measures: prefill=%v decode=%v", p, d)
 	}
 	// Colocated prefill on 81 SMs should be slower than isolated full-GPU.
-	iso := measurePrefillLayer(cfg, spec, 2048, 0, 108)
+	iso := gpusim.RunIsolated(spec, smmask.Range(0, 108), cfg.PrefillLayerKernels(2048, 0, ""), nil)
 	if p <= iso {
 		t.Fatalf("colocated partial-SM prefill %v not slower than isolated %v", p, iso)
 	}

@@ -158,11 +158,12 @@ func Profile(cfg model.Config, spec gpusim.Spec, opts ProfileOptions) (*Estimato
 
 	// Isolated prefill layers.
 	for _, sl := range opts.SeqLens {
+		ks := cfg.PrefillLayerKernels(sl, 0, "")
 		for _, m := range opts.SMCounts {
-			dur := measurePrefillLayer(cfg, spec, sl, 0, m)
+			dur := gpusim.RunIsolated(spec, smmask.Range(0, m), ks, nil)
 			iso = append(iso, measured{
 				sample:  Sample{Kind: "prefill-iso", SeqLen: sl, SMs: m, Actual: dur},
-				kernels: cfg.PrefillLayerKernels(sl, 0, ""),
+				kernels: ks,
 				sms:     m,
 			})
 		}
@@ -170,11 +171,12 @@ func Profile(cfg model.Config, spec gpusim.Spec, opts ProfileOptions) (*Estimato
 	// Isolated decode steps.
 	for _, bs := range opts.Batches {
 		for _, cl := range opts.Ctxs {
+			ks := []gpusim.Kernel{cfg.DecodeStepKernel(bs, cl, "")}
 			for _, m := range opts.SMCounts {
-				dur := measureDecodeStep(cfg, spec, bs, cl, m)
+				dur := gpusim.RunIsolated(spec, smmask.Range(0, m), ks, nil)
 				iso = append(iso, measured{
 					sample:  Sample{Kind: "decode-iso", Batch: bs, Ctx: cl, SMs: m, Actual: dur},
-					kernels: []gpusim.Kernel{cfg.DecodeStepKernel(bs, cl, "")},
+					kernels: ks,
 					sms:     m,
 				})
 			}
@@ -310,30 +312,6 @@ func fit(cfg model.Config, spec gpusim.Spec, iso, coloc []measured) Params {
 }
 
 // --- ground-truth measurement harnesses -------------------------------
-
-func measurePrefillLayer(cfg model.Config, spec gpusim.Spec, sl, hist, sms int) units.Seconds {
-	s := sim.New()
-	g := gpusim.New(s, spec)
-	st := g.NewStream(smmask.Range(0, sms))
-	for _, k := range cfg.PrefillLayerKernels(sl, hist, "profile") {
-		g.Launch(st, k, nil)
-	}
-	var end sim.Time
-	g.Synchronize(st, func() { end = s.Now() })
-	s.RunAll(1 << 20)
-	return end
-}
-
-func measureDecodeStep(cfg model.Config, spec gpusim.Spec, bs int, cl units.Tokens, sms int) units.Seconds {
-	s := sim.New()
-	g := gpusim.New(s, spec)
-	st := g.NewStream(smmask.Range(0, sms))
-	g.Launch(st, cfg.DecodeStepKernel(bs, cl, "profile"), nil)
-	var end sim.Time
-	g.Synchronize(st, func() { end = s.Now() })
-	s.RunAll(1 << 20)
-	return end
-}
 
 // measureColocated runs `reps` prefill layers on pm low SMs while decode
 // steps loop on dm high SMs, returning the average prefill-layer duration

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/gpusim"
-	"repro/internal/sim"
 	"repro/internal/smmask"
 	"repro/internal/units"
 )
@@ -34,8 +33,6 @@ func Figure2() ([]Figure2Row, []Figure2Summary) {
 	var rows []Figure2Row
 	var sums []Figure2Summary
 	for _, seq := range []int{1024, 2048, 4096, 16384} {
-		s := sim.New()
-		g := gpusim.New(s, spec)
 		type agg struct {
 			time  units.Seconds
 			flops units.FLOPs
@@ -54,13 +51,7 @@ func Figure2() ([]Figure2Row, []Figure2Summary) {
 			a.bytes += r.Bytes
 			perOp[op] = a
 		}
-		st := g.NewStream(smmask.Full(spec.NumSMs))
-		for _, k := range cfg.PrefillLayerKernels(seq, 0, "prefill") {
-			g.Launch(st, k, record)
-		}
-		var layerTime sim.Time
-		g.Synchronize(st, func() { layerTime = s.Now() })
-		s.RunAll(1 << 20)
+		layerTime := gpusim.RunIsolated(spec, smmask.Full(spec.NumSMs), cfg.PrefillLayerKernels(seq, 0, "prefill"), record)
 
 		var totalFlops units.FLOPs
 		var totalBytes units.Bytes

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/gpusim"
-	"repro/internal/sim"
 	"repro/internal/smmask"
 	"repro/internal/units"
 )
@@ -27,43 +26,30 @@ func Figure7() []Figure7Row {
 	spec.LaunchOverhead = 0
 	sms := []int{12, 24, 36, 48, 60, 72, 84, 96, 108}
 
-	measure := func(build func() []gpusim.Kernel, m int) sim.Time {
-		s := sim.New()
-		g := gpusim.New(s, spec)
-		st := g.NewStream(smmask.Range(0, m))
-		for _, k := range build() {
-			g.Launch(st, k, nil)
-		}
-		var end sim.Time
-		g.Synchronize(st, func() { end = s.Now() })
-		s.RunAll(1 << 20)
-		return end
+	measure := func(ks []gpusim.Kernel, m int) units.Seconds {
+		return gpusim.RunIsolated(spec, smmask.Range(0, m), ks, nil)
 	}
 
 	var rows []Figure7Row
 	for _, seq := range []int{1024, 4096, 16384} {
-		seq := seq
-		build := func() []gpusim.Kernel { return cfg.PrefillLayerKernels(seq, 0, "p") }
-		full := measure(build, spec.NumSMs)
+		ks := cfg.PrefillLayerKernels(seq, 0, "p")
+		full := measure(ks, spec.NumSMs)
 		for _, m := range sms {
 			rows = append(rows, Figure7Row{
 				Phase: "prefill", Param: seq, SMs: m,
 				SMFrac:  float64(m) / float64(spec.NumSMs),
-				Speedup: units.Ratio(full, measure(build, m)),
+				Speedup: units.Ratio(full, measure(ks, m)),
 			})
 		}
 	}
 	for _, bs := range []int{16, 64, 256} {
-		bs := bs
-		build := func() []gpusim.Kernel {
-			return []gpusim.Kernel{cfg.DecodeStepKernel(bs, units.Tokens(2048), "d")}
-		}
-		full := measure(build, spec.NumSMs)
+		ks := []gpusim.Kernel{cfg.DecodeStepKernel(bs, units.Tokens(2048), "d")}
+		full := measure(ks, spec.NumSMs)
 		for _, m := range sms {
 			rows = append(rows, Figure7Row{
 				Phase: "decode", Param: bs, SMs: m,
 				SMFrac:  float64(m) / float64(spec.NumSMs),
-				Speedup: units.Ratio(full, measure(build, m)),
+				Speedup: units.Ratio(full, measure(ks, m)),
 			})
 		}
 	}

@@ -395,6 +395,25 @@ func (g *GPU) Synchronize(st *Stream, fn func()) {
 	st.waiters = append(st.waiters, fn)
 }
 
+// RunIsolated times a kernel list alone on a fresh device of the given
+// spec: it launches ks in order on one stream over mask, calling each
+// (when non-nil) as every kernel completes, and returns the simulated
+// time at which the stream drains. It is the offline-profiling harness
+// (§3.2) and the isolated measurements of Figs. 2 and 7; a list still
+// running after 2^20 events returns 0.
+func RunIsolated(spec Spec, mask smmask.Mask, ks []Kernel, each func(KernelRecord)) sim.Time {
+	s := sim.New()
+	g := New(s, spec)
+	st := g.NewStream(mask)
+	for _, k := range ks {
+		g.Launch(st, k, each)
+	}
+	var end sim.Time
+	g.Synchronize(st, func() { end = s.Now() })
+	s.RunAll(1 << 20)
+	return end
+}
+
 // startHead begins executing the kernel at the head of a stream's queue.
 func (g *GPU) startHead(st *Stream) {
 	l := st.queue[0]

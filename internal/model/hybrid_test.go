@@ -1,7 +1,9 @@
 package model
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,166 +11,159 @@ import (
 	"repro/internal/units"
 )
 
-func sumWork(ks []gpusim.Kernel) (flops units.FLOPs, bytes units.Bytes) {
-	for _, k := range ks {
-		flops += k.FLOPs
-		bytes += k.Bytes
-	}
-	return
-}
-
+// TestHybridLayerKernelsComposition pins the layout of every layer shape
+// AppendLayerKernels builds: the linear kernels over all prefill and
+// decode rows (identical to a single prefill of that many rows, GEMV
+// grids aside), the per-sequence prefill attentions in order, then the
+// decode attention; and appending after a prior kernel leaves the prefix
+// and the layer unchanged.
 func TestHybridLayerKernelsComposition(t *testing.T) {
-	c := Llama31_8B()
-	ks := c.HybridLayerKernels([]int{512, 256}, []int{0, 1024}, 32, 2048, "h")
-	// Expect: norm1, qkv, 2 prefill attn, 1 decode attn, oproj, norm2,
-	// gateup, down = 9 kernels.
-	if len(ks) != 9 {
-		t.Fatalf("kernels = %d, want 9", len(ks))
-	}
-	attn := 0
-	for _, k := range ks {
-		if k.Name == "attn" {
-			attn++
-		}
-	}
-	if attn != 3 {
-		t.Fatalf("attention kernels = %d, want 3", attn)
-	}
-	// Linear kernels process 512+256+32 = 800 rows: their FLOPs must
-	// match a 800-token prefill layer's linear kernels.
-	ref := c.PrefillLayerKernels(800, 0, "h")
-	for i, name := range []string{"qkv", "oproj", "gateup", "down"} {
-		_ = i
-		var got, want gpusim.Kernel
-		for _, k := range ks {
-			if k.Name == name {
-				got = k
+	const (
+		threeAttn = "norm1 qkv attn attn attn oproj norm2 gateup down"
+		oneAttn   = "norm1 qkv attn oproj norm2 gateup down"
+	)
+	for _, tc := range []struct {
+		name              string
+		c                 Config
+		seqLens, histLens []int
+		batch             int
+		names             string
+	}{
+		{"hybrid", Llama31_8B(), []int{512, 256}, []int{0, 1024}, 32, threeAttn},
+		{"batch", Llama31_8B(), []int{512, 64, 1000}, []int{0, 128, 7}, 0, threeAttn},
+		{"decode", Llama31_8B(), nil, nil, 16, oneAttn},
+		{"single", Qwen2_7B(), []int{1024}, []int{0}, 0, oneAttn},
+		{"hybrid-tp2", Llama31_8B().TP(2), []int{512}, []int{64}, 8,
+			"norm1 qkv attn attn oproj allreduce norm2 gateup down allreduce"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			ks := c.AppendLayerKernels(nil, tc.seqLens, tc.histLens, tc.batch, 2048, "h")
+			names := make([]string, len(ks))
+			for i, k := range ks {
+				names[i] = k.Name
 			}
-		}
-		for _, k := range ref {
-			if k.Name == name {
-				want = k
+			if got := strings.Join(names, " "); got != tc.names {
+				t.Fatalf("kernels %q, want %q", got, tc.names)
 			}
-		}
-		if units.Abs(got.FLOPs-want.FLOPs) > 1 {
-			t.Errorf("%s FLOPs = %g, want %g", name, got.FLOPs, want.FLOPs)
-		}
+			rows := tc.batch
+			for i, n := range tc.seqLens {
+				rows += n
+				if k := ks[2+i]; k.Tokens != n+tc.histLens[i] || k != c.prefillAttnKernel(n, tc.histLens[i], "h") {
+					t.Errorf("attention %d = %+v, want sequence %d's own", i, k, i)
+				}
+			}
+			attn := len(tc.seqLens)
+			if tc.batch > 0 {
+				attn++
+			}
+			ref := c.PrefillLayerKernels(rows, 0, "h")
+			for i, k := range ks {
+				if k.Name == "attn" {
+					continue
+				}
+				j := i // ref has one attention where ks has attn of them
+				if i > 1 {
+					j = i - attn + 1
+				}
+				want := ref[j]
+				if k.Name != want.Name || k.Tokens != rows || k.FLOPs != want.FLOPs || k.Bytes != want.Bytes ||
+					k.CommBytes != want.CommBytes || len(tc.seqLens) > 0 && k.Grid != want.Grid {
+					t.Errorf("%s = %+v, want the %d-row prefill's %+v", k.Name, k, rows, want)
+				}
+			}
+			prior := gpusim.Kernel{Name: "prior"}
+			got := c.AppendLayerKernels([]gpusim.Kernel{prior}, tc.seqLens, tc.histLens, tc.batch, 2048, "h")
+			if got[0] != prior || !reflect.DeepEqual(got[1:], ks) {
+				t.Error("appending after a prior kernel changed the layer or the prefix")
+			}
+		})
 	}
 }
 
 func TestHybridDegeneratesToDecodeOnly(t *testing.T) {
 	c := Llama31_8B()
-	ks := c.HybridLayerKernels(nil, nil, 16, 512, "h")
-	ref := c.DecodeLayerKernels(16, 512, "h")
+	ks := c.AppendLayerKernels(nil, nil, nil, 16, 512, "h")
+	ref := c.oracleDecodeLayer(16, 512, "h")
 	if len(ks) != len(ref) {
 		t.Fatalf("decode-only hybrid has %d kernels, want %d", len(ks), len(ref))
 	}
-	gf, gb := sumWork(ks)
-	wf, wb := sumWork(ref)
-	if gf != wf || gb != wb {
+	if Aggregate(ks) != Aggregate(ref) {
 		t.Fatal("decode-only hybrid work mismatch")
 	}
 }
 
 func TestHybridDegeneratesToPrefillOnly(t *testing.T) {
 	c := Llama31_8B()
-	ks := c.HybridLayerKernels([]int{1024}, []int{0}, 0, 0, "h")
-	ref := c.PrefillBatchLayerKernels([]int{1024}, []int{0}, "h")
-	gf, gb := sumWork(ks)
-	wf, wb := sumWork(ref)
-	if gf != wf || gb != wb {
-		t.Fatal("prefill-only hybrid work mismatch")
+	ks := c.AppendLayerKernels(nil, []int{1024}, []int{0}, 0, 0, "h")
+	for _, ref := range [][]gpusim.Kernel{
+		c.oraclePrefillBatchLayer([]int{1024}, []int{0}, "h"),
+		c.PrefillLayerKernels(1024, 0, "h"),
+	} {
+		if len(ks) != len(ref) {
+			t.Fatalf("prefill-only hybrid has %d kernels, want %d", len(ks), len(ref))
+		}
+		if Aggregate(ks) != Aggregate(ref) {
+			t.Fatal("prefill-only hybrid work mismatch")
+		}
 	}
+}
+
+// mustPanic fails t unless f panics with a message containing want.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one naming %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name %q", msg, want)
+		}
+	}()
+	f()
 }
 
 func TestHybridEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty hybrid accepted")
-		}
-	}()
-	Tiny().HybridLayerKernels(nil, nil, 0, 0, "h")
+	mustPanic(t, "0 sequences and a decode batch of 0", func() {
+		Tiny().AppendLayerKernels(nil, nil, nil, 0, 0, "h")
+	})
 }
 
-func TestHybridZeroLengthChunkSkipped(t *testing.T) {
-	c := Tiny()
-	ks := c.HybridLayerKernels([]int{64, 0}, []int{0, 32}, 4, 64, "h")
-	attn := 0
-	for _, k := range ks {
-		if k.Name == "attn" {
-			attn++
-		}
-	}
-	// One prefill attention (the zero-length chunk contributes none)
-	// plus one decode attention.
-	if attn != 2 {
-		t.Fatalf("attention kernels = %d, want 2", attn)
-	}
-}
-
-// TestAppendPrefillBatchLayerKernels pins the batch layer's layout: the
-// single-sequence layer over the concatenated rows with its attention
-// replaced by each sequence's own attention, in batch order (tensor
-// parallel too, where all-reduces follow the attention), appended after
-// whatever dst already holds.
-func TestAppendPrefillBatchLayerKernels(t *testing.T) {
-	seqLens, histLens := []int{512, 64, 1000}, []int{0, 128, 7}
-	for _, c := range []Config{Llama31_8B(), Llama31_8B().TP(2)} {
-		var want []gpusim.Kernel
-		for _, k := range c.PrefillLayerKernels(1576, 0, "p") {
-			if k.Name != "attn" {
-				want = append(want, k)
-				continue
-			}
-			for i, n := range seqLens {
-				want = append(want, c.PrefillLayerKernels(n, histLens[i], "p")[2])
-			}
-		}
-		if got := c.PrefillBatchLayerKernels(seqLens, histLens, "p"); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: batch layer\n%+v\nwant\n%+v", c.Name, got, want)
-		}
-		head := gpusim.Kernel{Name: "prior"}
-		got := c.AppendPrefillBatchLayerKernels([]gpusim.Kernel{head}, seqLens, histLens, "p")
-		if got[0] != head || !reflect.DeepEqual(got[1:], want) {
-			t.Errorf("%s: appending after a prior kernel changed the layer or the prefix", c.Name)
-		}
-	}
+// TestHybridZeroLengthChunkPanics: a zero-length chunk is bad input in a
+// hybrid batch as in every other shape.
+func TestHybridZeroLengthChunkPanics(t *testing.T) {
+	mustPanic(t, "0 tokens", func() {
+		Tiny().AppendLayerKernels(nil, []int{64, 0}, []int{0, 32}, 4, 64, "h")
+	})
 }
 
 func TestPrefillBatchMismatchedLensPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lens accepted")
-		}
-	}()
-	Tiny().PrefillBatchLayerKernels([]int{10, 20}, []int{0}, "t")
+	mustPanic(t, "2 sequences vs 1 histories", func() {
+		Tiny().AppendLayerKernels(nil, []int{10, 20}, []int{0}, 0, 0, "t")
+	})
 }
 
 func TestPrefillBatchEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty batch accepted")
-		}
-	}()
-	Tiny().PrefillBatchLayerKernels(nil, nil, "t")
+	mustPanic(t, "0 sequences", func() {
+		Tiny().AppendLayerKernels(nil, []int{}, []int{}, 0, 0, "t")
+	})
 }
 
 func TestPrefillBatchNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero-length sequence accepted")
-		}
-	}()
-	Tiny().PrefillBatchLayerKernels([]int{128, 0}, []int{0, 0}, "t")
+	mustPanic(t, "-3 tokens", func() {
+		Tiny().AppendLayerKernels(nil, []int{128, -3}, []int{0, 0}, 0, 0, "t")
+	})
+	mustPanic(t, "0 tokens", func() {
+		Tiny().AppendLayerKernels(nil, []int{128, 0}, []int{0, 0}, 0, 0, "t")
+	})
 }
 
 func TestDecodeLayerPanicsOnZeroBatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero batch accepted")
-		}
-	}()
-	Tiny().DecodeLayerKernels(0, 16, "t")
+	mustPanic(t, "decode batch of 0", func() { Tiny().DecodeStepKernel(0, 16, "t") })
+	mustPanic(t, "decode batch of -1", func() {
+		Tiny().AppendLayerKernels(nil, []int{64}, []int{0}, -1, 16, "t")
+	})
 }
 
 func TestQwenPreset(t *testing.T) {
@@ -199,7 +194,7 @@ func TestPropertyHybridWorkConservation(t *testing.T) {
 		a := int(aU%200) + 1
 		b := int(bU%200) + 1
 		batch := int(batchU%32) + 1
-		hy := c.HybridLayerKernels([]int{a, b}, []int{0, 64}, batch, 128, "h")
+		hy := c.AppendLayerKernels(nil, []int{a, b}, []int{0, 64}, batch, 128, "h")
 		// Linear rows = a+b+batch; attention separate.
 		var attnF, linF units.FLOPs
 		var attnB, linB units.Bytes

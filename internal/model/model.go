@@ -246,21 +246,52 @@ var OperatorNames = []string{"norm1", "qkv", "attn", "oproj", "norm2", "gateup",
 // prefill chunk of newTokens tokens whose sequences already have
 // histTokens tokens of KV cache (histTokens > 0 under chunked prefill:
 // each later chunk re-reads all earlier chunks' KV, the redundant-reload
-// effect of §2.3).
+// effect of §2.3). It is AppendLayerKernels for one sequence and no
+// decode batch.
 //
 // The tag is attached to every kernel for utilization accounting.
 func (c Config) PrefillLayerKernels(newTokens, histTokens int, tag string) []gpusim.Kernel {
-	return c.AppendPrefillLayerKernels(nil, newTokens, histTokens, tag)
+	return c.AppendLayerKernels(nil, []int{newTokens}, []int{histTokens}, 0, 0, tag)
 }
 
-// AppendPrefillLayerKernels is PrefillLayerKernels appending into dst,
-// for per-cycle callers (the estimator's prediction loop) that reuse a
-// scratch buffer instead of allocating a kernel list per call.
-func (c Config) AppendPrefillLayerKernels(dst []gpusim.Kernel, newTokens, histTokens int, tag string) []gpusim.Kernel {
-	if newTokens <= 0 {
-		panic(fmt.Sprintf("model: PrefillLayerKernels with %d tokens", newTokens))
+// AppendLayerKernels appends one decoder layer's kernel sequence to dst
+// and returns the extended slice. The layer prefills len(seqLens)
+// sequences — seqLens[i] new tokens over histLens[i] cached ones — and
+// takes one decode step for batch sequences of avgCtx average context:
+//
+//   - no decode batch (batch == 0) is a prefill batch, Bullet's prefill
+//     engine's layer;
+//   - no sequences is a decode step;
+//   - both is a chunked-prefill hybrid batch (§2.3.1).
+//
+// The linear operators (norms, QKV, OProj, MLP) run over all
+// sum(seqLens)+batch rows together, while attention runs per prefill
+// sequence (each attends to itself plus its own cached history) and then
+// once, paged, over the decode batch: the canonical SARATHI/vLLM/SGLang
+// arrangement whose bubbles §2.4 describes. A layer without prefill rows
+// is weight-bound, so its projections take GEMV grids.
+//
+// Under tensor parallelism every kernel is one rank's shard and the
+// layer carries two allreduces. The list is sized before it is written,
+// so a nil dst allocates once and a warm scratch buffer not at all.
+//
+//bullet:hotpath
+func (c Config) AppendLayerKernels(dst []gpusim.Kernel, seqLens, histLens []int, batch int, avgCtx units.Tokens, tag string) []gpusim.Kernel {
+	if len(histLens) != len(seqLens) {
+		panic(fmt.Sprintf("model: %d sequences vs %d histories", len(seqLens), len(histLens)))
 	}
-	s := float64(newTokens)
+	if batch < 0 || len(seqLens) == 0 && batch == 0 {
+		panic(fmt.Sprintf("model: layer with %d sequences and a decode batch of %d", len(seqLens), batch))
+	}
+	prefillRows := 0
+	for _, n := range seqLens {
+		if n <= 0 {
+			panic(fmt.Sprintf("model: layer with a sequence of %d tokens", n))
+		}
+		prefillRows += n
+	}
+	rows := prefillRows + batch
+	s := float64(rows)
 	h := float64(c.HiddenSize)
 	bpp := float64(c.BytesPerParam)
 	qkvOut := float64(c.QKVOutDim())
@@ -271,56 +302,109 @@ func (c Config) AppendPrefillLayerKernels(dst []gpusim.Kernel, newTokens, histTo
 	n := c.tp()
 	nInt := int(n)
 
+	// Six linear kernels, an attention per sequence and one for the
+	// decode batch, and the allreduces.
+	size := 6 + len(seqLens)
+	if batch > 0 {
+		size++
+	}
+	if nInt > 1 {
+		size += 2
+	}
+	if cap(dst)-len(dst) < size {
+		//lint:ignore hotalloc grows a nil or short dst once, to the whole layer; engines and the estimator pass warm scratch
+		grown := make([]gpusim.Kernel, len(dst), len(dst)+size)
+		copy(grown, dst)
+		dst = grown
+	}
+
 	dst = append(dst,
 		gpusim.Kernel{
-			Name: "norm1", Tag: tag, Tokens: newTokens,
+			Name: "norm1", Tag: tag, Tokens: rows,
 			FLOPs: units.FLOPs(10 * s * h),
 			Bytes: units.Bytes(elementwiseBWFactor * s * h * bpp),
 		},
 		gpusim.Kernel{
-			Name: "qkv", Tag: tag, Tokens: newTokens,
+			Name: "qkv", Tag: tag, Tokens: rows,
 			FLOPs:      units.FLOPs(2 * s * h * qkvOut / n),
 			Bytes:      units.Bytes((h*qkvOut/n + s*h + s*qkvOut/n) * bpp),
-			Grid:       gemmGrid(newTokens, c.QKVOutDim()/nInt, wideTileN),
-			Efficiency: gemmEfficiency,
-		},
-		c.prefillAttnKernel(newTokens, histTokens, tag),
-		gpusim.Kernel{
-			Name: "oproj", Tag: tag, Tokens: newTokens,
-			FLOPs:      units.FLOPs(2 * s * h * h / n),
-			Bytes:      units.Bytes((h*h/n + s*h/n + s*h) * bpp),
-			Grid:       gemmGrid(newTokens, c.HiddenSize, wideTileN),
+			Grid:       linearGrid(prefillRows, rows, c.QKVOutDim()/nInt, wideTileN),
 			Efficiency: gemmEfficiency,
 		})
+	for i, sl := range seqLens {
+		dst = append(dst, c.prefillAttnKernel(sl, histLens[i], tag))
+	}
+	if batch > 0 {
+		dst = append(dst, c.decodeAttnKernel(batch, avgCtx, tag))
+	}
+	dst = append(dst, gpusim.Kernel{
+		Name: "oproj", Tag: tag, Tokens: rows,
+		FLOPs:      units.FLOPs(2 * s * h * h / n),
+		Bytes:      units.Bytes((h*h/n + s*h/n + s*h) * bpp),
+		Grid:       linearGrid(prefillRows, rows, c.HiddenSize, wideTileN),
+		Efficiency: gemmEfficiency,
+	})
 	if nInt > 1 {
 		// Row-parallel outputs need allreducing: after OProj (insert
 		// before norm2) and after down.
-		dst = append(dst, c.allReduceKernel(newTokens, tag))
+		dst = append(dst, c.allReduceKernel(rows, tag))
 	}
 	dst = append(dst,
 		gpusim.Kernel{
-			Name: "norm2", Tag: tag, Tokens: newTokens,
+			Name: "norm2", Tag: tag, Tokens: rows,
 			FLOPs: units.FLOPs(10 * s * h),
 			Bytes: units.Bytes(elementwiseBWFactor * s * h * bpp),
 		},
 		gpusim.Kernel{
-			Name: "gateup", Tag: tag, Tokens: newTokens,
+			Name: "gateup", Tag: tag, Tokens: rows,
 			FLOPs:      units.FLOPs(2 * s * h * 2 * inter / n),
 			Bytes:      units.Bytes((2*h*inter/n + s*h + 2*s*inter/n) * bpp),
-			Grid:       gemmGrid(newTokens, 2*c.IntermediateSize/nInt, wideTileN),
+			Grid:       linearGrid(prefillRows, rows, 2*c.IntermediateSize/nInt, wideTileN),
 			Efficiency: gemmEfficiency,
 		},
 		gpusim.Kernel{
-			Name: "down", Tag: tag, Tokens: newTokens,
+			Name: "down", Tag: tag, Tokens: rows,
 			FLOPs:      units.FLOPs(2 * s * inter * h / n),
 			Bytes:      units.Bytes((h*inter/n + s*inter/n + s*h) * bpp),
-			Grid:       gemmGrid(newTokens, c.HiddenSize, downTileN),
+			Grid:       linearGrid(prefillRows, rows, c.HiddenSize, downTileN),
 			Efficiency: gemmEfficiency,
 		})
 	if nInt > 1 {
-		dst = append(dst, c.allReduceKernel(newTokens, tag))
+		dst = append(dst, c.allReduceKernel(rows, tag))
 	}
 	return dst
+}
+
+// linearGrid sizes the grid of a projection with rows input rows and
+// width output columns: GEMM tiles when the layer has prefill rows, otherwise
+// a decode GEMV grid of one block row per 16 batch rows, tiled over the
+// width. GEMVs are memory-bound, so their grid mostly matters for SM
+// occupancy accounting rather than wave stalls.
+func linearGrid(prefillRows, rows, width, tileN int) int {
+	if prefillRows == 0 {
+		return ceilDiv(rows, 16) * ceilDiv(width, downTileN)
+	}
+	return gemmGrid(rows, width, tileN)
+}
+
+// decodeAttnKernel is the paged attention of a decode step over batch
+// sequences of avgCtx average context: it reads the whole KV cache
+// through the page table (traffic inflated by pagedTrafficInflation),
+// split over the tensor-parallel ranks' KV heads.
+func (c Config) decodeAttnKernel(batch int, avgCtx units.Tokens, tag string) gpusim.Kernel {
+	b := float64(batch)
+	h := float64(c.HiddenSize)
+	bpp := float64(c.BytesPerParam)
+	kvDim := float64(c.KVDim())
+	ctx := avgCtx.Float()
+	n := c.tp()
+	return gpusim.Kernel{
+		Name: "attn", Tag: tag, Tokens: batch,
+		FLOPs:      units.FLOPs(4 * h * b * ctx / n),
+		Bytes:      units.Bytes((2*b*ctx*kvDim*pagedTrafficInflation/n + 2*b*h/n) * bpp),
+		Grid:       batch * (c.NumKVHeads / int(n)),
+		Efficiency: decodeAttnEfficiency,
+	}
 }
 
 // prefillAttnKernel is the attention kernel of a prefill layer over
@@ -344,180 +428,6 @@ func (c Config) prefillAttnKernel(newTokens, histTokens int, tag string) gpusim.
 		Grid:       c.NumHeads / int(n) * ceilDiv(newTokens, flashRowBlock),
 		Efficiency: prefillAttnEfficiency,
 	}
-}
-
-// PrefillBatchLayerKernels returns one decoder layer for a batch of
-// prefill sequences processed together: the linear operators run over the
-// concatenated rows while attention stays per-sequence (each sequence only
-// attends to itself plus its own cached history).
-func (c Config) PrefillBatchLayerKernels(seqLens, histLens []int, tag string) []gpusim.Kernel {
-	return c.AppendPrefillBatchLayerKernels(nil, seqLens, histLens, tag)
-}
-
-// AppendPrefillBatchLayerKernels is PrefillBatchLayerKernels appending
-// into dst, for engines that build a batch's layer once and launch it
-// layer after layer.
-func (c Config) AppendPrefillBatchLayerKernels(dst []gpusim.Kernel, seqLens, histLens []int, tag string) []gpusim.Kernel {
-	if len(seqLens) == 0 {
-		panic("model: empty prefill batch")
-	}
-	if len(histLens) != len(seqLens) {
-		panic(fmt.Sprintf("model: %d seqs vs %d histories", len(seqLens), len(histLens)))
-	}
-	total := 0
-	for _, n := range seqLens {
-		if n <= 0 {
-			panic(fmt.Sprintf("model: non-positive sequence length %d", n))
-		}
-		total += n
-	}
-	// Build the layer over the concatenated rows, then open a gap at its
-	// one attention kernel and fill it with one attention per sequence.
-	start := len(dst)
-	dst = c.AppendPrefillLayerKernels(dst, total, 0, tag)
-	attn := start
-	for dst[attn].Name != "attn" {
-		attn++
-	}
-	tail := len(dst) - attn - 1
-	for range seqLens[1:] {
-		dst = append(dst, gpusim.Kernel{})
-	}
-	copy(dst[attn+len(seqLens):], dst[attn+1:attn+1+tail])
-	for i, n := range seqLens {
-		dst[attn+i] = c.prefillAttnKernel(n, histLens[i], tag)
-	}
-	return dst
-}
-
-// DecodeLayerKernels returns one decoder layer's kernel sequence for a
-// decode step over a batch of batch sequences with avgCtx average context
-// length. Decode GEMMs are weight-bound GEMVs; decode attention reads the
-// whole KV cache through the page table (traffic inflated by
-// pagedTrafficInflation).
-func (c Config) DecodeLayerKernels(batch int, avgCtx units.Tokens, tag string) []gpusim.Kernel {
-	return c.AppendDecodeLayerKernels(nil, batch, avgCtx, tag)
-}
-
-// decodeGrid sizes a decode GEMV grid: one block row per 16 batch rows,
-// tiled over the output width. Memory-bound, so the grid mostly matters
-// for SM occupancy accounting rather than wave stalls.
-func decodeGrid(batch, n int) int { return ceilDiv(batch, 16) * ceilDiv(n, downTileN) }
-
-// AppendDecodeLayerKernels is DecodeLayerKernels appending into dst, for
-// per-cycle callers that reuse a scratch buffer.
-func (c Config) AppendDecodeLayerKernels(dst []gpusim.Kernel, batch int, avgCtx units.Tokens, tag string) []gpusim.Kernel {
-	if batch <= 0 {
-		panic(fmt.Sprintf("model: DecodeLayerKernels with batch %d", batch))
-	}
-	b := float64(batch)
-	h := float64(c.HiddenSize)
-	bpp := float64(c.BytesPerParam)
-	qkvOut := float64(c.QKVOutDim())
-	kvDim := float64(c.KVDim())
-	inter := float64(c.IntermediateSize)
-	ctx := avgCtx.Float()
-
-	attnFLOPs := units.FLOPs(4 * h * b * ctx)
-	attnBytes := units.Bytes((2*b*ctx*kvDim*pagedTrafficInflation + 2*b*h) * bpp)
-
-	return append(dst,
-		gpusim.Kernel{
-			Name: "norm1", Tag: tag, Tokens: batch,
-			FLOPs: units.FLOPs(10 * b * h),
-			Bytes: units.Bytes(elementwiseBWFactor * b * h * bpp),
-		},
-		gpusim.Kernel{
-			Name: "qkv", Tag: tag, Tokens: batch,
-			FLOPs:      units.FLOPs(2 * b * h * qkvOut),
-			Bytes:      units.Bytes((h*qkvOut + b*h + b*qkvOut) * bpp),
-			Grid:       decodeGrid(batch, c.QKVOutDim()),
-			Efficiency: gemmEfficiency,
-		},
-		gpusim.Kernel{
-			Name: "attn", Tag: tag, Tokens: batch,
-			FLOPs:      attnFLOPs,
-			Bytes:      attnBytes,
-			Grid:       batch * c.NumKVHeads,
-			Efficiency: decodeAttnEfficiency,
-		},
-		gpusim.Kernel{
-			Name: "oproj", Tag: tag, Tokens: batch,
-			FLOPs:      units.FLOPs(2 * b * h * h),
-			Bytes:      units.Bytes((h*h + 2*b*h) * bpp),
-			Grid:       decodeGrid(batch, c.HiddenSize),
-			Efficiency: gemmEfficiency,
-		},
-		gpusim.Kernel{
-			Name: "norm2", Tag: tag, Tokens: batch,
-			FLOPs: units.FLOPs(10 * b * h),
-			Bytes: units.Bytes(elementwiseBWFactor * b * h * bpp),
-		},
-		gpusim.Kernel{
-			Name: "gateup", Tag: tag, Tokens: batch,
-			FLOPs:      units.FLOPs(2 * b * h * 2 * inter),
-			Bytes:      units.Bytes((2*h*inter + b*h + 2*b*inter) * bpp),
-			Grid:       decodeGrid(batch, 2*c.IntermediateSize),
-			Efficiency: gemmEfficiency,
-		},
-		gpusim.Kernel{
-			Name: "down", Tag: tag, Tokens: batch,
-			FLOPs:      units.FLOPs(2 * b * inter * h),
-			Bytes:      units.Bytes((h*inter + b*inter + b*h) * bpp),
-			Grid:       decodeGrid(batch, c.HiddenSize),
-			Efficiency: gemmEfficiency,
-		})
-}
-
-// HybridLayerKernels returns one decoder layer for a chunked-prefill
-// hybrid batch (§2.3.1): the linear operators process the prefill chunk
-// rows and the decode rows together in lockstep, while the prefill and
-// decode attentions run as separate, serialized kernels (the canonical
-// SARATHI/vLLM/SGLang arrangement whose bubbles §2.4 describes).
-//
-// chunkLens[i] is the number of new tokens of prefill sequence i in this
-// chunk and histLens[i] its already-cached tokens (re-read by attention).
-func (c Config) HybridLayerKernels(chunkLens, histLens []int, batch int, avgCtx units.Tokens, tag string) []gpusim.Kernel {
-	chunkTotal := 0
-	for _, n := range chunkLens {
-		chunkTotal += n
-	}
-	if chunkTotal == 0 && batch == 0 {
-		panic("model: empty hybrid batch")
-	}
-	if chunkTotal == 0 {
-		return c.DecodeLayerKernels(batch, avgCtx, tag)
-	}
-	if batch == 0 {
-		return c.PrefillBatchLayerKernels(chunkLens, histLens, tag)
-	}
-	rows := chunkTotal + batch
-	base := c.PrefillLayerKernels(rows, 0, tag)
-	var decodeAttn gpusim.Kernel
-	for _, k := range c.DecodeLayerKernels(batch, avgCtx, tag) {
-		if k.Name == "attn" {
-			decodeAttn = k
-		}
-	}
-	out := make([]gpusim.Kernel, 0, len(base)+len(chunkLens))
-	for _, k := range base {
-		if k.Name != "attn" {
-			out = append(out, k)
-			continue
-		}
-		for i, n := range chunkLens {
-			if n == 0 {
-				continue
-			}
-			for _, pk := range c.PrefillLayerKernels(n, histLens[i], tag) {
-				if pk.Name == "attn" {
-					out = append(out, pk)
-				}
-			}
-		}
-		out = append(out, decodeAttn)
-	}
-	return out
 }
 
 // LMHeadKernel returns the logits projection over rows tokens.
@@ -573,7 +483,7 @@ func (c Config) DecodeStepKernel(batch int, avgCtx units.Tokens, tag string) gpu
 // caller-owned scratch buffer for the intermediate layer kernel list, so
 // per-cycle callers avoid allocating one per prediction.
 func (c Config) DecodeStepKernelScratch(scratch []gpusim.Kernel, batch int, avgCtx units.Tokens, tag string) (gpusim.Kernel, []gpusim.Kernel) {
-	scratch = c.AppendDecodeLayerKernels(scratch[:0], batch, avgCtx, tag)
+	scratch = c.AppendLayerKernels(scratch[:0], nil, nil, batch, avgCtx, tag)
 	layer := Aggregate(scratch)
 	head := c.LMHeadKernel(batch, tag)
 	return gpusim.Kernel{

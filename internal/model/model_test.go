@@ -126,7 +126,7 @@ func TestChunkHistoryInflatesAttention(t *testing.T) {
 func TestDecodeLayerMemoryBound(t *testing.T) {
 	c := Llama31_8B()
 	spec := gpusim.A100()
-	for _, k := range c.DecodeLayerKernels(32, 1024, "d") {
+	for _, k := range c.AppendLayerKernels(nil, nil, nil, 32, 1024, "d") {
 		ct := k.FLOPs.Div(spec.PeakFLOPS)
 		bt := k.Bytes.Div(spec.PeakBW)
 		if ct > bt {
@@ -138,7 +138,7 @@ func TestDecodeLayerMemoryBound(t *testing.T) {
 func TestDecodeStepKernelAggregates(t *testing.T) {
 	c := Llama31_8B()
 	step := c.DecodeStepKernel(64, 2048, "d")
-	layer := Aggregate(c.DecodeLayerKernels(64, 2048, "d"))
+	layer := Aggregate(c.AppendLayerKernels(nil, nil, nil, 64, 2048, "d"))
 	head := c.LMHeadKernel(64, "d")
 	if units.Abs(step.FLOPs-(layer.FLOPs*32+head.FLOPs)) > 1 {
 		t.Fatal("step FLOPs mismatch")
@@ -168,7 +168,7 @@ func TestOperatorNamesMatchKernels(t *testing.T) {
 			t.Fatalf("kernel %d = %s, want %s", i, k.Name, OperatorNames[i])
 		}
 	}
-	dk := c.DecodeLayerKernels(4, 16, "t")
+	dk := c.AppendLayerKernels(nil, nil, nil, 4, 16, "t")
 	for i, k := range dk {
 		if k.Name != OperatorNames[i] {
 			t.Fatalf("decode kernel %d = %s, want %s", i, k.Name, OperatorNames[i])

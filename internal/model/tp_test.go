@@ -63,6 +63,32 @@ func TestTPShardsComputeAndAddsAllreduce(t *testing.T) {
 	}
 }
 
+// TestTPShardsDecodeLayer: a decode layer on one tensor-parallel rank
+// does half the work of the unsharded layer in every sharded kernel and
+// carries the two allreduces, as a prefill layer does.
+func TestTPShardsDecodeLayer(t *testing.T) {
+	one := Llama31_8B().AppendLayerKernels(nil, nil, nil, 32, 1024, "d")
+	two := Llama31_8B().TP(2).AppendLayerKernels(nil, nil, nil, 32, 1024, "d")
+	flops := map[string]units.FLOPs{}
+	for _, k := range one {
+		flops[k.Name] = k.FLOPs
+	}
+	allreduces := 0
+	for _, k := range two {
+		switch k.Name {
+		case "qkv", "attn", "oproj", "gateup", "down":
+			if k.FLOPs != flops[k.Name]/2 {
+				t.Errorf("%s FLOPs per rank = %g at TP 2, want half of %g", k.Name, k.FLOPs, flops[k.Name])
+			}
+		case "allreduce":
+			allreduces++
+		}
+	}
+	if allreduces != 2 {
+		t.Errorf("TP-2 decode layer carries %d allreduces, want 2", allreduces)
+	}
+}
+
 func TestTPDecodeStepCarriesComm(t *testing.T) {
 	tp := Llama31_8B().TP(2)
 	step := tp.DecodeStepKernel(32, 1024, "d")
