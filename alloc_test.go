@@ -50,30 +50,49 @@ func TestSimEventQueueZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestSimHandleEventOneAlloc pins the handle-returning path at exactly
-// one allocation — the escaping *Event the caller retains (the
-// documented exception to the pooled path).
+// TestSimHandleEventOneAlloc pins the caller-owned event path at exactly
+// one allocation: the *Event NewEvent makes for the caller to keep.
+// Scheduling it, cancelling it and stepping add none.
 func TestSimHandleEventOneAlloc(t *testing.T) {
 	s := sim.New()
 	fn := func() {}
-	pinAllocs(t, "sim at+cancel", 1, func() {
-		e := s.After(1e-6, fn)
+	pinAllocs(t, "sim new+schedule+cancel", 1, func() {
+		e := sim.NewEvent(fn)
+		s.Schedule(e, s.Now()+1e-6)
 		s.Cancel(e)
 		s.Step()
 	})
 }
 
-// TestSimRearmZeroAlloc pins the kept-handle cycle at zero: re-arming a
-// fired handle event and firing it again reuses the handle, so a
-// callback scheduled over and over (the cluster's pump) allocates its
-// handle once.
+// TestSimRearmZeroAlloc pins the kept-event cycle at zero: scheduling a
+// fired event again and firing it reuses the event, so a callback
+// scheduled over and over (the cluster's pump, a pooled launch's
+// completion) allocates its event once.
 func TestSimRearmZeroAlloc(t *testing.T) {
 	s := sim.New()
-	e := s.After(1e-6, func() {})
+	e := sim.NewEvent(func() {})
+	s.Schedule(e, 1e-6)
 	s.Step()
 	pinAllocs(t, "sim rearm+step", 0, func() {
-		s.Rearm(e, s.Now()+1e-6)
+		s.Schedule(e, s.Now()+1e-6)
 		s.Step()
+	})
+}
+
+// TestSimScheduleZeroAlloc pins the caller-owned event cycle at zero:
+// scheduling a kept event, moving it and firing it, and scheduling it and
+// cancelling it, all reuse the one event NewEvent made.
+func TestSimScheduleZeroAlloc(t *testing.T) {
+	s := sim.New()
+	e := sim.NewEvent(func() {})
+	pinAllocs(t, "sim schedule+move+step", 0, func() {
+		s.Schedule(e, s.Now()+2e-6)
+		s.Schedule(e, s.Now()+1e-6)
+		s.Step()
+	})
+	pinAllocs(t, "sim schedule+cancel", 0, func() {
+		s.Schedule(e, s.Now()+1e-6)
+		s.Cancel(e)
 	})
 }
 
@@ -134,6 +153,21 @@ func TestTimelineEnabledSteadyState(t *testing.T) {
 func TestGPUReRateZeroAlloc(t *testing.T) {
 	s, g := benchReRate()
 	pinAllocs(t, "gpusim re-rate", 0, func() { reRate(s, g) })
+}
+
+// TestGPULaunchSteadyStateZeroAlloc pins a kernel launch on a warm GPU,
+// run to completion, at zero: the launch struct and its completion event
+// come back from the GPU's free list, the launch gap rides a pooled event
+// and the stream queue reuses its storage.
+func TestGPULaunchSteadyStateZeroAlloc(t *testing.T) {
+	s := sim.New()
+	g := gpusim.New(s, gpusim.A100())
+	st := g.NewStream(g.FullMask())
+	k := gpusim.Kernel{Name: "gemm", Tag: "p", FLOPs: 1e12, Bytes: 1e9, Grid: 216}
+	pinAllocs(t, "gpusim launch+run", 0, func() {
+		g.Launch(st, k, nil)
+		s.RunAll(16)
+	})
 }
 
 // TestSchedDecideZeroAlloc pins the full water-filling re-rate —

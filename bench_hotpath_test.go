@@ -30,7 +30,7 @@ import (
 // selector.
 func BenchmarkHotPaths(b *testing.B) {
 	b.Run("sim/post-step", benchSimPostStep)
-	b.Run("sim/at-cancel", benchSimAtCancel)
+	b.Run("sim/schedule-cancel", benchSimScheduleCancel)
 	b.Run("gpusim/rerate", benchGPUReRate)
 	b.Run("sched/decide", benchSchedDecide)
 	b.Run("sched/sort-waiting", benchSchedSortWaiting)
@@ -64,18 +64,18 @@ func benchSimPostStep(b *testing.B) {
 	}
 }
 
-// benchSimAtCancel measures the handle-returning schedule path plus a
-// cancel. gpusim pays the At half once per launch and moves the handle
-// with Reschedule on every later re-rate (gpusim/rerate).
-func benchSimAtCancel(b *testing.B) {
+// benchSimScheduleCancel measures a caller-owned event scheduled and
+// cancelled. gpusim keeps one completion event per launch struct and
+// moves it with Schedule on every re-rate (gpusim/rerate); the cluster's
+// pump is scheduled or cancelled at every router decision.
+func benchSimScheduleCancel(b *testing.B) {
 	s := sim.New()
-	fn := func() {}
+	e := sim.NewEvent(func() {})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := s.After(1e-6, fn)
+		s.Schedule(e, s.Now()+1e-6)
 		s.Cancel(e)
-		s.Step()
 	}
 }
 

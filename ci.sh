@@ -102,13 +102,14 @@ rm -f "$profile"
 
 step "allocation contract: steady-state AllocsPerRun pins"
 # The hot-path allocation contract (DESIGN.md, "Allocation contract"):
-# the sim event push/pop cycle and handle re-arm, disabled-timeline call
-# sites, the water-filling re-rate, the gpusim re-rate, the estimator's
-# predictors, partition rebuilds, pressure gates, in-place percentiles
-# and inline fork/join regions must allocate nothing at steady state;
-# the After handle, the per-request KV sequence header and a cluster
-# pump decision (its fork-site task closure, pinned in internal/cluster)
-# are pinned at exactly one. Run the pins explicitly so an allocation
+# the sim event push/pop cycle and a caller-owned event's schedule, move
+# and cancel, disabled-timeline call sites, the water-filling re-rate,
+# the gpusim re-rate and a kernel launch run to completion, the
+# estimator's predictors, partition rebuilds, pressure gates, in-place
+# percentiles and inline fork/join regions must allocate nothing at
+# steady state; the per-request KV sequence header and a cluster pump
+# decision (its fork-site task closure, pinned in internal/cluster) are
+# pinned at exactly one. Run the pins explicitly so an allocation
 # regression fails CI by name even if the broader test pass is trimmed.
 go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' . ./internal/cluster
 

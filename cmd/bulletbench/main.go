@@ -40,6 +40,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bulletbench: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
 
 	if *cpuProf != "" || *memProf != "" {
 		stop, err := prof.Start(*cpuProf, *memProf)

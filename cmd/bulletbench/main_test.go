@@ -114,3 +114,18 @@ func TestUnknownExperimentFails(t *testing.T) {
 		t.Fatalf("bad flag exit %d, want 2", code)
 	}
 }
+
+// TestUnexpectedArgumentsFail: a positional argument is an error, not
+// the end of the flags. Before the check, "fig2" alone ran every
+// experiment and an argument after the flags was dropped.
+func TestUnexpectedArgumentsFail(t *testing.T) {
+	for _, args := range [][]string{{"fig2"}, {"-exp", "fig2", "-quick", "stray"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("run(%v) exit %d, want 2\nstdout: %s", args, code, out.String())
+		}
+		if out.Len() != 0 || !strings.Contains(errb.String(), "bulletbench: unexpected arguments") {
+			t.Errorf("run(%v) printed stdout %q, stderr %q", args, out.String(), errb.String())
+		}
+	}
+}

@@ -39,6 +39,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bulletprof: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
 
 	cfg, ok := model.Presets()[*modelID]
 	if !ok {

@@ -11,8 +11,9 @@ func TestModelFlag(t *testing.T) {
 		name string
 		args []string
 		code int
-		want string // substring of stdout (exit 0) or stderr (exit 1)
+		want string // substring of stdout (exit 0) or stderr (otherwise)
 	}{
+		{"stray", []string{"stray", "-model", "tiny"}, 2, `bulletprof: unexpected arguments ["stray" "-model" "tiny"]`},
 		{"unknown", []string{"-model", "bogus"}, 1, `unknown model "bogus" (have llama-3.1-8b, llama-3.2-3b, mistral-7b, qwen2-7b, tiny)`},
 		{"tiny", []string{"-model", "tiny"}, 0, "model    tiny"},
 	}

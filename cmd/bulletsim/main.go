@@ -89,6 +89,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bulletsim: unexpected arguments %q\n", fs.Args())
+		return 2
+	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "bulletsim:", err)

@@ -151,9 +151,12 @@ func TestInstrumentedRunFlags(t *testing.T) {
 		name  string
 		args  []string
 		code  int
-		want  string // substring of stdout (exit 0) or stderr (exit 1)
+		want  string // substring of stdout (exit 0) or stderr (otherwise)
 		trace string // substring of the written trace; "" means none is written
 	}{
+		{"stray-before-flags", []string{"stray", "-n", "5"}, 2, `bulletsim: unexpected arguments ["stray" "-n" "5"]`, ""},
+		{"stray-after-flags", []string{"-n", "5", "-json", "stray"}, 2, `bulletsim: unexpected arguments ["stray"]`, ""},
+		{"stray-trace", []string{"-n", "5", "-trace-out", trace("stray-trace"), "stray"}, 2, `unexpected arguments ["stray"]`, ""},
 		{"faults-unknown-system", []string{"-faults", "-system", "bogus"}, 1, `unknown system "bogus"`, ""},
 		{"trace-unknown-system", []string{"-trace-out", trace("trace-unknown-system"), "-system", "bogus"}, 1, `unknown system "bogus"`, ""},
 		{"faults-unknown-backend", []string{"-faults", "-backend", "bogus"}, 1, "unknown backend", ""},

@@ -66,6 +66,10 @@ func handleRun(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return
 	}
+	if err := resolveLoad(&req.Dataset, &req.Rate, &req.N); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	res, err := runOne(req)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -90,6 +94,10 @@ func handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("too many systems (%d > 16)", len(req.Systems)))
 		return
 	}
+	if err := resolveLoad(&req.Dataset, &req.Rate, &req.N); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
 	out := make(map[string]*bullet.Result, len(req.Systems))
 	for _, sys := range req.Systems {
 		res, err := runOne(RunRequest{
@@ -107,19 +115,33 @@ func handleCompare(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// resolveLoad gives a zero or absent dataset, rate and n their defaults
+// (sharegpt, 8 req/s, 200 requests) and rejects a negative rate or n and
+// an n over the cap, once, before any run, so a response reports the
+// values that ran.
+func resolveLoad(dataset *string, rate *float64, n *int) error {
+	switch {
+	case *rate < 0:
+		return fmt.Errorf("rate must be >= 0 (0 means the default), got %v", *rate)
+	case *n < 0:
+		return fmt.Errorf("n must be >= 0 (0 means the default), got %d", *n)
+	case *n > maxRequests:
+		return fmt.Errorf("n=%d exceeds the %d-request cap", *n, maxRequests)
+	}
+	if *dataset == "" {
+		*dataset = "sharegpt"
+	}
+	if *rate == 0 {
+		*rate = 8
+	}
+	if *n == 0 {
+		*n = 200
+	}
+	return nil
+}
+
+// runOne runs one system on a load resolveLoad has already resolved.
 func runOne(req RunRequest) (bullet.Result, error) {
-	if req.N <= 0 {
-		req.N = 200
-	}
-	if req.N > maxRequests {
-		return bullet.Result{}, fmt.Errorf("n=%d exceeds the %d-request cap", req.N, maxRequests)
-	}
-	if req.Rate <= 0 {
-		req.Rate = 8
-	}
-	if req.Dataset == "" {
-		req.Dataset = "sharegpt"
-	}
 	srv, err := bullet.New(bullet.Config{System: req.System, Dataset: req.Dataset})
 	if err != nil {
 		return bullet.Result{}, err

@@ -84,19 +84,21 @@ func TestRunDefaults(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	h := Handler()
-	cases := []string{
-		`{"system":"no-such-system","n":5}`,
-		`{"system":"bullet","dataset":"imagenet","n":5}`,
-		`{"system":"bullet","n":999999}`,
-		`{{{`,
+	cases := []struct{ body, want string }{
+		{`{"system":"no-such-system","n":5}`, "no-such-system"},
+		{`{"system":"bullet","dataset":"imagenet","n":5}`, "imagenet"},
+		{`{"system":"bullet","n":999999}`, "n=999999"},
+		{`{{{`, "parsing request"},
+		{`{"system":"bullet","dataset":"sharegpt","rate":-3,"n":10}`, "rate must be >= 0"},
+		{`{"system":"bullet","rate":4,"n":-10}`, "n must be >= 0"},
 	}
-	for _, body := range cases {
-		rec, out := do(t, h, "POST", "/v1/run", body)
+	for _, c := range cases {
+		rec, out := do(t, h, "POST", "/v1/run", c.body)
 		if rec.Code != http.StatusBadRequest {
-			t.Errorf("body %q: code %d %v", body, rec.Code, out)
+			t.Errorf("body %q: code %d %v", c.body, rec.Code, out)
 		}
-		if _, ok := out["error"]; !ok {
-			t.Errorf("body %q: no error field", body)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, c.want) {
+			t.Errorf("body %q: error %q, want it to contain %q", c.body, msg, c.want)
 		}
 	}
 }
@@ -114,6 +116,29 @@ func TestCompare(t *testing.T) {
 	for sys, v := range results {
 		if v.(map[string]any)["Requests"].(float64) != 15 {
 			t.Fatalf("%s incomplete: %v", sys, v)
+		}
+	}
+}
+
+// TestCompareEchoesResolvedLoad: /v1/compare reports the dataset, rate
+// and n it ran, defaults filled in, and rejects a negative rate or n
+// before running anything.
+func TestCompareEchoesResolvedLoad(t *testing.T) {
+	h := Handler()
+	rec, out := do(t, h, "POST", "/v1/compare", `{"systems":["bullet"],"n":10}`)
+	if rec.Code != 200 {
+		t.Fatalf("compare: %d %v", rec.Code, out)
+	}
+	if out["dataset"] != "sharegpt" || out["rate"] != 8.0 || out["n"] != 10.0 {
+		t.Errorf("echoed dataset %v, rate %v, n %v; want sharegpt, 8, 10", out["dataset"], out["rate"], out["n"])
+	}
+	for _, body := range []string{
+		`{"systems":["bullet"],"rate":-3,"n":10}`,
+		`{"systems":["bullet"],"rate":3,"n":-10}`,
+	} {
+		rec, out := do(t, h, "POST", "/v1/compare", body)
+		if msg, _ := out["error"].(string); rec.Code != http.StatusBadRequest || !strings.Contains(msg, "must be >= 0") {
+			t.Errorf("body %q: code %d %v", body, rec.Code, out)
 		}
 	}
 }

@@ -171,8 +171,7 @@ type Cluster struct {
 	// pump is the outer-clock event that re-advances replicas between
 	// router decision points, scheduled at the earliest pending replica
 	// event so replica progress keeps flowing into the outer run loop.
-	// The handle is allocated at the first arm and re-armed after every
-	// fire or cancel.
+	// New makes it once; schedulePump schedules or cancels it.
 	pump *sim.Event
 
 	// wcfg is non-nil once AttachFaults armed resilience; restarted
@@ -235,6 +234,7 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 		panic(fmt.Sprintf("cluster: unknown policy %q", cfg.Policy))
 	}
 	c := &Cluster{outer: outer, cfg: cfg, routed: map[string]*replica{}, rs: newRouterState(cfg)}
+	c.pump = sim.NewEvent(c.onPump)
 	for i := 0; i < cfg.Replicas; i++ {
 		c.replicas = append(c.replicas, c.newReplica(i))
 	}
@@ -250,9 +250,8 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 // and sheds are buffered into the replica-local outbox; ownership checks
 // and router accounting happen at the deterministic merge, not here.
 func (c *Cluster) newReplica(idx int) *replica {
-	rsim := sim.New()
-	rsim.Run(c.outer.Sim.Now())
-	env := serving.NewEnvWithSim(rsim, c.outer.GPU.Spec, c.outer.Model, "")
+	env := serving.NewEnv(c.outer.GPU.Spec, c.outer.Model, "")
+	env.Sim.Run(c.outer.Sim.Now())
 	env.SLO = c.outer.SLO
 	r := &replica{env: env, slot: idx, live: map[string]workload.Request{}}
 	env.OnComplete = func(m metrics.Request) {
@@ -439,8 +438,8 @@ func (c *Cluster) countOutcome(perClass *[qos.NumClasses]int, tenant string) {
 // point goes through it — Submit, the pump, the fault handlers and the
 // router timers — so every decision sees the replicas at now: they first
 // advance to the outer clock (merging every outcome up to and including
-// this instant), then fn decides, then the pump re-arms at the earliest
-// pending replica event.
+// this instant), then fn decides, then the pump is scheduled at the
+// earliest pending replica event.
 func (c *Cluster) decide(fn func()) {
 	c.advanceTo(c.outer.Sim.Now())
 	fn()
@@ -453,14 +452,14 @@ func (c *Cluster) after(d sim.Time, fn func()) {
 }
 
 // schedulePump keeps the outer clock tethered to replica progress: one
-// rescheduled event at the earliest pending replica event. When it fires
-// the replicas advance to that horizon (processing, in parallel, every
-// replica event at it) and the pump re-arms at the next one. Without
-// pending replica events the pump stands down — the outer run loop then
-// correctly treats an idle cluster with outstanding requests as a
-// deadlock. Moving, re-arming or scheduling the pump each take the next
-// outer sequence number, so its place among simultaneous outer events
-// does not depend on which of the three happened.
+// event at the earliest pending replica event. When it fires the
+// replicas advance to that horizon (processing, in parallel, every
+// replica event at it) and the pump is scheduled at the next one.
+// Without pending replica events the pump stands down — the outer run
+// loop then correctly treats an idle cluster with outstanding requests
+// as a deadlock. Scheduling the pump takes the next outer sequence
+// number whether it was pending or not, so its place among simultaneous
+// outer events does not depend on which.
 //
 //bullet:hotpath
 func (c *Cluster) schedulePump() {
@@ -471,20 +470,15 @@ func (c *Cluster) schedulePump() {
 			at, found = t, true
 		}
 	}
-	outer := c.outer.Sim
-	switch {
-	case !found:
-		outer.Cancel(c.pump)
-	case c.pump == nil:
-		//lint:ignore hotalloc the first arm binds the method value once; the handle is re-armed after that
-		c.pump = outer.At(at, c.onPump)
-	case !outer.Reschedule(c.pump, at):
-		outer.Rearm(c.pump, at)
+	if found {
+		c.outer.Sim.Schedule(c.pump, at)
+	} else {
+		c.outer.Sim.Cancel(c.pump)
 	}
 }
 
 // onPump is a router decision point with no decision: the wrapper alone
-// advances replicas to the outer clock and re-arms.
+// advances replicas to the outer clock and schedules the pump again.
 func (c *Cluster) onPump() {
 	c.decide(func() {})
 }

@@ -199,9 +199,9 @@ func TestSerialParallelByteIdenticalTwinArrivals(t *testing.T) {
 
 // TestPumpDecisionOneAlloc pins the cost of a pump decision that
 // advances one replica through an event that allocates nothing: one
-// allocation, the fork-site task closure. The pump handle is re-armed,
-// the one-task region runs inline, and the due set, the merge and the
-// replica's event all reuse their storage.
+// allocation, the fork-site task closure. The pump New made is scheduled
+// again, the one-task region runs inline, and the due set, the merge and
+// the replica's event all reuse their storage.
 func TestPumpDecisionOneAlloc(t *testing.T) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 	c := New(env, Config{Replicas: 2, Policy: LeastLoaded, Options: opts()})
@@ -214,10 +214,10 @@ func TestPumpDecisionOneAlloc(t *testing.T) {
 		rsim.PostAfter(1e-6, noop)
 		c.schedulePump()
 		if !env.Sim.Step() {
-			t.Fatal("the pump was not armed")
+			t.Fatal("the pump was not scheduled")
 		}
 	}
-	decision() // warm: the pump handle, the due set, the replica's event arena
+	decision() // warm: the outer queue, the due set, the replica's event arena
 	if got := testing.AllocsPerRun(100, decision); got != 1 {
 		t.Errorf("pump decision: %v allocs/op, want 1 (the task closure)", got)
 	}

@@ -99,21 +99,21 @@ func TestSMDegradeReprovisions(t *testing.T) {
 	b := New(env, Options{Params: estimator.DefaultParams()})
 	b.EnableResilience(DefaultWatchdog())
 	// Kill a 24-SM range mid-run, transiently.
-	env.Sim.At(units.Seconds(1), func() {
+	env.Sim.Post(units.Seconds(1), func() {
 		b.ApplyFault(faults.Event{
 			Kind: faults.KindSMDegrade, FirstSM: 84, NumSMs: 24,
 			Throttle: 0, Duration: units.Seconds(2),
 		})
 	})
 	probes := 0
-	env.Sim.At(units.Seconds(2), func() {
+	env.Sim.Post(units.Seconds(2), func() {
 		probes++
 		if b.Resources.Avail() != 84 || b.Scheduler.Capacity() != 84 {
 			t.Errorf("during fault: avail=%d capacity=%d, want 84",
 				b.Resources.Avail(), b.Scheduler.Capacity())
 		}
 	})
-	env.Sim.At(units.Seconds(4), func() {
+	env.Sim.Post(units.Seconds(4), func() {
 		probes++
 		if b.Resources.Avail() != 108 || b.Scheduler.Capacity() != 108 {
 			t.Errorf("after recovery: avail=%d capacity=%d, want 108",
@@ -144,7 +144,7 @@ func runHungPrefill() (serving.Result, *Bullet) {
 	b.AttachTimeline(timeline.New(0))
 	b.EnableResilience(DefaultWatchdog())
 	trace := workload.Generate(workload.ShareGPT, 4, 20, 2)
-	env.Sim.At(trace.Requests[0].Arrival+units.FromMs(1), func() {
+	env.Sim.Post(trace.Requests[0].Arrival+units.FromMs(1), func() {
 		b.ApplyFault(faults.Event{
 			Kind: faults.KindEngineStall, Target: faults.TargetPrefill,
 			Stall: units.Seconds(2),
@@ -181,7 +181,7 @@ func TestShortStallNoAbort(t *testing.T) {
 	b.EnableResilience(DefaultWatchdog())
 	for _, tgt := range []faults.Target{faults.TargetPrefill, faults.TargetDecode, faults.TargetBuffer} {
 		tgt := tgt
-		env.Sim.At(units.FromMs(50), func() {
+		env.Sim.Post(units.FromMs(50), func() {
 			b.ApplyFault(faults.Event{
 				Kind: faults.KindEngineStall, Target: tgt, Stall: units.FromMs(30),
 			})
@@ -230,7 +230,7 @@ func runRepeatedHangs() (serving.Result, *Bullet) {
 		if at > units.Seconds(300) {
 			return
 		}
-		env.Sim.At(at, func() {
+		env.Sim.Post(at, func() {
 			if b.Prefill.Running() {
 				b.ApplyFault(faults.Event{
 					Kind: faults.KindEngineStall, Target: faults.TargetPrefill,

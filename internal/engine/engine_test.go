@@ -54,7 +54,7 @@ func req(id string, arrival units.Seconds, in, out int) workload.Request {
 
 func TestSingleRequestLifecycle(t *testing.T) {
 	r := defaultRig(t)
-	r.env.Sim.At(0.001, func() { r.prefill.Submit(req("a", 0.001, 2048, 10)) })
+	r.env.Sim.Post(0.001, func() { r.prefill.Submit(req("a", 0.001, 2048, 10)) })
 	r.env.Sim.RunAll(1 << 22)
 	done := r.env.Completed()
 	if len(done) != 1 {
@@ -80,7 +80,7 @@ func TestSingleRequestLifecycle(t *testing.T) {
 
 func TestHandoffLatencyApplied(t *testing.T) {
 	r := defaultRig(t)
-	r.env.Sim.At(0.001, func() { r.prefill.Submit(req("a", 0.001, 1024, 5)) })
+	r.env.Sim.Post(0.001, func() { r.prefill.Submit(req("a", 0.001, 1024, 5)) })
 	r.env.Sim.RunAll(1 << 22)
 	if r.buf.Handoffs != 1 {
 		t.Fatalf("handoffs = %d", r.buf.Handoffs)
@@ -98,7 +98,7 @@ func TestPrefillBatchesQueuedRequests(t *testing.T) {
 	r.prefill.TL = rec
 	// Three short requests arriving at the same instant: all should
 	// prefill in one batch (deadlines permit).
-	r.env.Sim.At(0.001, func() {
+	r.env.Sim.Post(0.001, func() {
 		for _, id := range []string{"a", "b", "c"} {
 			r.prefill.Submit(req(id, 0.001, 256, 4))
 		}
@@ -130,11 +130,11 @@ func TestReorderPrioritizesTightDeadlines(t *testing.T) {
 	// A huge request arrives first, then a tiny one with a much tighter
 	// absolute deadline. With reordering, the tiny one should finish
 	// prefill first despite arriving later.
-	r.env.Sim.At(0.001, func() {
+	r.env.Sim.Post(0.001, func() {
 		r.prefill.Submit(req("big", 0.001, 16000, 2))
 		r.prefill.Submit(req("big2", 0.001, 16000, 2))
 	})
-	r.env.Sim.At(0.002, func() { r.prefill.Submit(req("tiny", 0.002, 128, 2)) })
+	r.env.Sim.Post(0.002, func() { r.prefill.Submit(req("tiny", 0.002, 128, 2)) })
 	r.env.Sim.RunAll(1 << 23)
 	var bigFirstToken, tinyFirstToken units.Seconds
 	for _, m := range r.env.Completed() {
@@ -156,11 +156,11 @@ func TestNoReorderKeepsFCFS(t *testing.T) {
 	pcfg.Reorder = false
 	pcfg.SLOAdmission = false
 	r := newRig(t, pcfg, DefaultDecodeConfig(108))
-	r.env.Sim.At(0.001, func() {
+	r.env.Sim.Post(0.001, func() {
 		r.prefill.Submit(req("big", 0.001, 16000, 2))
 		r.prefill.Submit(req("big2", 0.001, 16000, 2))
 	})
-	r.env.Sim.At(0.002, func() { r.prefill.Submit(req("tiny", 0.002, 128, 2)) })
+	r.env.Sim.Post(0.002, func() { r.prefill.Submit(req("tiny", 0.002, 128, 2)) })
 	r.env.Sim.RunAll(1 << 23)
 	var big2First, tinyFirst units.Seconds
 	for _, m := range r.env.Completed() {
@@ -181,12 +181,12 @@ func TestDecodePauseUnderTTFTPressure(t *testing.T) {
 	// A long decode-heavy request first, then a deep burst of small
 	// requests whose normalized-TTFT deadlines are tight (1.5 ms/token ×
 	// 512 ≈ 0.77 s): rescuing them requires pausing decode.
-	r.env.Sim.At(0.001, func() { r.prefill.Submit(req("warm", 0.001, 1024, 400)) })
+	r.env.Sim.Post(0.001, func() { r.prefill.Submit(req("warm", 0.001, 1024, 400)) })
 	const burst = 30
 	for i := 0; i < burst; i++ {
 		i := i
 		at := sim.Time(0.5 + float64(i)*0.002)
-		r.env.Sim.At(at, func() { r.prefill.Submit(req(fmt.Sprintf("b%d", i), at, 512, 4)) })
+		r.env.Sim.Post(at, func() { r.prefill.Submit(req(fmt.Sprintf("b%d", i), at, 512, 4)) })
 	}
 	r.env.Sim.RunAll(1 << 24)
 	if len(r.env.Completed()) != burst+1 {
@@ -208,7 +208,7 @@ func TestKVBackpressureBlocksAdmission(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		at := sim.Time(0.001 + float64(i)*1e-6)
-		r.env.Sim.At(at, func() {
+		r.env.Sim.Post(at, func() {
 			r.prefill.Submit(workload.Request{
 				ID: idOf(i), Arrival: at, InputTokens: per - 64, OutputTokens: 64,
 				Dataset: "azure-code",
@@ -284,7 +284,7 @@ func TestFixedSMEnginesNeverReconfigure(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		i := i
 		at := sim.Time(0.001 + 0.2*float64(i))
-		r.env.Sim.At(at, func() { r.prefill.Submit(req(idOf(i), at, 2048, 20)) })
+		r.env.Sim.Post(at, func() { r.prefill.Submit(req(idOf(i), at, 2048, 20)) })
 	}
 	r.env.Sim.RunAll(1 << 24)
 	if len(r.env.Completed()) != 5 {

@@ -81,7 +81,7 @@ func TestStressBattery(t *testing.T) {
 			reqs := sc.reqs()
 			for _, rq := range reqs {
 				rq := rq
-				r.env.Sim.At(rq.Arrival, func() { r.prefill.Submit(rq) })
+				r.env.Sim.Post(rq.Arrival, func() { r.prefill.Submit(rq) })
 			}
 			r.env.Sim.RunAll(1 << 26)
 			done := r.env.Completed()
@@ -135,7 +135,7 @@ func TestStressBatteryAblations(t *testing.T) {
 				reqs := sc.reqs()
 				for _, rq := range reqs {
 					rq := rq
-					r.env.Sim.At(rq.Arrival, func() { r.prefill.Submit(rq) })
+					r.env.Sim.Post(rq.Arrival, func() { r.prefill.Submit(rq) })
 				}
 				r.env.Sim.RunAll(1 << 26)
 				if got := len(r.env.Completed()); got != len(reqs) {

@@ -177,7 +177,7 @@ func TestInjectorDispatch(t *testing.T) {
 
 func TestInjectorPastEventsClamp(t *testing.T) {
 	s := sim.New()
-	s.After(units.Seconds(10), func() {})
+	s.PostAfter(units.Seconds(10), func() {})
 	s.RunAll(1)
 	sched := Schedule{Events: []Event{{At: units.Seconds(1), Kind: KindEngineStall, Target: TargetDecode, Stall: units.FromMs(1)}}}
 	in := NewInjector(s, sched)

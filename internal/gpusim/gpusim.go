@@ -81,7 +81,6 @@ type launch struct {
 	rate      units.PerSec // fraction per second under the current regime
 	startTime sim.Time
 	overhead  sim.Time // launch overhead still to elapse before running
-	complete  *sim.Event
 	// weight is the kernel's compute intensity in [minComputeWeight, 1]:
 	// how much of an SM's issue bandwidth it consumes. Memory-bound
 	// kernels stall on DRAM and leave most compute cycles to co-resident
@@ -105,11 +104,11 @@ type launch struct {
 	// acct is the accounting slot of the kernel's tag, looked up once
 	// when it becomes resident.
 	acct *tagAcct
-	// onBegin and onFinish are g.beginResident(l) and g.finish(l), bound
-	// once when the struct is first allocated and kept across reuse (see
-	// GPU.free). The completion event keeps onFinish across every
-	// reschedule.
-	onBegin, onFinish func()
+	// onBegin (g.beginResident(l)) and the completion event (firing
+	// g.finish(l)) are made once with the struct and kept across reuse
+	// (see GPU.free); every re-rate moves the same completion event.
+	onBegin  func()
+	complete *sim.Event
 }
 
 // minComputeWeight keeps even pure-copy kernels consuming some issue
@@ -373,14 +372,14 @@ func (g *GPU) newLaunch() *launch {
 	}
 	l := &launch{}
 	l.onBegin = func() { g.beginResident(l) }
-	l.onFinish = func() { g.finish(l) }
+	l.complete = sim.NewEvent(func() { g.finish(l) })
 	return l
 }
 
-// retire resets a finished launch, dropping its references, and returns
-// it to the free list.
+// retire resets a finished launch, dropping its references but keeping
+// its callbacks, and returns it to the free list.
 func (g *GPU) retire(l *launch) {
-	*l = launch{onBegin: l.onBegin, onFinish: l.onFinish}
+	*l = launch{onBegin: l.onBegin, complete: l.complete}
 	g.free = append(g.free, l)
 }
 
@@ -761,9 +760,8 @@ func (g *GPU) recompute() {
 		demands[idx].l.rate = rate
 	}
 
-	// Reschedule completions. Moving the pending event in place takes the
-	// same next sequence number a fresh At would, so firing order is
-	// unchanged.
+	// Schedule completions: a newly resident kernel's event is queued and
+	// every other one moves in place, each taking the next sequence number.
 	now := g.sim.Now()
 	instFlops, instBytes, busySMs := units.FLOPsPerSec(0), units.BytesPerSec(0), units.SMs(0)
 	for _, l := range g.running {
@@ -779,14 +777,7 @@ func (g *GPU) recompute() {
 		if units.IsInf(eta, 1) {
 			panic(fmt.Sprintf("gpusim: kernel %q stalled with zero rate", l.k.Name))
 		}
-		if l.complete == nil {
-			// The launch's one allocation on this path: its completion
-			// handle (sim.At's suppressed &Event). Every later re-rate
-			// moves the same event.
-			l.complete = g.sim.At(eta, l.onFinish)
-		} else {
-			g.sim.Reschedule(l.complete, eta)
-		}
+		g.sim.Schedule(l.complete, eta)
 	}
 	if g.TL != nil {
 		g.TL.Counter("gpu", "occupancy", now,

@@ -70,7 +70,7 @@ func TestHealthChangeMidKernelReratesIt(t *testing.T) {
 	g.Launch(st, Kernel{Name: "gemm", FLOPs: 1e12, Bytes: 1, Grid: 8}, func(r KernelRecord) { rec = r })
 	// Halfway through, halve the whole device: the remaining half of the
 	// work runs at half rate, so the kernel ends at 1.5s instead of 1.0s.
-	s.At(sim.Time(0.5), func() { g.SetSMHealth(0, 8, 0.5) })
+	s.Post(sim.Time(0.5), func() { g.SetSMHealth(0, 8, 0.5) })
 	s.RunAll(10000)
 	if !almost(rec.End, sim.Time(1.5), 1e-9) {
 		t.Fatalf("end = %v, want 1.5", rec.End)

@@ -112,7 +112,7 @@ func TestBandwidthUtilizationAverage(t *testing.T) {
 	// One second of full-bandwidth traffic followed by one second idle.
 	g.Launch(st, Kernel{Bytes: 1e11}, nil)
 	s.RunAll(1000)
-	s.At(2.0, func() {})
+	s.Post(2.0, func() {})
 	s.RunAll(10)
 	if u := g.BandwidthUtilization(); u < 0.49 || u > 0.51 {
 		t.Fatalf("bandwidth utilization = %v, want ≈0.5", u)

@@ -38,12 +38,12 @@ var forbiddenFuncs = map[string]map[string]string{
 		"Now":       "use the simulated clock (sim.Simulation.Now)",
 		"Since":     "use the simulated clock (sim.Simulation.Now)",
 		"Until":     "use the simulated clock (sim.Simulation.Now)",
-		"Sleep":     "schedule a sim event (sim.Simulation.After) instead",
-		"After":     "schedule a sim event (sim.Simulation.After) instead",
+		"Sleep":     "schedule a sim event (sim.Simulation.PostAfter) instead",
+		"After":     "schedule a sim event (sim.Simulation.PostAfter) instead",
 		"Tick":      "schedule recurring sim events instead",
-		"NewTimer":  "schedule a sim event (sim.Simulation.After) instead",
+		"NewTimer":  "schedule a sim event (sim.Simulation.PostAfter) instead",
 		"NewTicker": "schedule recurring sim events instead",
-		"AfterFunc": "schedule a sim event (sim.Simulation.After) instead",
+		"AfterFunc": "schedule a sim event (sim.Simulation.PostAfter) instead",
 	},
 	"os": {
 		"Getenv":    "plumb configuration explicitly; the environment is host state",

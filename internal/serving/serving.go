@@ -54,19 +54,13 @@ type Env struct {
 	OnDrain func()
 }
 
-// NewEnv builds a fresh environment: one simulated device, the model, and
-// a KV pool sized from the device memory budget.
+// NewEnv builds a fresh environment on its own simulation: one simulated
+// device, the model, and a KV pool sized from the device memory budget.
 func NewEnv(spec gpusim.Spec, cfg model.Config, dataset string) *Env {
-	return NewEnvWithSim(sim.New(), spec, cfg, dataset)
-}
-
-// NewEnvWithSim builds an environment on an existing simulation, so that
-// several devices (disaggregation, replica clusters) share one virtual
-// clock.
-func NewEnvWithSim(s *sim.Simulation, spec gpusim.Spec, cfg model.Config, dataset string) *Env {
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("serving: invalid model config %s: %v", cfg.Name, err))
 	}
+	s := sim.New()
 	gpu := gpusim.New(s, spec)
 	blocks := kvcache.PlanBlocks(spec.HBMBytes, cfg.WeightBytes(), DefaultKVReserveBytes,
 		cfg.KVBytesPerToken(), KVBlockTokens)

@@ -30,7 +30,7 @@ func (e *echoSystem) Submit(r workload.Request) {
 			panic(err)
 		}
 	}
-	e.env.Sim.After(e.delay, func() {
+	e.env.Sim.PostAfter(e.delay, func() {
 		now := e.env.Sim.Now()
 		e.env.Complete(metrics.Request{
 			ID: r.ID, Dataset: r.Dataset, Arrival: r.Arrival,

@@ -1,22 +1,20 @@
 // Package sim provides a deterministic discrete-event simulation core:
 // a virtual clock, an event queue with stable FIFO ordering for
-// simultaneous events, and cancellable timers.
+// simultaneous events, and movable, cancellable events.
 //
 // All other simulated subsystems (the GPU, the serving engines, the
 // workload arrival process) are driven from a single Simulation instance,
 // which makes every experiment in this repository fully deterministic and
 // reproducible from a seed.
 //
-// Two scheduling APIs coexist. At/After return a cancellable *Event
-// handle and allocate a fresh event per call — callers like the GPU
-// launch path retain the handle across arbitrary simulated time, so
-// those events are garbage-collected, never recycled; Reschedule moves a
-// pending handle and Rearm queues a fired or cancelled one again, so a
-// caller that keeps scheduling one callback allocates its handle once.
-// Post/PostAfter are the hot-path variants: no handle, no cancellation,
-// and the event struct comes from an internal arena that recycles it the
-// moment it fires, so the steady-state schedule/fire cycle performs zero
-// heap allocations.
+// Events come in two kinds that share one queue. Post/PostAfter schedule
+// a one-shot callback with no handle: the event struct comes from an
+// internal arena that recycles it the moment it fires, so the
+// steady-state schedule/fire cycle performs zero heap allocations.
+// NewEvent makes a caller-owned event once; Schedule queues it, or moves
+// it when it is already pending, and Cancel dequeues it. A caller that
+// keeps moving one callback (a kernel's completion, the cluster's pump)
+// allocates its event once and schedules it any number of times.
 package sim
 
 import (
@@ -31,31 +29,29 @@ import (
 // below the microsecond granularity we care about.
 type Time = units.Seconds
 
-// Event is a scheduled callback. It is returned by At/After so callers can
-// cancel it before it fires. Events scheduled through Post/PostAfter are
-// pool-owned and never escape to callers.
+// Event is a scheduled callback. Caller-owned events come from NewEvent
+// (the zero value is not usable); events scheduled through Post/PostAfter
+// are pool-owned and never escape to callers.
 type Event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among simultaneous events
 	fn     func()
-	index  int // heap index, -1 when not queued
-	dead   bool
+	index  int  // heap index, -1 when not queued
 	pooled bool // owned by the arena; recycled when it fires
 }
 
-// At returns the simulated time this event fires at.
-func (e *Event) At() Time { return e.at }
-
-// Cancelled reports whether the event was cancelled (or already fired).
-func (e *Event) Cancelled() bool { return e.dead }
+// NewEvent makes a caller-owned event that runs fn each time it fires.
+// It is not queued until Schedule.
+func NewEvent(fn func()) *Event {
+	return &Event{fn: fn, index: -1}
+}
 
 // Simulation owns the virtual clock and the pending event set.
 // The zero value is not usable; call New.
 type Simulation struct {
-	now     Time
-	queue   []*Event
-	seq     uint64
-	stopped bool
+	now   Time
+	queue []*Event
+	seq   uint64
 	// Processed counts events fired since creation (for diagnostics).
 	processed uint64
 	// Pooled-event arena: free holds recycled events, chunk is the
@@ -217,25 +213,17 @@ func (s *Simulation) recycleEvent(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// NextAt returns the firing time of the earliest live pending event, or
-// false when none remain. Cancelled events encountered at the queue head
-// are discarded on the way. Conservative-window drivers (the cluster's
-// replica pump) use this to pick the next horizon every sub-simulation
-// can safely advance to.
+// NextAt returns the firing time of the earliest pending event, or false
+// when none remain. Conservative-window drivers (the cluster's replica
+// pump) use this to pick the next horizon every sub-simulation can safely
+// advance to.
 //
 //bullet:hotpath
 func (s *Simulation) NextAt() (Time, bool) {
-	for len(s.queue) > 0 {
-		if s.queue[0].dead {
-			e := s.popMin()
-			if e.pooled {
-				s.recycleEvent(e)
-			}
-			continue
-		}
-		return s.queue[0].at, true
+	if len(s.queue) == 0 {
+		return 0, false
 	}
-	return 0, false
+	return s.queue[0].at, true
 }
 
 // checkTime validates a scheduling target against the clock.
@@ -250,33 +238,13 @@ func (s *Simulation) checkTime(t Time, verb string) {
 	}
 }
 
-// At schedules fn to run at absolute time t and returns a cancellable
-// handle. Scheduling in the past (t < Now) panics: that is always a
-// logic error in a discrete-event model. Call sites that never cancel
-// should prefer Post, which recycles its event storage.
-//
-//bullet:hotpath
-func (s *Simulation) At(t Time, fn func()) *Event {
-	s.checkTime(t, "scheduling")
-	//lint:ignore hotalloc the handle escapes to the caller by design; pooled Post covers no-handle call sites
-	e := &Event{at: t, seq: s.seq, fn: fn}
-	s.seq++
-	s.pushEvent(e)
-	return e
-}
-
-// After schedules fn to run d seconds from now.
-//
-//bullet:hotpath
-func (s *Simulation) After(d Time, fn func()) *Event {
-	return s.At(s.now+d, fn)
-}
-
 // Post schedules fn to run at absolute time t with no handle: the event
-// cannot be cancelled or rescheduled, and its storage is recycled the
-// moment it fires. This is the allocation-free path for the vast
-// majority of schedules (engine cycles, pipeline stage completions,
-// arrival injection) that never retain the returned *Event.
+// cannot be moved or cancelled, and its storage is recycled the moment
+// it fires. This is the allocation-free path for the vast majority of
+// schedules (engine cycles, pipeline stage completions, arrival
+// injection), which never keep an event. Scheduling in the past
+// (t < Now) panics: that is always a logic error in a discrete-event
+// model.
 //
 //bullet:hotpath
 func (s *Simulation) Post(t Time, fn func()) {
@@ -295,57 +263,34 @@ func (s *Simulation) PostAfter(d Time, fn func()) {
 	s.Post(s.now+d, fn)
 }
 
-// Cancel removes a pending event. Cancelling a fired or already-cancelled
-// event is a no-op.
-func (s *Simulation) Cancel(e *Event) {
-	if e == nil || e.dead {
-		return
-	}
-	e.dead = true
-	if e.index >= 0 {
-		s.removeAt(e.index)
-	}
-}
-
-// Reschedule moves a pending event to a new absolute time, preserving
-// cancellation identity. If the event already fired it is a no-op and
-// returns false.
-func (s *Simulation) Reschedule(e *Event, t Time) bool {
-	if e == nil || e.dead || e.index < 0 {
-		return false
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("sim: rescheduling event to %.9g before now %.9g", t, s.now))
-	}
+// Schedule queues a caller-owned event at absolute time t, or moves it
+// there when it is already pending. Either way it takes the next sequence
+// number, so among simultaneous events it fires exactly where a Post made
+// at the same call would. Scheduling in the past panics, as for Post.
+//
+//bullet:hotpath
+func (s *Simulation) Schedule(e *Event, t Time) {
+	s.checkTime(t, "scheduling")
 	e.at = t
 	e.seq = s.seq
 	s.seq++
 	i := e.index
+	if i < 0 {
+		s.pushEvent(e)
+		return
+	}
 	s.siftDown(i)
 	if e.index == i {
 		s.siftUp(i)
 	}
-	return true
 }
 
-// Rearm queues a handle event that has fired or been cancelled again, at
-// absolute time t with a fresh sequence number: the tie-break At gives a
-// new event, so among simultaneous events it fires exactly where a fresh
-// At would have put it, without allocating one. Callers that schedule
-// the same callback over and over (the cluster's pump) keep one handle
-// this way. Rearming a pending event panics; move it with Reschedule.
-//
-//bullet:hotpath
-func (s *Simulation) Rearm(e *Event, t Time) {
+// Cancel dequeues a caller-owned event. Cancelling an event that is not
+// queued (never scheduled, fired or already cancelled) is a no-op.
+func (s *Simulation) Cancel(e *Event) {
 	if e.index >= 0 {
-		panic(fmt.Sprintf("sim: rearming an event still pending at %.9g", e.at))
+		s.removeAt(e.index)
 	}
-	s.checkTime(t, "rearming")
-	e.at = t
-	e.seq = s.seq
-	e.dead = false
-	s.seq++
-	s.pushEvent(e)
 }
 
 // Step fires the next event, advancing the clock. It returns false when no
@@ -356,25 +301,18 @@ func (s *Simulation) Rearm(e *Event, t Time) {
 //
 //bullet:hotpath
 func (s *Simulation) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.popMin()
-		if e.dead {
-			if e.pooled {
-				s.recycleEvent(e)
-			}
-			continue
-		}
-		e.dead = true
-		s.now = e.at
-		s.processed++
-		fn := e.fn
-		if e.pooled {
-			s.recycleEvent(e)
-		}
-		fn()
-		return true
+	if len(s.queue) == 0 {
+		return false
 	}
-	return false
+	e := s.popMin()
+	s.now = e.at
+	s.processed++
+	fn := e.fn
+	if e.pooled {
+		s.recycleEvent(e)
+	}
+	fn()
+	return true
 }
 
 // Run processes events until the queue drains or the clock would pass
@@ -384,23 +322,8 @@ func (s *Simulation) Step() bool {
 //bullet:hotpath
 func (s *Simulation) Run(until Time) uint64 {
 	start := s.processed
-	for len(s.queue) > 0 {
-		next := s.queue[0]
-		if next.dead {
-			e := s.popMin()
-			if e.pooled {
-				s.recycleEvent(e)
-			}
-			continue
-		}
-		if next.at > until {
-			break
-		}
+	for len(s.queue) > 0 && s.queue[0].at <= until {
 		s.Step()
-		if s.stopped {
-			s.stopped = false
-			break
-		}
 	}
 	if s.now < until {
 		// Advance the clock to the horizon so repeated Run calls are
@@ -418,14 +341,6 @@ func (s *Simulation) RunAll(maxEvents uint64) uint64 {
 		if s.processed-start > maxEvents {
 			panic(fmt.Sprintf("sim: RunAll exceeded %d events; runaway schedule?", maxEvents))
 		}
-		if s.stopped {
-			s.stopped = false
-			break
-		}
 	}
 	return s.processed - start
 }
-
-// Stop makes the current Run/RunAll invocation return after the in-flight
-// event completes.
-func (s *Simulation) Stop() { s.stopped = true }

@@ -11,9 +11,9 @@ import (
 func TestAtOrdering(t *testing.T) {
 	s := New()
 	var got []int
-	s.At(3, func() { got = append(got, 3) })
-	s.At(1, func() { got = append(got, 1) })
-	s.At(2, func() { got = append(got, 2) })
+	s.Post(3, func() { got = append(got, 3) })
+	s.Post(1, func() { got = append(got, 1) })
+	s.Post(2, func() { got = append(got, 2) })
 	s.RunAll(100)
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -28,7 +28,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		s.Post(5, func() { got = append(got, i) })
 	}
 	s.RunAll(100)
 	for i := range got {
@@ -41,7 +41,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 func TestAfterAdvancesClock(t *testing.T) {
 	s := New()
 	var at Time
-	s.After(2.5, func() { at = s.Now() })
+	s.PostAfter(2.5, func() { at = s.Now() })
 	s.RunAll(10)
 	if at != 2.5 {
 		t.Fatalf("fired at %v, want 2.5", at)
@@ -54,9 +54,9 @@ func TestAfterAdvancesClock(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	s := New()
 	var trace []Time
-	s.At(1, func() {
+	s.Post(1, func() {
 		trace = append(trace, s.Now())
-		s.After(1, func() {
+		s.PostAfter(1, func() {
 			trace = append(trace, s.Now())
 		})
 	})
@@ -66,99 +66,110 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
+// TestCancel: a cancelled event never fires, and cancelling an event
+// that is not queued (never scheduled, already cancelled or fired) is a
+// no-op that leaves every other event in place.
 func TestCancel(t *testing.T) {
 	s := New()
-	fired := false
-	e := s.At(1, func() { fired = true })
+	fired := 0
+	e := NewEvent(func() { fired++ })
+	s.Cancel(e) // never scheduled
+	s.Post(2, func() {})
+	s.Schedule(e, 1)
 	s.Cancel(e)
+	s.Cancel(e) // already cancelled
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d after cancel, want 1", s.Pending())
+	}
 	s.RunAll(10)
-	if fired {
+	if fired != 0 {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("event not marked cancelled")
+	s.Schedule(e, 3)
+	s.RunAll(10)
+	s.Post(4, func() {})
+	s.Cancel(e) // fired
+	if s.Pending() != 1 || fired != 1 {
+		t.Fatalf("pending=%d fired=%d after cancelling a fired event, want 1 and 1", s.Pending(), fired)
 	}
-	// Double-cancel must be a no-op.
-	s.Cancel(e)
 }
 
 func TestCancelDuringRun(t *testing.T) {
 	s := New()
-	var e2 *Event
 	fired := false
-	s.At(1, func() { s.Cancel(e2) })
-	e2 = s.At(2, func() { fired = true })
+	e2 := NewEvent(func() { fired = true })
+	s.Post(1, func() { s.Cancel(e2) })
+	s.Schedule(e2, 2)
 	s.RunAll(10)
 	if fired {
 		t.Fatal("event cancelled from earlier event still fired")
 	}
 }
 
+// TestReschedule: Schedule on a pending event moves it earlier, and the
+// event fires once, at the new time.
 func TestReschedule(t *testing.T) {
 	s := New()
-	var at Time
-	e := s.At(5, func() { at = s.Now() })
-	if !s.Reschedule(e, 2) {
-		t.Fatal("reschedule failed")
+	var at []Time
+	e := NewEvent(func() { at = append(at, s.Now()) })
+	s.Schedule(e, 5)
+	s.Schedule(e, 2)
+	if s.Pending() != 1 {
+		t.Fatalf("pending = %d after a move, want 1", s.Pending())
 	}
 	s.RunAll(10)
-	if at != 2 {
-		t.Fatalf("fired at %v, want 2", at)
-	}
-	if s.Reschedule(e, 3) {
-		t.Fatal("reschedule of fired event succeeded")
+	if !reflect.DeepEqual(at, []Time{2}) {
+		t.Fatalf("fired at %v, want [2]", at)
 	}
 }
 
+// TestRescheduleLater: Schedule on a pending event moves it past an event
+// it was ahead of.
 func TestRescheduleLater(t *testing.T) {
 	s := New()
 	var order []string
-	e := s.At(1, func() { order = append(order, "a") })
-	s.At(2, func() { order = append(order, "b") })
-	s.Reschedule(e, 3)
+	e := NewEvent(func() { order = append(order, "a") })
+	s.Schedule(e, 1)
+	s.Post(2, func() { order = append(order, "b") })
+	s.Schedule(e, 3)
 	s.RunAll(10)
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v", order)
 	}
 }
 
-// TestRearm: a fired or cancelled handle event queues again with the
-// sequence number a fresh At would take at that moment, so it fires in
-// the same place among simultaneous events; a pending event cannot be
-// rearmed, nor can any event into the past.
-func TestRearm(t *testing.T) {
-	s := New()
-	var order []string
-	e := s.At(1, func() { order = append(order, "kept") })
-	s.RunAll(10)
-	s.At(2, func() { order = append(order, "before") })
-	s.Rearm(e, 2)
-	s.At(2, func() { order = append(order, "after") })
-	s.RunAll(10)
-	c := s.At(3, func() { order = append(order, "cancelled") })
-	s.Cancel(c)
-	s.Rearm(c, 4)
-	s.RunAll(10)
-	want := []string{"kept", "before", "kept", "after", "cancelled"}
-	if !reflect.DeepEqual(order, want) || s.Now() != 4 {
-		t.Fatalf("order %v at %v, want %v at 4", order, s.Now(), want)
-	}
-	pending := s.At(5, func() {})
-	for _, bad := range []struct {
+// TestScheduleTieBreak: whatever state an owned event is in (new,
+// pending earlier, at the same time or later, fired, cancelled),
+// Schedule takes the next sequence number, so among simultaneous events
+// it fires exactly where a Post made at the same call would.
+func TestScheduleTieBreak(t *testing.T) {
+	for _, tc := range []struct {
 		name  string
-		rearm func()
+		setup func(s *Simulation, e *Event)
 	}{
-		{"pending", func() { s.Rearm(pending, 6) }},
-		{"past", func() { s.Cancel(pending); s.Rearm(pending, 1) }},
+		{"new", func(*Simulation, *Event) {}},
+		{"pending-earlier", func(s *Simulation, e *Event) { s.Schedule(e, 1.5) }},
+		{"pending-same-time", func(s *Simulation, e *Event) { s.Schedule(e, 2) }},
+		{"pending-later", func(s *Simulation, e *Event) { s.Schedule(e, 3) }},
+		{"fired", func(s *Simulation, e *Event) { s.Schedule(e, 1); s.Run(1) }},
+		{"cancelled", func(s *Simulation, e *Event) { s.Schedule(e, 2); s.Cancel(e) }},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("rearming a %s event did not panic", bad.name)
-				}
-			}()
-			bad.rearm()
-		}()
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			var order []string
+			note := func(name string) func() { return func() { order = append(order, name) } }
+			e := NewEvent(note("kept"))
+			tc.setup(s, e)
+			order = nil
+			s.Post(2, note("before"))
+			s.Schedule(e, 2)
+			s.Post(2, note("after"))
+			s.RunAll(10)
+			want := []string{"before", "kept", "after"}
+			if !reflect.DeepEqual(order, want) || s.Now() != 2 {
+				t.Fatalf("order %v at %v, want %v at 2", order, s.Now(), want)
+			}
+		})
 	}
 }
 
@@ -167,7 +178,7 @@ func TestRunUntil(t *testing.T) {
 	var fired []Time
 	for _, tt := range []Time{1, 2, 3, 4} {
 		tt := tt
-		s.At(tt, func() { fired = append(fired, tt) })
+		s.Post(tt, func() { fired = append(fired, tt) })
 	}
 	n := s.Run(2.5)
 	if n != 2 {
@@ -185,51 +196,47 @@ func TestRunUntil(t *testing.T) {
 func TestRunBoundaryInclusive(t *testing.T) {
 	s := New()
 	fired := false
-	s.At(2, func() { fired = true })
+	s.Post(2, func() { fired = true })
 	s.Run(2)
 	if !fired {
 		t.Fatal("event at exactly the horizon did not fire")
 	}
 }
 
+// TestSchedulingInPastPanics: posting, scheduling or moving an event to
+// a time before the clock panics and leaves the queue as it was.
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New()
-	s.At(5, func() {})
+	s.Post(5, func() {})
 	s.RunAll(10)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic scheduling in the past")
-		}
-	}()
-	s.At(1, func() {})
-}
-
-func TestStop(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 1; i <= 5; i++ {
-		s.At(Time(i), func() {
-			count++
-			if count == 2 {
-				s.Stop()
-			}
-		})
+	pending := NewEvent(func() {})
+	s.Schedule(pending, 6)
+	for _, bad := range []struct {
+		name     string
+		schedule func()
+	}{
+		{"post", func() { s.Post(1, func() {}) }},
+		{"schedule", func() { s.Schedule(NewEvent(func() {}), 1) }},
+		{"move", func() { s.Schedule(pending, 1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s into the past did not panic", bad.name)
+				}
+			}()
+			bad.schedule()
+		}()
 	}
-	s.RunAll(100)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2 after Stop", count)
-	}
-	// A later RunAll resumes.
-	s.RunAll(100)
-	if count != 5 {
-		t.Fatalf("count = %d, want 5 after resume", count)
+	if at, ok := s.NextAt(); s.Pending() != 1 || !ok || at != 6 {
+		t.Fatalf("queue holds %d events, next at %v, %v; want the one at 6", s.Pending(), at, ok)
 	}
 }
 
 func TestPendingAndProcessedCounters(t *testing.T) {
 	s := New()
-	s.At(1, func() {})
-	s.At(2, func() {})
+	s.Post(1, func() {})
+	s.Post(2, func() {})
 	if s.Pending() != 2 {
 		t.Fatalf("pending = %d, want 2", s.Pending())
 	}
@@ -250,7 +257,7 @@ func TestPropertyTimeOrdered(t *testing.T) {
 		var fired []Time
 		for _, r := range raw {
 			tt := Time(r) / 16
-			s.At(tt, func() { fired = append(fired, s.Now()) })
+			s.Post(tt, func() { fired = append(fired, s.Now()) })
 		}
 		s.RunAll(uint64(len(raw)) + 1)
 		if len(fired) != len(raw) {
@@ -272,7 +279,8 @@ func TestPropertyCancelSubset(t *testing.T) {
 		firedCount := 0
 		events := make([]*Event, total)
 		for i := 0; i < total; i++ {
-			events[i] = s.At(Time(rng.Intn(50)), func() { firedCount++ })
+			events[i] = NewEvent(func() { firedCount++ })
+			s.Schedule(events[i], Time(rng.Intn(50)))
 		}
 		cancelled := 0
 		for _, e := range events {
@@ -289,15 +297,104 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// NextAt must report the earliest live event, skipping cancelled heads,
-// and report nothing on an empty queue.
+// refEntry is one pending event of the reference queue in
+// TestPropertyScheduleMatchesReference.
+type refEntry struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+// Property: random sequences of Post, Schedule, Cancel and Step over a
+// few owned events fire in the order of a reference model that treats
+// each Schedule as "drop the old entry, post a new one" and fires the
+// entry with the least (time, sequence). The goldens rest on this
+// tie-break: moving an event must not differ from posting it afresh.
+func TestPropertyScheduleMatchesReference(t *testing.T) {
+	const owned = 4
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		var got []int
+		events := make([]*Event, owned)
+		for i := range events {
+			id := i
+			events[i] = NewEvent(func() { got = append(got, id) })
+		}
+		var ref []refEntry
+		var want []int
+		var seq uint64
+		drop := func(id int) {
+			for i, r := range ref {
+				if r.id == id {
+					ref = append(ref[:i], ref[i+1:]...)
+					return
+				}
+			}
+		}
+		step := func() {
+			if len(ref) == 0 {
+				return
+			}
+			first := 0
+			for i, r := range ref {
+				if r.at < ref[first].at || (r.at == ref[first].at && r.seq < ref[first].seq) {
+					first = i
+				}
+			}
+			want = append(want, ref[first].id)
+			ref = append(ref[:first], ref[first+1:]...)
+		}
+		posts := owned
+		for op := 0; op < 200; op++ {
+			// Few distinct offsets, so many events tie on time.
+			at := s.Now() + Time(rng.Intn(4))
+			switch k := rng.Intn(10); {
+			case k < 3:
+				id := posts
+				posts++
+				s.Post(at, func() { got = append(got, id) })
+				ref = append(ref, refEntry{at, seq, id})
+				seq++
+			case k < 6:
+				id := rng.Intn(owned)
+				s.Schedule(events[id], at)
+				drop(id)
+				ref = append(ref, refEntry{at, seq, id})
+				seq++
+			case k < 7:
+				id := rng.Intn(owned)
+				s.Cancel(events[id])
+				drop(id)
+			default:
+				s.Step()
+				step()
+			}
+			if s.Pending() != len(ref) {
+				return false
+			}
+		}
+		s.RunAll(uint64(len(ref)) + 1)
+		for len(ref) > 0 {
+			step()
+		}
+		return reflect.DeepEqual(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// NextAt must report the earliest pending event, the next one once the
+// head is cancelled, and nothing on an empty queue.
 func TestNextAt(t *testing.T) {
 	s := New()
 	if _, ok := s.NextAt(); ok {
 		t.Fatal("empty queue reported a next event")
 	}
-	e1 := s.At(1, func() {})
-	s.At(3, func() {})
+	e1 := NewEvent(func() {})
+	s.Schedule(e1, 1)
+	s.Post(3, func() {})
 	if at, ok := s.NextAt(); !ok || at != 1 {
 		t.Fatalf("NextAt = %v, %v; want 1, true", at, ok)
 	}
@@ -315,7 +412,7 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	s := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.After(1, func() {})
+		s.PostAfter(1, func() {})
 		s.Step()
 	}
 }
