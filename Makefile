@@ -21,7 +21,8 @@ lint:
 # The rows of ci.sh's fuzz table, as package:target, 5s each.
 fuzz:
 	for row in smmask:FuzzSetAlgebra calib:FuzzCalibParse timeline:FuzzWriteChrome \
-		workload:FuzzRead workload:FuzzRoundTrip metrics:FuzzPercentileInPlace; do \
+		workload:FuzzRead workload:FuzzRoundTrip metrics:FuzzPercentileInPlace \
+		sched:FuzzDecideMatchesReference; do \
 		go test -run='^$$' -fuzz="^$${row#*:}\$$" -fuzztime=5s ./internal/$${row%%:*} || exit 1; \
 	done
 

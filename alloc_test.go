@@ -10,6 +10,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/estimator"
 	"repro/internal/forkjoin"
 	"repro/internal/gpusim"
@@ -172,10 +173,22 @@ func TestGPULaunchSteadyStateZeroAlloc(t *testing.T) {
 
 // TestSchedDecideZeroAlloc pins the full water-filling re-rate —
 // percentile predictions, level search, decision — at zero steady-state
-// allocations.
+// allocations, on a small state and on a deep arxiv-backlog queue.
 func TestSchedDecideZeroAlloc(t *testing.T) {
 	s, st := benchScheduler()
 	pinAllocs(t, "sched decide", 0, func() { _ = s.Decide(st) })
+	s, st = backlogDecision(t)
+	pinAllocs(t, "sched decide backlog", 0, func() { _ = s.Decide(st) })
+}
+
+// TestEngineSnapshotZeroAlloc pins the metadata snapshot on warm
+// engines at zero, with a running prefill batch, a waiting queue and a
+// decode batch: each engine fills its own snapshot scratch in place.
+func TestEngineSnapshotZeroAlloc(t *testing.T) {
+	b, _ := arxivBacklog(t, func(_ *core.Bullet, st sched.State) bool {
+		return st.Prefill.Active && len(st.Waiting) >= 32 && st.Decode.Batch > 0
+	})
+	pinAllocs(t, "engine snapshot", 0, func() { _ = b.Buffer.Snapshot() })
 }
 
 // TestEstimatorPredictorsZeroAlloc pins Algorithm 1's predictors at
@@ -231,17 +244,6 @@ func TestLayerKernelsNilDstOneAlloc(t *testing.T) {
 			_ = cfg.AppendLayerKernels(nil, seqLens, histLens, 32, 1500.5, "h")
 		})
 	}
-}
-
-// TestSchedSortWaitingZeroAlloc pins the deadline reorder at zero: the
-// insertion sort compares in place with no comparator closure.
-func TestSchedSortWaitingZeroAlloc(t *testing.T) {
-	s, st := benchScheduler()
-	reqs := make([]sched.WaitingReq, len(st.Waiting))
-	pinAllocs(t, "sched sort-waiting", 0, func() {
-		copy(reqs, st.Waiting)
-		s.SortWaiting(reqs)
-	})
 }
 
 // TestKVAllocFreeSteadyState pins sequence churn at exactly one

@@ -8,9 +8,12 @@
 package repro
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/experiments"
 	"repro/internal/gpusim"
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
@@ -19,10 +22,12 @@ import (
 	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/sched"
+	"repro/internal/serving"
 	"repro/internal/sim"
 	"repro/internal/smmask"
 	"repro/internal/timeline"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
 // BenchmarkHotPaths groups one steady-state sub-benchmark per annotated
@@ -33,7 +38,7 @@ func BenchmarkHotPaths(b *testing.B) {
 	b.Run("sim/schedule-cancel", benchSimScheduleCancel)
 	b.Run("gpusim/rerate", benchGPUReRate)
 	b.Run("sched/decide", benchSchedDecide)
-	b.Run("sched/sort-waiting", benchSchedSortWaiting)
+	b.Run("sched/decide-backlog", benchSchedDecideBacklog)
 	b.Run("resource/rebuild", benchResourceRebuild)
 	b.Run("resource/stream", benchResourceStream)
 	b.Run("timeline/span-enabled", benchTimelineSpanEnabled)
@@ -152,27 +157,64 @@ func benchScheduler() (*sched.Scheduler, sched.State) {
 	return s, st
 }
 
+// arxivBacklog replays the arxiv-backlog bench load (arxiv-summary at 30
+// req/s, 100 requests, seed 42) on Bullet one event at a time, until stop
+// accepts the system and the metadata snapshot taken after an event. It
+// returns the system and a copy of that snapshot.
+func arxivBacklog(tb testing.TB, stop func(*core.Bullet, sched.State) bool) (*core.Bullet, sched.State) {
+	tb.Helper()
+	gpu, cfg := experiments.Platform()
+	env := serving.NewEnv(gpu, cfg, workload.ArxivSummary.Name)
+	b := core.New(env, core.Options{Mode: core.ModeFull, Params: core.FittedParams(cfg, gpu)})
+	for _, r := range workload.Generate(workload.ArxivSummary, 30, 100, 42).Requests {
+		r := r
+		env.Sim.Post(r.Arrival, func() { b.Submit(r) })
+	}
+	for env.Sim.Step() {
+		if st := b.Buffer.Snapshot(); stop(b, st) {
+			st.Prefill.Arrivals = slices.Clone(st.Prefill.Arrivals)
+			st.Prefill.InputTokens = slices.Clone(st.Prefill.InputTokens)
+			st.Prefill.Weights = slices.Clone(st.Prefill.Weights)
+			st.Waiting = slices.Clone(st.Waiting)
+			st.Decode.Elapsed = slices.Clone(st.Decode.Elapsed)
+			st.Decode.Generated = slices.Clone(st.Decode.Generated)
+			return b, st
+		}
+	}
+	tb.Fatal("arxiv-backlog: no snapshot matched")
+	return nil, sched.State{}
+}
+
+// backlogDecision returns Bullet's scheduler and its first balance-branch
+// snapshot with 64 or more waiting requests on the arxiv-backlog load:
+// a real deep queue, where the balanced search dominates.
+func backlogDecision(tb testing.TB) (*sched.Scheduler, sched.State) {
+	sys, st := arxivBacklog(tb, func(sys *core.Bullet, st sched.State) bool {
+		return len(st.Waiting) >= 64 && sys.Scheduler.Decide(st).Branch == "balance"
+	})
+	return sys.Scheduler, st
+}
+
 // benchSchedDecide measures one full Algorithm 1 evaluation — the
 // water-filling re-rate that runs every scheduling cycle.
 func benchSchedDecide(b *testing.B) {
 	s, st := benchScheduler()
+	benchDecide(b, s, st)
+}
+
+// benchSchedDecideBacklog measures Algorithm 1 on a deep queue captured
+// from the arxiv-backlog load.
+func benchSchedDecideBacklog(b *testing.B) {
+	s, st := backlogDecision(b)
+	benchDecide(b, s, st)
+}
+
+// benchDecide measures s.Decide on st.
+func benchDecide(b *testing.B, s *sched.Scheduler, st sched.State) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Decide(st)
-	}
-}
-
-// benchSchedSortWaiting measures the deadline reorder of a
-// representative pending queue (Algorithm 1 line 7).
-func benchSchedSortWaiting(b *testing.B) {
-	s, st := benchScheduler()
-	reqs := make([]sched.WaitingReq, len(st.Waiting))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(reqs, st.Waiting)
-		s.SortWaiting(reqs)
 	}
 }
 

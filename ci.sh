@@ -105,13 +105,15 @@ step "allocation contract: steady-state AllocsPerRun pins"
 # the sim event push/pop cycle and a caller-owned event's schedule, move
 # and cancel, disabled-timeline call sites, the water-filling re-rate,
 # the gpusim re-rate and a kernel launch run to completion, the
-# estimator's predictors, partition rebuilds, pressure gates, in-place
-# percentiles and inline fork/join regions must allocate nothing at
-# steady state; the per-request KV sequence header and a cluster pump
-# decision (its fork-site task closure, pinned in internal/cluster) are
-# pinned at exactly one. Run the pins explicitly so an allocation
-# regression fails CI by name even if the broader test pass is trimmed.
-go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' . ./internal/cluster
+# estimator's predictors, the engines' metadata snapshot and deadline
+# reorder (pinned in internal/engine), partition rebuilds, pressure
+# gates, in-place percentiles and inline fork/join regions must allocate
+# nothing at steady state; the per-request KV sequence header and a
+# cluster pump decision (its fork-site task closure, pinned in
+# internal/cluster) are pinned at exactly one. Run the pins explicitly
+# so an allocation regression fails CI by name even if the broader test
+# pass is trimmed.
+go test -count=1 -run 'ZeroAlloc|OneAlloc|SteadyState' . ./internal/cluster ./internal/engine
 
 step "allocation contract: bulletlint -rules hotalloc smoke"
 # The analyzer must hold the whole module clean on its own (the full
@@ -122,15 +124,17 @@ step "fuzz table (5s per target)"
 # One row per fuzz target: go test fuzzes one target per run, so the
 # table is looped like the coverage floors. The rows cover the SM-mask
 # set algebra, the calibration trace parser, the Chrome trace writer,
-# the reader of replay traces from outside the program, and the
-# percentile selection against a full sort. make fuzz runs the same rows.
+# the reader of replay traces from outside the program, the percentile
+# selection against a full sort, and Algorithm 1's decisions against a
+# reference that prices every level. make fuzz runs the same rows.
 fuzz_targets='
-FuzzSetAlgebra         ./internal/smmask
-FuzzCalibParse         ./internal/calib
-FuzzWriteChrome        ./internal/timeline
-FuzzRead               ./internal/workload
-FuzzRoundTrip          ./internal/workload
-FuzzPercentileInPlace  ./internal/metrics
+FuzzSetAlgebra              ./internal/smmask
+FuzzCalibParse              ./internal/calib
+FuzzWriteChrome             ./internal/timeline
+FuzzRead                    ./internal/workload
+FuzzRoundTrip               ./internal/workload
+FuzzPercentileInPlace       ./internal/metrics
+FuzzDecideMatchesReference  ./internal/sched
 '
 while read -r target pkg; do
     [[ -n "$target" ]] || continue

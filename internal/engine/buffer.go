@@ -78,7 +78,8 @@ func (b *Buffer) Allocation() (prefillSMs, decodeSMs int) {
 }
 
 // Snapshot assembles the global system state S_k for the scheduler,
-// corresponding to the status fetch in Figure 9 (❶/❸).
+// corresponding to the status fetch in Figure 9 (❶/❸). The returned
+// slices are the engines' scratch, valid until the next snapshot.
 func (b *Buffer) Snapshot() sched.State {
 	st := sched.State{
 		Now:        b.sim.Now(),

@@ -82,6 +82,10 @@ type DecodeEngine struct {
 	// layer is the scratch list each step's decode layer is built into
 	// before it is aggregated into the step kernel.
 	layer []gpusim.Kernel
+	// Snapshot scratch that status fills in place; a snapshot is valid
+	// until the next one.
+	elapsed   []units.Seconds
+	generated []int
 }
 
 // NewDecodeEngine wires a decode engine.
@@ -243,16 +247,21 @@ func (d *DecodeEngine) Preempt(blocksNeeded int, after sim.Time) []*Req {
 	return victims
 }
 
-// status is the buffer's decode state provider.
+// status is the buffer's decode state provider. It fills the engine's
+// snapshot scratch.
+//
+//bullet:hotpath
 func (d *DecodeEngine) status() sched.DecodeStatus {
 	now := d.env.Sim.Now()
 	ds := sched.DecodeStatus{Batch: len(d.batch)}
+	ds.Elapsed, ds.Generated = d.elapsed[:0], d.generated[:0]
 	ctx := 0
 	for _, r := range d.batch {
 		ds.Elapsed = append(ds.Elapsed, now-r.FirstToken)
 		ds.Generated = append(ds.Generated, r.Generated)
 		ctx += r.Ctx()
 	}
+	d.elapsed, d.generated = ds.Elapsed, ds.Generated
 	if len(d.batch) > 0 {
 		ds.AvgCtx = units.Tokens(float64(ctx) / float64(len(d.batch)))
 	}

@@ -2,12 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/estimator"
 	"repro/internal/gpusim"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/qos"
 	"repro/internal/resource"
 	"repro/internal/sched"
 	"repro/internal/serving"
@@ -254,6 +256,83 @@ func TestBufferSnapshotCountsDecisions(t *testing.T) {
 	buf.Snapshot()
 	if buf.Decisions != 2 {
 		t.Fatalf("decisions = %d", buf.Decisions)
+	}
+}
+
+// TestSortWaiting orders the queue by SLO deadline, earliest first, keeps
+// queue order among equal deadlines, and with QoS stretches each
+// request's deadline by its class's SLO scale.
+func TestSortWaiting(t *testing.T) {
+	tenant := func(w workload.Request, tag string) workload.Request {
+		w.Tenant = tag
+		return w
+	}
+	// azure-code targets 1.5 ms per prompt token.
+	cases := []struct {
+		name string
+		qos  bool
+		in   []workload.Request
+		want string
+	}{
+		{"deadline", false, []workload.Request{
+			req("big", 0, 10000, 1),   // deadline 15
+			req("tiny", 1, 100, 1),    // 1.15
+			req("mid", 0.5, 2000, 1)}, // 3.5
+			"tiny mid big"},
+		{"stable", false, []workload.Request{
+			req("e", 1, 1000, 1),    // 2.5
+			req("c", 1.125, 250, 1), // 1.5
+			req("a", 0, 1000, 1),    // 1.5
+			req("d", 0, 100, 1),     // 0.15
+			req("b", 0.75, 500, 1)}, // 1.5
+			"d c a b e"},
+		{"unweighted", false, []workload.Request{
+			tenant(req("be", 0, 100, 1), qos.TenantBestEffort),   // 0.15
+			tenant(req("std", 0, 240, 1), qos.TenantStandard),    // 0.36
+			tenant(req("prem", 0.2, 200, 1), qos.TenantPremium)}, // 0.5
+			"be std prem"},
+		{"weighted", true, []workload.Request{
+			tenant(req("be", 0, 100, 1), qos.TenantBestEffort),   // 0.15 × 4
+			tenant(req("std", 0, 240, 1), qos.TenantStandard),    // 0.36 × 2
+			tenant(req("prem", 0.2, 200, 1), qos.TenantPremium)}, // 0.5
+			"prem be std"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r := defaultRig(t)
+			if c.qos {
+				r.prefill.QoS = qos.New(r.env.SLO, 256, 16384)
+			}
+			for _, w := range c.in {
+				r.prefill.waiting = append(r.prefill.waiting, &Req{W: w, Class: qos.ClassOf(w.Tenant)})
+			}
+			r.prefill.sortWaiting()
+			var got []string
+			for _, q := range r.prefill.waiting {
+				got = append(got, q.W.ID)
+			}
+			if strings.Join(got, " ") != c.want {
+				t.Fatalf("order %v, want %s", got, c.want)
+			}
+		})
+	}
+}
+
+// TestSortWaitingZeroAlloc pins the deadline reorder at zero: the
+// insertion sort moves pointers in place and builds no comparator.
+func TestSortWaitingZeroAlloc(t *testing.T) {
+	r := defaultRig(t)
+	r.prefill.QoS = qos.New(r.env.SLO, 256, 16384)
+	in := make([]*Req, 64)
+	for i := range in { // latest deadline first, classes interleaved
+		in[i] = &Req{W: req(fmt.Sprint(i), units.Seconds(64-i), 512, 1), Class: qos.Class(i % qos.NumClasses)}
+	}
+	r.prefill.waiting = make([]*Req, len(in))
+	if got := testing.AllocsPerRun(100, func() {
+		copy(r.prefill.waiting, in)
+		r.prefill.sortWaiting()
+	}); got != 0 {
+		t.Fatalf("sortWaiting: %v allocs/op, want 0", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/estimator"
 	"repro/internal/gpusim"
@@ -117,6 +116,12 @@ type PrefillEngine struct {
 	// launches the list once per layer of its group.
 	layer             []gpusim.Kernel
 	seqLens, histLens []int
+	// Snapshot scratch that status fills in place, so a scheduling cycle
+	// does not allocate; a snapshot is valid until the next one.
+	arrivals    []sim.Time
+	inputTokens []int
+	weights     []float64
+	queued      []sched.WaitingReq
 }
 
 // NewPrefillEngine wires a prefill engine. Call SetDecode before use.
@@ -253,13 +258,17 @@ func (p *PrefillEngine) Requeue(reqs []*Req) {
 	})
 }
 
-// status is the buffer's prefill state provider.
+// status is the buffer's prefill state provider. It fills the engine's
+// snapshot scratch.
+//
+//bullet:hotpath
 func (p *PrefillEngine) status() (sched.PrefillStatus, []sched.WaitingReq) {
 	ps := sched.PrefillStatus{}
 	if p.running {
 		ps.Active = true
 		ps.Tokens = p.batchTokens
 		ps.LayersDone = p.layersDone
+		ps.Arrivals, ps.InputTokens, ps.Weights = p.arrivals[:0], p.inputTokens[:0], p.weights[:0]
 		for _, r := range p.batch {
 			ps.Arrivals = append(ps.Arrivals, r.W.Arrival)
 			ps.InputTokens = append(ps.InputTokens, r.W.InputTokens)
@@ -270,15 +279,46 @@ func (p *PrefillEngine) status() (sched.PrefillStatus, []sched.WaitingReq) {
 				ps.StartTime = r.PrefillStart
 			}
 		}
+		p.arrivals, p.inputTokens, p.weights = ps.Arrivals, ps.InputTokens, ps.Weights
 	}
-	ws := make([]sched.WaitingReq, len(p.waiting))
-	for i, r := range p.waiting {
-		ws[i] = sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
-		if p.QoS != nil {
-			ws[i].Weight = p.QoS.WeightOf(r.Class)
-		}
+	ws := p.queued[:0]
+	for _, r := range p.waiting {
+		ws = append(ws, p.waitingReq(r))
 	}
+	p.queued = ws
 	return ps, ws
+}
+
+// waitingReq is r as the scheduler sees it, with its QoS weight.
+func (p *PrefillEngine) waitingReq(r *Req) sched.WaitingReq {
+	w := sched.WaitingReq{Arrival: r.W.Arrival, InputTokens: r.W.InputTokens}
+	if p.QoS != nil {
+		w.Weight = p.QoS.WeightOf(r.Class)
+	}
+	return w
+}
+
+// sortWaiting reorders the pending queue by SLO deadline, earliest first,
+// the scheduler's key (Algorithm 1 line 7). With QoS the deadline is
+// weighted: lower classes get their budget stretched, so under contention
+// premium requests sort ahead. The sort is a stable insertion sort in
+// place: the queue arrives mostly sorted, and a stable sort's order is
+// unique, so it matches any other stable sort for keys that are not NaN.
+//
+//bullet:hotpath
+func (p *PrefillEngine) sortWaiting() {
+	slo := p.schd.SLO()
+	ws := p.waiting
+	for i := 1; i < len(ws); i++ {
+		r := ws[i]
+		d := p.waitingReq(r).Deadline(slo)
+		j := i - 1
+		for j >= 0 && d < p.waitingReq(ws[j]).Deadline(slo) {
+			ws[j+1] = ws[j]
+			j--
+		}
+		ws[j+1] = r
+	}
 }
 
 // tryStart forms and launches the next prefill batch if idle.
@@ -296,20 +336,7 @@ func (p *PrefillEngine) tryStart() {
 		return
 	}
 	if p.cfg.Reorder {
-		// Reorder pending requests by SLO deadline, the same key the
-		// scheduler uses (Algorithm 1 line 7). With QoS the deadline is
-		// weighted: lower classes get their budget stretched, so under
-		// contention premium requests sort ahead.
-		slo := p.schd.SLO()
-		sort.SliceStable(p.waiting, func(i, j int) bool {
-			a := sched.WaitingReq{Arrival: p.waiting[i].W.Arrival, InputTokens: p.waiting[i].W.InputTokens}
-			b := sched.WaitingReq{Arrival: p.waiting[j].W.Arrival, InputTokens: p.waiting[j].W.InputTokens}
-			if p.QoS != nil {
-				a.Weight = p.QoS.WeightOf(p.waiting[i].Class)
-				b.Weight = p.QoS.WeightOf(p.waiting[j].Class)
-			}
-			return a.Deadline(slo) < b.Deadline(slo)
-		})
+		p.sortWaiting()
 	}
 	now := p.env.Sim.Now()
 	slo := p.schd.SLO()

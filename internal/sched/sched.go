@@ -167,32 +167,23 @@ func (s *Scheduler) SetCapacity(numSMs int, levels []int) {
 // Capacity returns the SM budget Algorithm 1 currently optimizes over.
 func (s *Scheduler) Capacity() int { return s.cfg.NumSMs }
 
-// SortWaiting reorders the pending queue by SLO deadline (earliest first),
-// the reordering step of Algorithm 1 line 7. The sort is a hand-rolled
-// stable insertion sort: queues are short (admission-bounded), and
-// sort.SliceStable's closure would allocate on every scheduling cycle.
-//
-//bullet:hotpath
-func (s *Scheduler) SortWaiting(reqs []WaitingReq) {
-	for i := 1; i < len(reqs); i++ {
-		r := reqs[i]
-		d := r.Deadline(s.slo)
-		j := i - 1
-		for j >= 0 && d < reqs[j].Deadline(s.slo) {
-			reqs[j+1] = reqs[j]
-			j--
-		}
-		reqs[j+1] = r
-	}
-}
+// sloQuantile is the percentile Algorithm 1's predictions report.
+const sloQuantile = 0.9
 
 // predictNormTTFT returns the P90 predicted normalized TTFT (ms/token)
 // across the running batch and the waiting queue, if prefill runs on pm
-// SMs from now on.
+// SMs from now on. It stops early and reports over once the requests
+// priced so far prove P90/NormTTFTMs > bound (see overBound); the P90 it
+// returns then means nothing.
 //
 //bullet:hotpath
-func (s *Scheduler) predictNormTTFT(st State, pm int, coloc bool) float64 {
+func (s *Scheduler) predictNormTTFT(st *State, pm int, coloc bool, bound float64) (p90 float64, over bool) {
 	s.norms = s.norms[:0]
+	n := len(st.Waiting)
+	if st.Prefill.Active {
+		n += len(st.Prefill.Arrivals)
+	}
+	b := newOverBound(n, s.slo.NormTTFTMs, bound)
 	rem := units.Seconds(0)
 	if st.Prefill.Active {
 		layersLeft := s.cfg.TotalLayers - st.Prefill.LayersDone
@@ -203,7 +194,11 @@ func (s *Scheduler) predictNormTTFT(st State, pm int, coloc bool) float64 {
 			if i < len(st.Prefill.Weights) && st.Prefill.Weights[i] != 0 {
 				wt = st.Prefill.Weights[i]
 			}
-			s.norms = append(s.norms, wt*1000*ttft.Float()/float64(st.Prefill.InputTokens[i]))
+			x := wt * 1000 * ttft.Float() / float64(st.Prefill.InputTokens[i])
+			if b.over(x) {
+				return 0, true
+			}
+			s.norms = append(s.norms, x)
 		}
 	}
 	// Queued requests wait for the running prefill plus everything ahead
@@ -215,19 +210,66 @@ func (s *Scheduler) predictNormTTFT(st State, pm int, coloc bool) float64 {
 		own := s.est.PrefillTotalTime(w.InputTokens, pm, coloc)
 		ahead += own
 		ttft := (st.Now - w.Arrival) + ahead
-		s.norms = append(s.norms, w.weight()*1000*ttft.Float()/float64(w.InputTokens))
+		x := w.weight() * 1000 * ttft.Float() / float64(w.InputTokens)
+		if b.over(x) {
+			return 0, true
+		}
+		s.norms = append(s.norms, x)
 	}
 	if len(s.norms) == 0 {
-		return 0
+		return 0, false
 	}
-	return metrics.PercentileInPlace(s.norms, 0.9)
+	return metrics.PercentileInPlace(s.norms, sloQuantile), false
+}
+
+// normTTFT is predictNormTTFT without a bound.
+func (s *Scheduler) normTTFT(st *State, pm int, coloc bool) float64 {
+	p90, _ := s.predictNormTTFT(st, pm, coloc, math.Inf(1))
+	return p90
+}
+
+// overBound proves, from some of the n elements of a P90, that the P90
+// divided by a target div is above a bound. PercentileInPlace returns
+// s[lo]*(1-frac) + s[lo+1]*frac over the sorted s, which is at least
+// h(s[lo]), where h(x) = x*(1-frac) + x*frac, because every step is
+// monotone in IEEE arithmetic. Counting x when h(x)/div > bound is
+// monotone on finite x, and NaN (which cmp.Less sorts first) and -Inf
+// never count, so once n-lo elements count, either s[lo] counts and
+// P90/div > bound, or s[lo] is +Inf and the P90 is +Inf or NaN
+// (DESIGN.md §5). A target that is not > 0, or a bound of +Inf or NaN,
+// proves nothing: a negative target flips the division's direction.
+type overBound struct {
+	need, seen             int // need 0 proves nothing
+	keep, frac, div, bound float64
+}
+
+func newOverBound(n int, div, bound float64) overBound {
+	if n == 0 || !(div > 0) || !(bound < math.Inf(1)) {
+		return overBound{}
+	}
+	// PercentileInPlace's expressions; n == 1 gives lo 0 and frac 0,
+	// where the P90 is the element itself.
+	pos := sloQuantile * float64(n-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	return overBound{need: n - lo, keep: 1 - frac, frac: frac, div: div, bound: bound}
+}
+
+// over counts x and reports whether the elements counted so far prove
+// the P90 over the bound.
+func (b *overBound) over(x float64) bool {
+	if b.need == 0 || !((x*b.keep+x*b.frac)/b.div > b.bound) {
+		return false
+	}
+	b.seen++
+	return b.seen >= b.need
 }
 
 // predictTPOTMs returns the P90 predicted TPOT (ms) if decode runs its
 // next step on dm SMs, optionally after an extra stall of pause seconds.
 //
 //bullet:hotpath
-func (s *Scheduler) predictTPOTMs(st State, dm int, coloc bool, pause units.Seconds) float64 {
+func (s *Scheduler) predictTPOTMs(st *State, dm int, coloc bool, pause units.Seconds) float64 {
 	d := st.Decode
 	if d.Batch == 0 {
 		return 0
@@ -238,7 +280,7 @@ func (s *Scheduler) predictTPOTMs(st State, dm int, coloc bool, pause units.Seco
 		gen := d.Generated[i]
 		s.tpots = append(s.tpots, 1000*(d.Elapsed[i]+step+pause).Float()/float64(gen+1))
 	}
-	return metrics.PercentileInPlace(s.tpots, 0.9)
+	return metrics.PercentileInPlace(s.tpots, sloQuantile)
 }
 
 // searchLevels returns the index of the first level not below n — an
@@ -307,10 +349,10 @@ func (s *Scheduler) Decide(st State) Decision {
 		return Decision{PrefillSMs: M, DecodeSMs: M, Branch: "idle"}
 	case !decodeBusy:
 		return Decision{PrefillSMs: M, DecodeSMs: M, Branch: "prefill-only",
-			PredNormTTFT: s.predictNormTTFT(st, M, false)}
+			PredNormTTFT: s.normTTFT(&st, M, false)}
 	case !prefillBusy:
 		return Decision{PrefillSMs: M, DecodeSMs: M, Branch: "decode-only",
-			PredTPOTMs: s.predictTPOTMs(st, M, false, 0)}
+			PredTPOTMs: s.predictTPOTMs(&st, M, false, 0)}
 	}
 
 	// Handover: when the running prefill will finish within roughly one
@@ -322,34 +364,55 @@ func (s *Scheduler) Decide(st State) Decision {
 		step := s.est.DecodeStepTime(st.Decode.Batch, st.Decode.AvgCtx, st.DecodeSMs, true)
 		if rem < step && len(st.Waiting) == 0 {
 			return Decision{PrefillSMs: st.PrefillSMs, DecodeSMs: M, Branch: "handover",
-				PredNormTTFT: s.predictNormTTFT(st, st.PrefillSMs, true),
-				PredTPOTMs:   s.predictTPOTMs(st, M, true, 0)}
+				PredNormTTFT: s.normTTFT(&st, st.PrefillSMs, true),
+				PredTPOTMs:   s.predictTPOTMs(&st, M, true, 0)}
 		}
 	}
 
-	ttft := s.predictNormTTFT(st, st.PrefillSMs, true)
-	tpot := s.predictTPOTMs(st, st.DecodeSMs, true, 0)
+	// The current split's prices go to the branch, which reuses them for
+	// any level equal to the current one.
+	ttft := s.normTTFT(&st, st.PrefillSMs, true)
+	tpot := s.predictTPOTMs(&st, st.DecodeSMs, true, 0)
 	ttftOK := ttft <= s.slo.NormTTFTMs
 	tpotOK := tpot <= s.slo.TPOTMs
 
 	switch {
 	case ttftOK && tpotOK:
-		return s.reduceDecodeSM(st, false)
+		return s.reduceDecodeSM(&st, false, ttft, tpot)
 	case !ttftOK && !tpotOK:
-		return s.setBalancedSM(st)
+		return s.setBalancedSM(&st, ttft, tpot)
 	case !tpotOK:
-		return s.reducePrefillSM(st)
+		return s.reducePrefillSM(&st, ttft, tpot)
 	default: // only TTFT violated
-		return s.reduceDecodeSM(st, true)
+		return s.reduceDecodeSM(&st, true, ttft, tpot)
 	}
+}
+
+// ttftAt prices TTFT with prefill on pm co-located SMs, reusing cur,
+// Decide's price at the current prefill split.
+func (s *Scheduler) ttftAt(st *State, pm int, cur float64) float64 {
+	if pm == st.PrefillSMs {
+		return cur
+	}
+	return s.normTTFT(st, pm, true)
+}
+
+// tpotAt prices TPOT with decode on dm co-located SMs and no pause,
+// reusing cur, Decide's price at the current decode split.
+func (s *Scheduler) tpotAt(st *State, dm int, cur float64) float64 {
+	if dm == st.DecodeSMs {
+		return cur
+	}
+	return s.predictTPOTMs(st, dm, true, 0)
 }
 
 // reduceDecodeSM shrinks the decode allocation to the smallest level that
 // keeps TPOT within target, giving the freed SMs to prefill. When
 // allowPause is set (TTFT already violated) and even the minimum decode
 // allocation cannot rescue TTFT, decode is paused for one cycle provided
-// the pause itself keeps TPOT within target.
-func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
+// the pause itself keeps TPOT within target. ttftCur and tpotCur are the
+// current split's prices.
+func (s *Scheduler) reduceDecodeSM(st *State, allowPause bool, ttftCur, tpotCur float64) Decision {
 	M := s.cfg.NumSMs
 	bestDM := -1
 	var bestTPOT float64
@@ -357,7 +420,7 @@ func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
 		if dm < s.cfg.MinDecodeSMs {
 			continue
 		}
-		if t := s.predictTPOTMs(st, dm, true, 0); t <= s.slo.TPOTMs {
+		if t := s.tpotAt(st, dm, tpotCur); t <= s.slo.TPOTMs {
 			bestDM, bestTPOT = dm, t
 			break // levels ascend: first feasible is the smallest
 		}
@@ -368,14 +431,14 @@ func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
 		pm := s.levelAtLeast(s.cfg.MinPrefillSMs)
 		dm := s.complement(pm)
 		return Decision{PrefillSMs: pm, DecodeSMs: dm, Branch: "reduce-decode",
-			PredNormTTFT: s.predictNormTTFT(st, pm, true),
-			PredTPOTMs:   s.predictTPOTMs(st, dm, true, 0)}
+			PredNormTTFT: s.ttftAt(st, pm, ttftCur),
+			PredTPOTMs:   s.tpotAt(st, dm, tpotCur)}
 	}
 	pm := s.complement(bestDM)
 	if pm < s.cfg.MinPrefillSMs {
 		pm = s.levelAtLeast(s.cfg.MinPrefillSMs)
 	}
-	ttft := s.predictNormTTFT(st, pm, true)
+	ttft := s.ttftAt(st, pm, ttftCur)
 	if allowPause && ttft > s.slo.NormTTFTMs {
 		// Even prefill-favoured splits violate TTFT: consider pausing
 		// decode for one layer group and giving prefill the full GPU.
@@ -390,11 +453,11 @@ func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
 		}
 		pause := units.Scale(s.est.PrefillLayerTime(tokens, M, false),
 			float64(s.cfg.LayerGroup))
-		if s.predictTPOTMs(st, M, false, pause) <= s.slo.TPOTMs {
+		if t := s.predictTPOTMs(st, M, false, pause); t <= s.slo.TPOTMs {
 			return Decision{PrefillSMs: M, DecodeSMs: s.cfg.MinDecodeSMs,
 				PauseDecode: true, Branch: "pause-decode",
-				PredNormTTFT: s.predictNormTTFT(st, M, false),
-				PredTPOTMs:   s.predictTPOTMs(st, M, false, pause)}
+				PredNormTTFT: s.normTTFT(st, M, false),
+				PredTPOTMs:   t}
 		}
 	}
 	return Decision{PrefillSMs: pm, DecodeSMs: bestDM, Branch: "reduce-decode",
@@ -402,11 +465,19 @@ func (s *Scheduler) reduceDecodeSM(st State, allowPause bool) Decision {
 }
 
 // setBalancedSM searches complementary splits for the one minimizing the
-// worst normalized SLO violation (Algorithm 1 line 13).
-func (s *Scheduler) setBalancedSM(st State) Decision {
+// worst normalized SLO violation (Algorithm 1 line 13), from the largest
+// prefill level down and TTFT first. A level whose TTFT alone scores
+// above the best so far cannot win, so its TPOT is never priced, and its
+// TTFT pricing stops as soon as enough requests prove that. Updating on
+// ties keeps the smallest level among equal scores, the one an
+// ascending strict scan keeps (DESIGN.md §5). ttftCur and tpotCur are the
+// current split's prices.
+func (s *Scheduler) setBalancedSM(st *State, ttftCur, tpotCur float64) Decision {
 	bestScore := math.Inf(1)
 	var best Decision
-	for _, pm := range s.cfg.Levels {
+	lv := s.cfg.Levels
+	for i := len(lv) - 1; i >= 0; i-- {
+		pm := lv[i]
 		if pm < s.cfg.MinPrefillSMs {
 			continue
 		}
@@ -414,10 +485,22 @@ func (s *Scheduler) setBalancedSM(st State) Decision {
 		if dm < s.cfg.MinDecodeSMs || pm+dm > s.cfg.NumSMs {
 			continue
 		}
-		ttft := s.predictNormTTFT(st, pm, true)
-		tpot := s.predictTPOTMs(st, dm, true, 0)
+		ttft := ttftCur
+		if pm != st.PrefillSMs {
+			var over bool
+			if ttft, over = s.predictNormTTFT(st, pm, true, bestScore); over {
+				continue
+			}
+		}
+		// Skipping here is exact: the score could only be above
+		// bestScore, NaN, or +Inf while bestScore is still +Inf, and then
+		// the fallback below ignores best.
+		if !(ttft/s.slo.NormTTFTMs <= bestScore) {
+			continue
+		}
+		tpot := s.tpotAt(st, dm, tpotCur)
 		score := math.Max(ttft/s.slo.NormTTFTMs, tpot/s.slo.TPOTMs)
-		if score < bestScore {
+		if score <= bestScore {
 			bestScore = score
 			best = Decision{PrefillSMs: pm, DecodeSMs: dm, Branch: "balance",
 				PredNormTTFT: ttft, PredTPOTMs: tpot}
@@ -432,8 +515,9 @@ func (s *Scheduler) setBalancedSM(st State) Decision {
 }
 
 // reducePrefillSM shrinks prefill until TPOT recovers, keeping prefill at
-// least at its minimum.
-func (s *Scheduler) reducePrefillSM(st State) Decision {
+// least at its minimum. ttftCur and tpotCur are the current split's
+// prices.
+func (s *Scheduler) reducePrefillSM(st *State, ttftCur, tpotCur float64) Decision {
 	// Walk prefill allocations downward; give decode the complement.
 	lv := s.cfg.Levels
 	for i := len(lv) - 1; i >= 0; i-- {
@@ -445,14 +529,14 @@ func (s *Scheduler) reducePrefillSM(st State) Decision {
 		if dm < s.cfg.MinDecodeSMs {
 			continue
 		}
-		if t := s.predictTPOTMs(st, dm, true, 0); t <= s.slo.TPOTMs {
+		if t := s.tpotAt(st, dm, tpotCur); t <= s.slo.TPOTMs {
 			return Decision{PrefillSMs: pm, DecodeSMs: dm, Branch: "reduce-prefill",
-				PredNormTTFT: s.predictNormTTFT(st, pm, true), PredTPOTMs: t}
+				PredNormTTFT: s.ttftAt(st, pm, ttftCur), PredTPOTMs: t}
 		}
 	}
 	pm := s.levelAtLeast(s.cfg.MinPrefillSMs)
 	dm := s.complement(pm)
 	return Decision{PrefillSMs: pm, DecodeSMs: dm, Branch: "reduce-prefill",
-		PredNormTTFT: s.predictNormTTFT(st, pm, true),
-		PredTPOTMs:   s.predictTPOTMs(st, dm, true, 0)}
+		PredNormTTFT: s.ttftAt(st, pm, ttftCur),
+		PredTPOTMs:   s.tpotAt(st, dm, tpotCur)}
 }

@@ -189,26 +189,13 @@ func TestHandoverSharesSMs(t *testing.T) {
 func TestWaitingQueueInflatesTTFT(t *testing.T) {
 	s := testScheduler()
 	st := slackState()
-	base := s.predictNormTTFT(st, 54, true)
+	base := s.normTTFT(&st, 54, true)
 	for i := 0; i < 10; i++ {
 		st.Waiting = append(st.Waiting, WaitingReq{Arrival: 9.9, InputTokens: 4096})
 	}
-	loaded := s.predictNormTTFT(st, 54, true)
+	loaded := s.normTTFT(&st, 54, true)
 	if loaded <= base {
 		t.Fatalf("queued requests did not raise predicted TTFT: %v vs %v", loaded, base)
-	}
-}
-
-func TestSortWaiting(t *testing.T) {
-	s := testScheduler()
-	reqs := []WaitingReq{
-		{Arrival: 0, InputTokens: 10000},  // deadline 15
-		{Arrival: 1, InputTokens: 100},    // deadline 1.15
-		{Arrival: 0.5, InputTokens: 2000}, // deadline 3.5
-	}
-	s.SortWaiting(reqs)
-	if reqs[0].InputTokens != 100 || reqs[1].InputTokens != 2000 || reqs[2].InputTokens != 10000 {
-		t.Fatalf("order = %+v", reqs)
 	}
 }
 
