@@ -18,13 +18,9 @@ lint:
 	go run ./cmd/bulletlint -list
 	go run ./cmd/bulletlint ./...
 
-# The rows of ci.sh's fuzz table, as package:target, 5s each.
+# ci.sh's fuzz table alone, 5s per target.
 fuzz:
-	for row in smmask:FuzzSetAlgebra calib:FuzzCalibParse timeline:FuzzWriteChrome \
-		workload:FuzzRead workload:FuzzRoundTrip metrics:FuzzPercentileInPlace \
-		sched:FuzzDecideMatchesReference; do \
-		go test -run='^$$' -fuzz="^$${row#*:}\$$" -fuzztime=5s ./internal/$${row%%:*} || exit 1; \
-	done
+	./ci.sh fuzz
 
 bench:
 	go test -bench=. -benchtime=1x -short

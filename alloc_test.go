@@ -17,6 +17,7 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/pressure"
 	"repro/internal/qos"
 	"repro/internal/resilience"
 	"repro/internal/sched"
@@ -172,10 +173,14 @@ func TestGPULaunchSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestSchedDecideZeroAlloc pins the full water-filling re-rate —
-// percentile predictions, level search, decision — at zero steady-state
-// allocations, on a small state and on a deep arxiv-backlog queue.
+// percentile predictions, balanced level search, decision — at zero
+// steady-state allocations, on a small state and on a deep arxiv-backlog
+// queue.
 func TestSchedDecideZeroAlloc(t *testing.T) {
 	s, st := benchScheduler()
+	if d := s.Decide(st); d.Branch != "balance" {
+		t.Fatalf("small state decides %q, want the balanced search", d.Branch)
+	}
 	pinAllocs(t, "sched decide", 0, func() { _ = s.Decide(st) })
 	s, st = backlogDecision(t)
 	pinAllocs(t, "sched decide backlog", 0, func() { _ = s.Decide(st) })
@@ -304,14 +309,15 @@ func TestMetricsPercentileInPlaceZeroAlloc(t *testing.T) {
 }
 
 // TestPressureAdmitZeroAlloc pins the admission gate (without a
-// timeline attached, its production default) at zero.
+// timeline attached, its production default) at zero: the gate check
+// and preemption deficit the prefill engine asks before each start.
 func TestPressureAdmitZeroAlloc(t *testing.T) {
 	ctrl, _ := benchPressure()
 	now := 0.0
 	pinAllocs(t, "pressure admit+deficit", 0, func() {
 		now += 1e-6
-		_ = ctrl.Admit(units.Seconds(now), "r", 2048, 0)
-		_ = ctrl.Deficit(2048)
+		_ = ctrl.AdmitPrio(units.Seconds(now), "r", 2048, 0, pressure.PrioPremium)
+		_ = ctrl.PhysicalDeficit(2048)
 	})
 }
 

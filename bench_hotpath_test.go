@@ -125,6 +125,10 @@ func benchGPUReRate(b *testing.B) {
 	}
 }
 
+// benchScheduler returns a scheduler and a small state that violates
+// both azure-code targets, so Decide takes the balanced search: a running
+// four-request prefill batch, six requests that have waited about 0.9 s,
+// and an eight-request decode batch whose P90 TPOT is above 200 ms.
 func benchScheduler() (*sched.Scheduler, sched.State) {
 	spec := gpusim.A100()
 	cfg := model.Llama31_8B()
@@ -144,13 +148,13 @@ func benchScheduler() (*sched.Scheduler, sched.State) {
 		Decode: sched.DecodeStatus{
 			Batch: 8, AvgCtx: 900,
 			Elapsed:   []units.Seconds{0.4, 0.3, 0.5, 0.2, 0.6, 0.1, 0.35, 0.45},
-			Generated: []int{40, 30, 50, 20, 60, 10, 35, 45},
+			Generated: []int{1, 1, 2, 0, 2, 0, 1, 1},
 		},
 		PrefillSMs: 48, DecodeSMs: 60,
 	}
 	for i := 0; i < 6; i++ {
 		st.Waiting = append(st.Waiting, sched.WaitingReq{
-			Arrival:     units.Seconds(1.0 + float64(i)*0.01),
+			Arrival:     units.Seconds(0.1 + float64(i)*0.01),
 			InputTokens: 512 + 128*i,
 		})
 	}
@@ -324,15 +328,16 @@ func benchPressure() (*pressure.Controller, *kvcache.Pool) {
 	return pressure.New(pool, est, cfg.KVBytesPerToken(), pressure.DefaultConfig()), pool
 }
 
-// benchPressureAdmit measures the admission gate check that guards every
-// request entry under memory pressure.
+// benchPressureAdmit measures the admission gate check and preemption
+// deficit that the prefill engine asks before every batch start under
+// memory pressure.
 func benchPressureAdmit(b *testing.B) {
 	ctrl, _ := benchPressure()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = ctrl.Admit(units.Seconds(float64(i)*1e-6), "r", 2048, 0)
-		_ = ctrl.Deficit(2048)
+		_ = ctrl.AdmitPrio(units.Seconds(float64(i)*1e-6), "r", 2048, 0, pressure.PrioPremium)
+		_ = ctrl.PhysicalDeficit(2048)
 	}
 }
 

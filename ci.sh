@@ -11,11 +11,42 @@
 # race pass checks serial ≡ parallel under the race detector. Every step
 # must pass; the script stops at the first failure.
 #
-# Usage: ./ci.sh            (or: make ci)
+# Usage: ./ci.sh            (or: make ci)    every gate
+#        ./ci.sh fuzz       (or: make fuzz)  the fuzz table alone
 set -euo pipefail
 cd "$(dirname "$0")"
 
 step() { printf '\n=== %s ===\n' "$*"; }
+
+# fuzz_table runs one row per fuzz target: go test fuzzes one target per
+# run, so the table is looped like the coverage floors. The rows cover
+# the SM-mask set algebra, the calibration trace parser, the Chrome
+# trace writer, the reader of replay traces from outside the program,
+# the percentile selection against a full sort, and Algorithm 1's
+# decisions against a reference that prices every level.
+fuzz_table() {
+    step "fuzz table (5s per target)"
+    local targets='
+FuzzSetAlgebra              ./internal/smmask
+FuzzCalibParse              ./internal/calib
+FuzzWriteChrome             ./internal/timeline
+FuzzRead                    ./internal/workload
+FuzzRoundTrip               ./internal/workload
+FuzzPercentileInPlace       ./internal/metrics
+FuzzDecideMatchesReference  ./internal/sched
+'
+    while read -r target pkg; do
+        [[ -n "$target" ]] || continue
+        echo "fuzz: $target ($pkg)"
+        go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "$pkg"
+    done <<< "$targets"
+}
+
+case "${1-}" in
+    fuzz) fuzz_table; exit 0 ;;
+    '') ;;
+    *) echo "usage: $0 [fuzz]" >&2; exit 2 ;;
+esac
 
 step "gofmt"
 unformatted=$(gofmt -l . | grep -v '^internal/lint/testdata/' || true)
@@ -120,27 +151,7 @@ step "allocation contract: bulletlint -rules hotalloc smoke"
 # bulletlint pass below also covers it; this names the rule directly).
 go run ./cmd/bulletlint -rules hotalloc ./...
 
-step "fuzz table (5s per target)"
-# One row per fuzz target: go test fuzzes one target per run, so the
-# table is looped like the coverage floors. The rows cover the SM-mask
-# set algebra, the calibration trace parser, the Chrome trace writer,
-# the reader of replay traces from outside the program, the percentile
-# selection against a full sort, and Algorithm 1's decisions against a
-# reference that prices every level. make fuzz runs the same rows.
-fuzz_targets='
-FuzzSetAlgebra              ./internal/smmask
-FuzzCalibParse              ./internal/calib
-FuzzWriteChrome             ./internal/timeline
-FuzzRead                    ./internal/workload
-FuzzRoundTrip               ./internal/workload
-FuzzPercentileInPlace       ./internal/metrics
-FuzzDecideMatchesReference  ./internal/sched
-'
-while read -r target pkg; do
-    [[ -n "$target" ]] || continue
-    echo "fuzz: $target ($pkg)"
-    go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "$pkg"
-done <<< "$fuzz_targets"
+fuzz_table
 
 step "bulletlint ./..."
 go run ./cmd/bulletlint ./...

@@ -35,11 +35,24 @@
 // under -race, with twin arrivals for windows that really fork.
 // Attaching a timeline recorder forces serial advancement so the shared
 // trace keeps one deterministic event order.
+//
+// # One flight per request
+//
+// The router keeps one record per placed request, its flight: the
+// replicas running a copy (the first placement plus any hedges), each
+// charged the request's input tokens as load. The merge delivers the
+// first member outcome, swallows outcomes from non-members as stale, and
+// dissolves the flight at its last member's outcome. A crash, a drain
+// handoff and a dispatch timeout all leave through one failover, which
+// re-submits the request only when no copy survives and no outcome was
+// delivered, so every request completes or is shed exactly once. The
+// router counts its retries, repairs, rate-limit sheds, drains, handoffs
+// and link faults straight into one metrics.Resilience ledger.
 package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -51,7 +64,6 @@ import (
 	"repro/internal/serving"
 	"repro/internal/sim"
 	"repro/internal/timeline"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -108,7 +120,7 @@ type replica struct {
 	env    *serving.Env
 	sys    *core.Bullet
 	slot   int // index in Cluster.replicas, stable across restarts
-	tokens int // input tokens of the live requests, LeastLoaded's load
+	tokens int // input tokens of the flights it is a member of, LeastLoaded's load
 	// down marks a crashed replica: the router stops picking it and its
 	// late completions are swallowed as stale.
 	down bool
@@ -128,28 +140,12 @@ type replica struct {
 	// deterministically through removeHeld. Each entry carries whether
 	// the slot's breaker admitted it (resilience.go).
 	held []heldDispatch
-	// live tracks the requests currently owned by this replica, the set
-	// that fails over when it crashes.
-	live map[string]workload.Request
 	// outbox buffers completions and sheds produced while this replica
 	// advances inside a fork/join window; the router drains it at the
 	// join in deterministic merge order. Only this replica's own event
 	// loop appends to it — the isolation the replicaisolation analyzer
 	// enforces at fork sites.
 	outbox []outcome
-}
-
-// place charges w to the replica: its input tokens join the load and it
-// joins the live set that fails over if the replica crashes.
-func (r *replica) place(w workload.Request) {
-	r.tokens += w.InputTokens
-	r.live[w.ID] = w
-}
-
-// release undoes place for the request with the given ID.
-func (r *replica) release(id string) {
-	r.tokens -= r.live[id].InputTokens
-	delete(r.live, id)
 }
 
 // advance runs this replica's private simulation up to horizon t,
@@ -166,7 +162,10 @@ type Cluster struct {
 	cfg      Config
 	replicas []*replica
 	next     int
-	routed   map[string]*replica
+	// flights holds one record per placed request, keyed by request ID:
+	// the replicas running it and whether its outcome was delivered
+	// (resilience.go).
+	flights map[string]*flight
 
 	// pump is the outer-clock event that re-advances replicas between
 	// router decision points, scheduled at the earliest pending replica
@@ -181,18 +180,35 @@ type Cluster struct {
 	// at the next recovery.
 	deferred []workload.Request
 
-	// rs holds the router-tier resilience state (resilience.go). Its cfg
-	// stays nil unless Config.Resilience armed the mitigations.
-	rs *routerState
+	// armed is the mitigation config of DESIGN.md §16 with defaults
+	// applied, nil when Config.Resilience was nil. The breakers, buckets
+	// and hedger exist only when it is set.
+	armed *resilience.Config
+	// breakers guard replica slots (not instances), so a restarted
+	// replica inherits its slot's failure history.
+	breakers []*resilience.Breaker
+	// buckets meter admissions per QoS class; all nil when BucketRate
+	// is zero.
+	buckets [qos.NumClasses]*resilience.Bucket
+	hedger  *resilience.Hedger
 
-	crashes    int
-	retried    int
-	recoveries int
-	stale      int
-	// recoveryTime attributes actual elapsed repair time per completed
-	// router-tier recovery (restarts, link restorations, drain
-	// readmissions) for metrics.Resilience.RecoveryTime.
-	recoveryTime units.Seconds
+	// blipUntil / blipHeld implement router blips: arrivals during a
+	// blip park here and flush when the last overlapping blip ends.
+	// Each entry keeps the admission flag it arrived with so the flush
+	// replays it verbatim — a re-dispatch parked mid-blip was already
+	// charged to its bucket and must not be charged twice.
+	blipUntil sim.Time
+	blipHeld  []blipArrival
+
+	crashes  int
+	stale    int
+	timeouts int
+	// ledger counts the router's own recovery accounting as it happens:
+	// failover retries, the repairs it completes (restarts, link
+	// restorations, blip flushes, drain readmissions) with their
+	// attributed time, rate-limit sheds, drains, handoffs and link
+	// faults.
+	ledger metrics.Resilience
 	// retired holds the watchdog accounting of the crashed instances
 	// that restarts replaced, so Resilience still counts the repairs
 	// they did.
@@ -233,8 +249,24 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 	default:
 		panic(fmt.Sprintf("cluster: unknown policy %q", cfg.Policy))
 	}
-	c := &Cluster{outer: outer, cfg: cfg, routed: map[string]*replica{}, rs: newRouterState(cfg)}
+	c := &Cluster{outer: outer, cfg: cfg, flights: map[string]*flight{}}
 	c.pump = sim.NewEvent(c.onPump)
+	if cfg.Resilience != nil {
+		rcfg := cfg.Resilience.WithDefaults()
+		c.armed = &rcfg
+		for i := 0; i < cfg.Replicas; i++ {
+			c.breakers = append(c.breakers, resilience.NewBreaker(rcfg.Breaker))
+		}
+		if rcfg.BucketRate > 0 {
+			for cl := 0; cl < qos.NumClasses; cl++ {
+				c.buckets[cl] = resilience.NewBucket(resilience.BucketConfig{
+					Rate:  rcfg.BucketRate * bucketShare[cl],
+					Burst: rcfg.BucketBurst * bucketShare[cl],
+				})
+			}
+		}
+		c.hedger = resilience.NewHedger(rcfg.Hedge)
+	}
 	for i := 0; i < cfg.Replicas; i++ {
 		c.replicas = append(c.replicas, c.newReplica(i))
 	}
@@ -247,13 +279,14 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 
 // newReplica builds one replica: a fresh device and KV pool on a fresh
 // private clock fast-forwarded to the router's current time. Completions
-// and sheds are buffered into the replica-local outbox; ownership checks
-// and router accounting happen at the deterministic merge, not here.
+// and sheds are buffered into the replica-local outbox; flight
+// settlement and router accounting happen at the deterministic merge,
+// not here.
 func (c *Cluster) newReplica(idx int) *replica {
 	env := serving.NewEnv(c.outer.GPU.Spec, c.outer.Model, "")
 	env.Sim.Run(c.outer.Sim.Now())
 	env.SLO = c.outer.SLO
-	r := &replica{env: env, slot: idx, live: map[string]workload.Request{}}
+	r := &replica{env: env, slot: idx}
 	env.OnComplete = func(m metrics.Request) {
 		r.outbox = append(r.outbox, outcome{at: env.Sim.Now(), done: m})
 	}
@@ -393,26 +426,32 @@ func (c *Cluster) mergeOutboxes() {
 	}
 }
 
-// applyOutcome settles one buffered completion or shed against router
-// state: stale deliveries from replicas that no longer own the request
-// (it failed over at a crash) are swallowed, live ones release the
-// routing accounting and flow to the outer environment.
+// applyOutcome settles one buffered completion or shed against the
+// request's flight. An outcome from a replica that is not a member — it
+// lost the request to a crash and reported late — or for a request with
+// no flight is stale and swallowed. The first member outcome flows to
+// the outer environment; every member outcome releases its replica's
+// load, and the last one dissolves the flight.
 func (c *Cluster) applyOutcome(r *replica, o outcome) {
 	id := o.done.ID
 	if o.isShed {
 		id = o.shed.ID
 	}
-	if fl, ok := c.rs.flights[id]; ok {
-		c.settleFlight(r, fl, o, id)
-		return
-	}
-	if c.routed[id] != r {
+	fl, ok := c.flights[id]
+	if !ok || !fl.leave(r) {
 		c.stale++
 		return
 	}
-	delete(c.routed, id)
-	r.release(id)
-	c.deliver(o)
+	if !fl.won {
+		fl.won = true
+		if r != fl.primary {
+			c.hedger.NoteWin()
+		}
+		c.deliver(o)
+	}
+	if len(fl.reps) == 0 {
+		delete(c.flights, id)
+	}
 }
 
 // deliver hands a settled outcome to the outer environment.
@@ -565,12 +604,12 @@ func (c *Cluster) routeFault(ev faults.Event) {
 }
 
 // onReplicaCrash fails a replica: health-aware routing stops picking it,
-// its in-flight requests are re-submitted elsewhere (deterministically,
-// in request-ID order), and after the recovery delay a fresh replica
-// (new device, new KV pool, new private clock) takes its slot. The
-// crashed instance keeps draining whatever was on its GPU until the
-// readmission replaces it, but it no longer owns any request — its late
-// completions are swallowed by the ownership check at the merge.
+// every flight it is a member of fails over (deterministically, in
+// request-ID order), and after the recovery delay a fresh replica (new
+// device, new KV pool, new private clock) takes its slot. The crashed
+// instance keeps draining whatever was on its GPU until the readmission
+// replaces it, but it is no longer a member of any flight — its late
+// completions are swallowed as stale at the merge.
 func (c *Cluster) onReplicaCrash(ev faults.Event) {
 	idx := ev.Replica % len(c.replicas)
 	rep := c.replicas[idx]
@@ -579,45 +618,42 @@ func (c *Cluster) onReplicaCrash(ev faults.Event) {
 	}
 	rep.down = true
 	c.crashes++
-	lost := make([]workload.Request, 0, len(rep.live))
-	for _, w := range rep.live {
-		lost = append(lost, w)
+	// Collect and sort every flight ID before filtering for rep, so
+	// failover runs in request-ID order whatever the map's order.
+	lost := make([]string, 0, len(c.flights))
+	for id := range c.flights {
+		lost = append(lost, id)
 	}
-	sort.Slice(lost, func(i, j int) bool { return lost[i].ID < lost[j].ID })
+	slices.Sort(lost)
+	lost = slices.DeleteFunc(lost, func(id string) bool { return !c.flights[id].has(rep) })
 	if c.tl != nil {
 		c.tl.Instant("cluster", "crash", c.outer.Sim.Now(),
 			timeline.I("replica", idx),
 			timeline.I("lost", len(lost)))
 	}
-	rep.live = map[string]workload.Request{}
-	rep.tokens = 0
-	// Dispatches parked on the dead link fail over via the lost set; the
-	// generation bump no-ops their pending delivery, timeout, and
+	// Dispatches parked on the dead link fail over with their flights;
+	// the generation bump no-ops their pending delivery, timeout, and
 	// link-restore callbacks. Protected entries resolve their breaker
 	// outcome as a failure — a half-open probe wiped by the crash would
 	// otherwise never report and wedge the slot's breaker.
 	for _, h := range rep.held {
 		if h.protected {
-			c.rs.breakers[rep.slot].ReportFailure(c.outer.Sim.Now())
+			c.breakers[rep.slot].ReportFailure(c.outer.Sim.Now())
 		}
 	}
 	rep.held = nil
 	rep.linkGen++
-	for _, w := range lost {
-		delete(c.routed, w.ID)
-		if c.detachFlight(rep, w) {
-			continue // a hedge copy survives elsewhere
+	for _, id := range lost {
+		if c.failover(rep, c.flights[id].req) {
+			c.ledger.Retried++
 		}
-		c.retried++
-		c.submit(w, false)
 	}
 	c.after(ev.Recovery, func() {
 		old := c.replicas[idx]
 		c.retired.Add(old.sys.Resilience())
 		c.qos.Add(tokensOf(old))
 		c.replicas[idx] = c.newReplica(idx)
-		c.recoveries++
-		c.recoveryTime += ev.Recovery
+		c.ledger.Recovered(ev.Recovery)
 		if c.tl != nil {
 			c.tl.Instant("cluster", "recovery", c.outer.Sim.Now(),
 				timeline.I("replica", idx),
@@ -649,24 +685,23 @@ func (c *Cluster) Replicas() []int {
 }
 
 // CheckDrained panics unless the run left nothing behind. The router
-// must hold no routed request, open flight, deferred or blip-held
-// arrival; every replica no live request, load token or parked
-// dispatch. Every up replica's environment must then drain cleanly
+// must hold no flight, deferred or blip-held arrival; every replica no
+// load token or parked dispatch. Every up replica's environment must
+// then drain cleanly
 // (serving.Env.Drain): its end-of-run hook runs and its KV pool checks
 // out empty. Crashed replicas are exempt from the KV check only: a
 // machine that died mid-run may hold KV for work it was draining when
 // the run ended, but it owns none of that work. Env.Run calls this
 // through the hook New installs; calling it again is harmless.
 func (c *Cluster) CheckDrained() {
-	rs := c.rs
-	if len(c.routed)+len(rs.flights)+len(c.deferred)+len(rs.blipHeld) != 0 {
-		panic(fmt.Sprintf("cluster: router holds %d routed, %d flights, %d deferred, %d blip-held requests",
-			len(c.routed), len(rs.flights), len(c.deferred), len(rs.blipHeld)))
+	if len(c.flights)+len(c.deferred)+len(c.blipHeld) != 0 {
+		panic(fmt.Sprintf("cluster: router holds %d flights, %d deferred, %d blip-held requests",
+			len(c.flights), len(c.deferred), len(c.blipHeld)))
 	}
 	for i, r := range c.replicas {
-		if len(r.live) != 0 || r.tokens != 0 || len(r.held) != 0 {
-			panic(fmt.Sprintf("cluster: replica %d holds %d live requests, %d tokens, %d parked dispatches",
-				i, len(r.live), r.tokens, len(r.held)))
+		if r.tokens != 0 || len(r.held) != 0 {
+			panic(fmt.Sprintf("cluster: replica %d holds %d tokens, %d parked dispatches",
+				i, r.tokens, len(r.held)))
 		}
 		if !r.down {
 			r.env.Drain(fmt.Sprintf("%s replica %d", c.Name(), i))
@@ -678,34 +713,23 @@ func (c *Cluster) CheckDrained() {
 func (c *Cluster) Crashes() int { return c.crashes }
 
 // StaleCompletions returns how many late completions from crashed
-// replicas were swallowed by the ownership check.
+// replicas were swallowed as stale.
 func (c *Cluster) StaleCompletions() int { return c.stale }
 
 // Resilience aggregates recovery accounting across the cluster: the
-// router's own failover counters plus the local watchdog counters of
-// every replica instance, current or replaced after a crash. The caller
-// owns injector-level counters (FaultsInjected, Downtime).
+// router's ledger, its breakers and hedger, plus the local watchdog
+// counters of every replica instance, current or replaced after a
+// crash. The caller owns injector-level counters (FaultsInjected,
+// Downtime).
 func (c *Cluster) Resilience() metrics.Resilience {
-	out := metrics.Resilience{
-		Retried:      c.retried,
-		Recoveries:   c.recoveries,
-		RecoveryTime: c.recoveryTime,
-	}
-	rs := c.rs
-	out.LinkFaults = rs.linkFaults
-	out.Drains = rs.drains
-	out.Handoffs = rs.handoffs
-	for cl, n := range rs.rateLimited {
-		out.RateLimited += n
-		out.RateLimitedByClass[cl] = n
-	}
-	for _, b := range rs.breakers {
+	out := c.ledger
+	for _, b := range c.breakers {
 		out.BreakerOpens += b.Opens()
 		out.BreakerCloses += b.Closes()
 	}
-	if rs.hedger != nil {
-		out.Hedges = rs.hedger.Hedges()
-		out.HedgeWins = rs.hedger.Wins()
+	if c.hedger != nil {
+		out.Hedges = c.hedger.Hedges()
+		out.HedgeWins = c.hedger.Wins()
 	}
 	for _, r := range c.replicas {
 		out.Add(r.sys.Resilience())

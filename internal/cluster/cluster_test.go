@@ -316,14 +316,10 @@ func TestCheckDrainedCatchesRouterLeftovers(t *testing.T) {
 		name  string
 		plant func(c *Cluster)
 	}{
-		{"routed", func(c *Cluster) { c.routed[ghost.ID] = c.replicas[0] }},
 		{"flight", func(c *Cluster) {
-			c.rs.flights[ghost.ID] = &flight{primary: c.replicas[1], reps: []*replica{c.replicas[1]}}
+			c.flights[ghost.ID] = &flight{req: ghost, primary: c.replicas[1], reps: []*replica{c.replicas[1]}}
 		}},
-		{"live", func(c *Cluster) {
-			c.replicas[1].live[ghost.ID] = ghost
-			c.replicas[1].tokens += ghost.InputTokens
-		}},
+		{"tokens", func(c *Cluster) { c.replicas[1].tokens += ghost.InputTokens }},
 	} {
 		t.Run(p.name, func(t *testing.T) {
 			c, _ := run(t, Config{Replicas: 2, Policy: LeastLoaded, Options: opts()}, 6, 20, 1)

@@ -2,13 +2,18 @@ package cluster
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gpusim"
+	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/resilience"
 	"repro/internal/serving"
@@ -181,9 +186,9 @@ func oracleRows() []oracleRow {
 	}
 }
 
-// runOracleRow runs one scenario at the given fork/join width and
-// returns its outcome digest.
-func runOracleRow(row oracleRow, workers int) uint64 {
+// playRow runs one scenario at the given fork/join width. Env.Run ends
+// by quiescing the cluster and checking that it drained.
+func playRow(row oracleRow, workers int) (*serving.Env, serving.Result, *Cluster) {
 	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
 	cfg := row.cfg
 	cfg.Workers = workers
@@ -196,7 +201,13 @@ func runOracleRow(row oracleRow, workers int) uint64 {
 		c.AttachFaults(inj, core.DefaultWatchdog())
 		inj.Arm()
 	}
-	res := env.Run(c, row.trace)
+	return env, env.Run(c, row.trace), c
+}
+
+// runOracleRow runs one scenario at the given fork/join width and
+// returns its outcome digest.
+func runOracleRow(row oracleRow, workers int) uint64 {
+	env, res, c := playRow(row, workers)
 	return outcomeDigest(res, env.ShedRequests(), c.Replicas())
 }
 
@@ -217,4 +228,103 @@ func TestOutcomeOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRouterExactlyOnceSweep mixes the router's faults and hedging at
+// random, where each fault row of TestOutcomeOracle replays one fixed
+// schedule. Every seed draws a chaos storm with frequent drains and
+// blips plus one replica crash, and on even seeds one replica crawls at
+// 5% SM health; it runs on the naive router and on the armed one with
+// eager hedging, at one worker and at four. Every trace request must
+// complete or be shed exactly once, Env.Run's drain check must pass,
+// and both worker counts must deliver the same outcomes.
+func TestRouterExactlyOnceSweep(t *testing.T) {
+	seeds := int64(30)
+	if testing.Short() {
+		seeds = 6
+	}
+	hedging := armed(func(r *resilience.Config) {
+		r.Hedge.Budget = 0.5
+		r.Hedge.After = units.FromMs(150)
+	})
+	var crashes, stale int
+	var total metrics.Resilience
+	for seed := int64(1); seed <= seeds; seed++ {
+		ccfg := faults.DefaultChaosConfig(3, units.Seconds(12))
+		ccfg.Seed = seed
+		ccfg.DrainRate, ccfg.BlipRate = 0.4, 0.1
+		sched := faults.GenerateChaos(ccfg)
+		rng := rand.New(rand.NewSource(seed))
+		crash := faults.Event{At: units.Seconds(12 * rng.Float64()), Kind: faults.KindReplicaCrash,
+			Replica: rng.Intn(3), Recovery: 2}
+		i := sort.Search(len(sched.Events), func(i int) bool { return sched.Events[i].At > crash.At })
+		sched.Events = slices.Insert(sched.Events, i, crash)
+		row := oracleRow{
+			cfg:   Config{Replicas: 3, Policy: RoundRobin, Options: opts()},
+			sched: &sched,
+			trace: workload.GenerateTenantMix(workload.AzureCode, 8, 80, seed, workload.DefaultTenantMix()),
+		}
+		if seed%2 == 0 {
+			crawler := int(seed/2) % 3
+			row.setup = func(c *Cluster) { c.replicas[crawler].env.GPU.SetSMHealth(0, 108, 0.05) }
+		}
+		for _, rcfg := range []*resilience.Config{nil, hedging} {
+			row.cfg.Resilience = rcfg
+			var digests [2]uint64
+			for wi, w := range []int{1, 4} {
+				name := fmt.Sprintf("seed %d, armed %v, workers %d", seed, rcfg != nil, w)
+				env, res, c := playChecked(t, name, row, w)
+				seen := map[string]int{}
+				for _, r := range res.Requests {
+					seen[r.ID]++
+				}
+				for _, r := range env.ShedRequests() {
+					seen[r.ID]++
+				}
+				if len(seen) != len(row.trace.Requests) {
+					t.Fatalf("%s: %d distinct IDs resolved, trace has %d", name, len(seen), len(row.trace.Requests))
+				}
+				for _, r := range row.trace.Requests {
+					if seen[r.ID] != 1 {
+						t.Fatalf("%s: request %s resolved %d times", name, r.ID, seen[r.ID])
+					}
+				}
+				digests[wi] = outcomeDigest(res, env.ShedRequests(), c.Replicas())
+				crashes += c.Crashes()
+				stale += c.StaleCompletions()
+				total.Add(c.Resilience())
+			}
+			if digests[0] != digests[1] {
+				t.Fatalf("seed %d, armed %v: digest %#x at workers 1, %#x at workers 4",
+					seed, rcfg != nil, digests[0], digests[1])
+			}
+		}
+	}
+	// The sweep must reach every path it is meant to mix.
+	for _, p := range []struct {
+		what string
+		n    int
+	}{
+		{"crashes", crashes}, {"stale completions", stale}, {"retries", total.Retried},
+		{"drains", total.Drains}, {"handoffs", total.Handoffs}, {"link faults", total.LinkFaults},
+		{"hedges", total.Hedges}, {"hedge wins", total.HedgeWins},
+	} {
+		if p.n == 0 {
+			t.Errorf("no %s across the sweep", p.what)
+		}
+	}
+	t.Logf("%d crashes, %d stale completions, %+v", crashes, stale, total)
+}
+
+// playChecked is playRow with a panic (a deadlock, or a leftover that
+// Env.Run's drain check found) turned into a test failure naming the
+// scenario.
+func playChecked(t *testing.T, name string, row oracleRow, workers int) (env *serving.Env, res serving.Result, c *Cluster) {
+	t.Helper()
+	defer func() {
+		if p := recover(); p != nil {
+			t.Fatalf("%s: %v", name, p)
+		}
+	}()
+	return playRow(row, workers)
 }

@@ -9,21 +9,18 @@
 // fork/join window, so the serial ≡ parallel byte-identity contract of
 // the cluster survives intact (TestChaosSerialParallelIdentical pins it).
 //
-// The state splits along the arming line:
-//
-//   - routerState itself exists from New, so link faults, blips, and
-//     drains take effect once AttachFaults routes them here;
-//   - routerState.cfg is non-nil only when Config.Resilience armed the
-//     mitigations (breakers, dispatch timeouts, hedging, buckets,
-//     graceful drain). A nil cfg leaves the router naive — it keeps
-//     dispatching into black holes and treats drains as crashes — which
-//     is the control arm of the ext-chaos experiment.
+// Faults and mitigations arm separately. Link faults, blips and drains
+// take effect once AttachFaults routes them here, whatever the config.
+// The mitigations (breakers, dispatch timeouts, hedging, buckets,
+// graceful drain) act only when Config.Resilience armed them, which
+// sets Cluster.armed. A nil armed config leaves the router naive — it
+// keeps dispatching into black holes and treats drains as crashes —
+// which is the control arm of the ext-chaos experiment.
 package cluster
 
 import (
 	"repro/internal/faults"
 	"repro/internal/qos"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/timeline"
 	"repro/internal/workload"
@@ -52,22 +49,36 @@ type heldDispatch struct {
 	protected bool
 }
 
-// flight tracks one request with potentially several dispatched copies
-// (the primary plus hedges). The first outcome from any member settles
-// the request; later outcomes only release their replica's accounting.
+// flight is the router's one record of a placed request: the replicas
+// running a copy of it (the primary placement plus any hedge copies),
+// each charged the request's input tokens. The first outcome from a
+// member is delivered; later ones only release their replica's load.
+// The flight dissolves when its last member reports or fails over.
 type flight struct {
+	req     workload.Request
 	primary *replica
 	reps    []*replica
 	won     bool
+	// hedged marks a flight that a direct dispatch opened with hedging
+	// armed, the only kind a hedge timer copies. A parked dispatch's
+	// flight never takes a copy, even once its link delivers it.
+	hedged bool
 }
 
-// remove drops rep from the flight's member set, reporting whether it
-// was a member.
-func (fl *flight) remove(rep *replica) bool {
+// join adds rep to the flight's members and charges it the request's
+// input tokens.
+func (fl *flight) join(rep *replica) {
+	fl.reps = append(fl.reps, rep)
+	rep.tokens += fl.req.InputTokens
+}
+
+// leave undoes join, reporting whether rep was a member.
+func (fl *flight) leave(rep *replica) bool {
 	for i, fr := range fl.reps {
 		if fr == rep {
-			//lint:ignore hotalloc in-place removal: the destination is a prefix of the same backing array, so it never grows
-			fl.reps = append(fl.reps[:i], fl.reps[i+1:]...)
+			copy(fl.reps[i:], fl.reps[i+1:])
+			fl.reps = fl.reps[:len(fl.reps)-1]
+			rep.tokens -= fl.req.InputTokens
 			return true
 		}
 	}
@@ -84,76 +95,21 @@ func (fl *flight) has(rep *replica) bool {
 	return false
 }
 
-// routerState is the cluster's router-tier resilience state.
-type routerState struct {
-	// cfg is the armed mitigation config (defaults applied), nil when
-	// Config.Resilience was nil.
-	cfg *resilience.Config
-	// breakers guard replica slots (not instances), so a restarted
-	// replica inherits its slot's failure history.
-	breakers []*resilience.Breaker
-	// buckets meter admissions per QoS class; all nil when BucketRate
-	// is zero.
-	buckets [qos.NumClasses]*resilience.Bucket
-	hedger  *resilience.Hedger
-	// flights tracks hedged requests by ID. The map is never iterated,
-	// only looked up, so it cannot perturb determinism.
-	flights map[string]*flight
-
-	// blipUntil / blipHeld implement router blips: arrivals during a
-	// blip park here and flush when the last overlapping blip ends.
-	// Each entry keeps the admission flag it arrived with so the flush
-	// replays it verbatim — a re-dispatch parked mid-blip was already
-	// charged to its bucket and must not be charged twice.
-	blipUntil sim.Time
-	blipHeld  []blipArrival
-
-	timeouts    int
-	rateLimited [qos.NumClasses]int
-	drains      int
-	handoffs    int
-	linkFaults  int
-}
-
-// newRouterState builds the router-tier state, arming the mitigation
-// policies iff cfg.Resilience is set.
-func newRouterState(cfg Config) *routerState {
-	rs := &routerState{flights: map[string]*flight{}}
-	if cfg.Resilience == nil {
-		return rs
-	}
-	rcfg := cfg.Resilience.WithDefaults()
-	rs.cfg = &rcfg
-	for i := 0; i < cfg.Replicas; i++ {
-		rs.breakers = append(rs.breakers, resilience.NewBreaker(rcfg.Breaker))
-	}
-	if rcfg.BucketRate > 0 {
-		for cl := 0; cl < qos.NumClasses; cl++ {
-			rs.buckets[cl] = resilience.NewBucket(resilience.BucketConfig{
-				Rate:  rcfg.BucketRate * bucketShare[cl],
-				Burst: rcfg.BucketBurst * bucketShare[cl],
-			})
-		}
-	}
-	rs.hedger = resilience.NewHedger(rcfg.Hedge)
-	return rs
-}
-
 // submit is the router's one admission path: blip hold, token-bucket
 // admission (skipped for re-dispatches, admit=false), health-aware
 // pick, placement, and link-aware dispatch with hedge arming. Callers
 // run inside a decision point.
 func (c *Cluster) submit(r workload.Request, admit bool) {
-	rs := c.rs
 	now := c.outer.Sim.Now()
-	if now < rs.blipUntil {
-		rs.blipHeld = append(rs.blipHeld, blipArrival{req: r, admit: admit})
+	if now < c.blipUntil {
+		c.blipHeld = append(c.blipHeld, blipArrival{req: r, admit: admit})
 		return
 	}
-	if admit && rs.cfg != nil && rs.buckets[0] != nil {
+	if admit && c.armed != nil && c.buckets[0] != nil {
 		cl := qos.ClassOf(r.Tenant)
-		if !rs.buckets[cl].Allow(now, float64(r.InputTokens)) {
-			rs.rateLimited[cl]++
+		if !c.buckets[cl].Allow(now, float64(r.InputTokens)) {
+			c.ledger.RateLimited++
+			c.ledger.RateLimitedByClass[cl]++
 			if c.tl != nil {
 				c.tl.Instant("router", "rate-limit", now,
 					timeline.S("tenant", r.Tenant))
@@ -169,22 +125,21 @@ func (c *Cluster) submit(r workload.Request, admit bool) {
 		return
 	}
 	protected := false
-	if rs.cfg != nil {
+	if c.armed != nil {
 		// The chosen replica's breaker admits the dispatch; an open
 		// breaker past its probe instant transitions to half-open here,
 		// making this dispatch the probe. A fail-open pick through an
 		// unready breaker dispatches unprotected: its outcome must not
 		// mutate the breaker (see heldDispatch).
-		protected = rs.breakers[rep.slot].Allow(now)
+		protected = c.breakers[rep.slot].Allow(now)
 	}
-	rep.place(r)
-	c.routed[r.ID] = rep
-	if c.dispatch(rep, r, protected) && rs.cfg != nil && rs.cfg.Hedge.MaxHedges > 0 {
-		rs.hedger.NoteDispatch()
-		if _, ok := rs.flights[r.ID]; !ok {
-			rs.flights[r.ID] = &flight{primary: rep, reps: []*replica{rep}}
-			c.armHedge(r, 0)
-		}
+	fl := &flight{req: r, primary: rep}
+	fl.join(rep)
+	c.flights[r.ID] = fl
+	if c.dispatch(rep, r, protected) && c.armed != nil && c.armed.Hedge.MaxHedges > 0 {
+		c.hedger.NoteDispatch()
+		fl.hedged = true
+		c.armHedge(r, 0)
 	}
 }
 
@@ -195,14 +150,13 @@ func (c *Cluster) submit(r workload.Request, admit bool) {
 // fleet beats dropping work. Without mitigations the policy runs over
 // every up replica.
 func (c *Cluster) pick() *replica {
-	rs := c.rs
-	if rs.cfg == nil {
+	if c.armed == nil {
 		return c.pickWhere(func(rep *replica) bool { return !rep.down })
 	}
 	now := c.outer.Sim.Now()
 	if rep := c.pickWhere(func(rep *replica) bool {
 		return !rep.down && !rep.draining && !rep.linkLost && rep.linkDelay == 0 &&
-			rs.breakers[rep.slot].Ready(now)
+			c.breakers[rep.slot].Ready(now)
 	}); rep != nil {
 		return rep
 	}
@@ -215,7 +169,6 @@ func (c *Cluster) pick() *replica {
 // re-routes it; degraded links deliver it late. Only breaker-admitted
 // (protected) dispatches report their outcome to the breaker.
 func (c *Cluster) dispatch(rep *replica, r workload.Request, protected bool) bool {
-	rs := c.rs
 	if rep.linkLost {
 		rep.held = append(rep.held, heldDispatch{req: r, protected: protected})
 		c.armDispatchTimeout(rep, r)
@@ -230,7 +183,7 @@ func (c *Cluster) dispatch(rep *replica, r workload.Request, protected bool) boo
 	}
 	rep.sys.Submit(r)
 	if protected {
-		rs.breakers[rep.slot].ReportSuccess()
+		c.breakers[rep.slot].ReportSuccess()
 	}
 	return true
 }
@@ -253,57 +206,56 @@ func (c *Cluster) deliverHeld(rep *replica, id string) {
 	if h, ok := c.removeHeld(rep, id); ok {
 		rep.sys.Submit(h.req)
 		if h.protected {
-			c.rs.breakers[rep.slot].ReportSuccess()
+			c.breakers[rep.slot].ReportSuccess()
 		}
 	}
 }
 
 // armDispatchTimeout bounds how long a dispatch may sit parked on a
-// faulty link. On expiry the router counts a breaker failure, releases
-// the placement, and re-routes the request (skipping the admission
-// bucket — it was already admitted). Unarmed when mitigations are off:
-// the naive router waits for the link, however long that takes.
+// faulty link. On expiry the router counts a breaker failure and fails
+// the request over (re-entering without the admission bucket — it was
+// already admitted). Unarmed when mitigations are off: the naive router
+// waits for the link, however long that takes.
 func (c *Cluster) armDispatchTimeout(rep *replica, r workload.Request) {
-	rs := c.rs
-	if rs.cfg == nil {
+	if c.armed == nil {
 		return
 	}
-	c.after(rs.cfg.DispatchTimeout, func() {
+	c.after(c.armed.DispatchTimeout, func() {
 		h, ok := c.removeHeld(rep, r.ID)
 		if !ok {
 			return
 		}
 		now := c.outer.Sim.Now()
-		rs.timeouts++
+		c.timeouts++
 		if h.protected {
-			rs.breakers[rep.slot].ReportFailure(now)
+			c.breakers[rep.slot].ReportFailure(now)
 		}
 		if c.tl != nil {
 			c.tl.Instant("router", "dispatch-timeout", now,
 				timeline.I("replica", rep.slot))
 		}
-		rep.release(r.ID)
-		delete(c.routed, r.ID)
-		c.retried++
-		c.submit(r, false)
+		if c.failover(rep, r) {
+			c.ledger.Retried++
+		}
 	})
 }
 
 // armHedge schedules hedge attempt number attempt (0-based) for a
 // directly dispatched request: if the flight is still unresolved when
 // the straggler threshold passes and the budget allows, one extra copy
-// goes to a healthy replica not already running it.
+// goes to a healthy replica not already running it. The timer looks its
+// flight up by request ID, so it also serves a flight that a failover
+// re-opened for the same request.
 func (c *Cluster) armHedge(r workload.Request, attempt int) {
-	rs := c.rs
-	if attempt >= rs.cfg.Hedge.MaxHedges {
+	if attempt >= c.armed.Hedge.MaxHedges {
 		return
 	}
-	c.after(rs.hedger.Delay(attempt), func() {
-		fl, ok := rs.flights[r.ID]
-		if !ok || fl.won {
+	c.after(c.hedger.Delay(attempt), func() {
+		fl, ok := c.flights[r.ID]
+		if !ok || !fl.hedged || fl.won {
 			return
 		}
-		if !rs.hedger.CanHedge() {
+		if !c.hedger.CanHedge() {
 			return
 		}
 		now := c.outer.Sim.Now()
@@ -312,17 +264,16 @@ func (c *Cluster) armHedge(r workload.Request, attempt int) {
 		// the point.
 		rep := c.pickWhere(func(rep *replica) bool {
 			return !rep.down && !rep.draining && !rep.linkLost && rep.linkDelay == 0 &&
-				rs.breakers[rep.slot].Ready(now) && !fl.has(rep)
+				c.breakers[rep.slot].Ready(now) && !fl.has(rep)
 		})
 		if rep == nil {
 			c.armHedge(r, attempt+1)
 			return
 		}
-		rs.hedger.NoteHedge()
-		rep.place(r)
-		fl.reps = append(fl.reps, rep)
+		c.hedger.NoteHedge()
+		fl.join(rep)
 		rep.sys.Submit(r)
-		rs.breakers[rep.slot].ReportSuccess()
+		c.breakers[rep.slot].ReportSuccess()
 		if c.tl != nil {
 			c.tl.Instant("router", "hedge", now,
 				timeline.I("replica", rep.slot),
@@ -332,52 +283,25 @@ func (c *Cluster) armHedge(r workload.Request, attempt int) {
 	})
 }
 
-// settleFlight applies one buffered outcome for a hedged request: the
-// first outcome from any member wins and flows to the outer
-// environment, later ones only release their replica's accounting. The
-// flight (and the ownership entry) dissolve once every copy reported.
-func (c *Cluster) settleFlight(r *replica, fl *flight, o outcome, id string) {
-	if !fl.remove(r) {
-		c.stale++ // a copy lost to a crash reported late
-		return
-	}
-	r.release(id)
-	if !fl.won {
-		fl.won = true
-		if r != fl.primary {
-			c.rs.hedger.NoteWin()
-		}
-		c.deliver(o)
-	}
-	if len(fl.reps) == 0 {
-		delete(c.rs.flights, id)
-		delete(c.routed, id)
-	}
-}
-
-// detachFlight removes a failed-over or handed-off copy from its
-// flight, reporting whether a re-dispatch is unnecessary: either
-// surviving copies still carry the request (ownership transfers to the
-// first survivor), or the flight already settled — its outcome flowed
-// to the outer environment when an earlier copy won, and Env.Complete
-// is exactly-once, so re-dispatching would deliver it twice and end
-// the run with another request unserved.
-func (c *Cluster) detachFlight(rep *replica, w workload.Request) bool {
-	fl, ok := c.rs.flights[w.ID]
-	if !ok {
+// failover takes rep out of w's flight once rep has lost the request to
+// a crash, a drain handoff or a dispatch timeout, and reports whether
+// the request re-entered the router. It does not when other members
+// still run a copy, nor when the flight already delivered its outcome —
+// Env.Complete is exactly-once, so a re-dispatch would deliver it twice
+// and end the run with another request unserved. Re-entry skips the
+// admission bucket: the request was already admitted.
+func (c *Cluster) failover(rep *replica, w workload.Request) bool {
+	fl := c.flights[w.ID]
+	fl.leave(rep)
+	if len(fl.reps) > 0 {
 		return false
 	}
-	fl.remove(rep)
-	if len(fl.reps) > 0 {
-		c.routed[w.ID] = fl.reps[0]
-		return true
-	}
-	delete(c.rs.flights, w.ID)
+	delete(c.flights, w.ID)
 	if fl.won {
-		delete(c.routed, w.ID)
-		return true
+		return false
 	}
-	return false
+	c.submit(w, false)
+	return true
 }
 
 // onLinkFault applies a KindLinkDegrade event: the targeted replica's
@@ -390,8 +314,7 @@ func (c *Cluster) onLinkFault(ev faults.Event) {
 	if rep.down {
 		return // the machine is gone; its link state is moot
 	}
-	rs := c.rs
-	rs.linkFaults++
+	c.ledger.LinkFaults++
 	rep.linkGen++
 	gen := rep.linkGen
 	rep.linkLost = ev.LinkLoss
@@ -419,11 +342,10 @@ func (c *Cluster) onLinkFault(ev faults.Event) {
 			// breaker outcome as a success — a half-open probe parked
 			// here would otherwise never report and wedge the breaker.
 			if h.protected {
-				rs.breakers[rep.slot].ReportSuccess()
+				c.breakers[rep.slot].ReportSuccess()
 			}
 		}
-		c.recoveries++
-		c.recoveryTime += ev.Duration
+		c.ledger.Recovered(ev.Duration)
 		if c.tl != nil {
 			c.tl.Instant("router", "link-restore", c.outer.Sim.Now(),
 				timeline.I("replica", rep.slot),
@@ -437,28 +359,26 @@ func (c *Cluster) onLinkFault(ev faults.Event) {
 // ends. Blips hit the router itself, so they apply identically with
 // mitigations on or off.
 func (c *Cluster) onRouterBlip(ev faults.Event) {
-	rs := c.rs
 	now := c.outer.Sim.Now()
-	if until := now + ev.Duration; until > rs.blipUntil {
-		rs.blipUntil = until
+	if until := now + ev.Duration; until > c.blipUntil {
+		c.blipUntil = until
 	}
 	if c.tl != nil {
 		c.tl.Instant("router", "blip", now, timeline.F("duration", ev.Duration.Float()))
 	}
 	c.after(ev.Duration, func() {
-		if c.outer.Sim.Now() < rs.blipUntil {
+		if c.outer.Sim.Now() < c.blipUntil {
 			return // a later overlapping blip ends the episode
 		}
-		flush := rs.blipHeld
-		rs.blipHeld = nil
+		flush := c.blipHeld
+		c.blipHeld = nil
 		for _, h := range flush {
 			// Fresh arrivals never reached the admission bucket and are
 			// charged now, at flush time; parked re-dispatches
 			// (admit=false) were already admitted and replay as such.
 			c.submit(h.req, h.admit)
 		}
-		c.recoveries++
-		c.recoveryTime += ev.Duration
+		c.ledger.Recovered(ev.Duration)
 	})
 }
 
@@ -466,10 +386,10 @@ func (c *Cluster) onRouterBlip(ev faults.Event) {
 // stops admitting, hands its waiting queue (which holds no KV) to
 // healthy peers, finishes in-flight work on its own clock, and readmits
 // after the restart window. Without mitigations armed there is no
-// graceful protocol — the drain degenerates to an abrupt crash/restart
-// through the PR 3 failover machinery.
+// graceful protocol — the drain degenerates to an abrupt crash/restart.
+// A handoff is not a retry: the request never ran.
 func (c *Cluster) onReplicaDrain(ev faults.Event) {
-	if c.rs.cfg == nil {
+	if c.armed == nil {
 		c.onReplicaCrash(ev)
 		return
 	}
@@ -477,9 +397,8 @@ func (c *Cluster) onReplicaDrain(ev faults.Event) {
 	if rep.down || rep.draining {
 		return
 	}
-	rs := c.rs
 	rep.draining = true
-	rs.drains++
+	c.ledger.Drains++
 	waiting := rep.sys.ExtractWaiting()
 	if c.tl != nil {
 		c.tl.Instant("router", "drain", c.outer.Sim.Now(),
@@ -487,19 +406,13 @@ func (c *Cluster) onReplicaDrain(ev faults.Event) {
 			timeline.I("handoff", len(waiting)))
 	}
 	for _, w := range waiting {
-		rep.release(w.ID)
-		rs.handoffs++
-		if c.detachFlight(rep, w) {
-			continue // a hedge copy survives elsewhere
-		}
-		delete(c.routed, w.ID)
-		c.submit(w, false)
+		c.ledger.Handoffs++
+		c.failover(rep, w)
 	}
 	c.after(ev.Recovery, func() {
 		if c.replicas[rep.slot] == rep && !rep.down {
 			rep.draining = false
-			c.recoveries++
-			c.recoveryTime += ev.Recovery
+			c.ledger.Recovered(ev.Recovery)
 			if c.tl != nil {
 				c.tl.Instant("router", "readmit", c.outer.Sim.Now(),
 					timeline.I("replica", rep.slot))
@@ -536,4 +449,4 @@ func (c *Cluster) Quiesce() {
 
 // DispatchTimeouts returns how many parked dispatches were re-routed by
 // the timeout, zero without mitigations armed.
-func (c *Cluster) DispatchTimeouts() int { return c.rs.timeouts }
+func (c *Cluster) DispatchTimeouts() int { return c.timeouts }

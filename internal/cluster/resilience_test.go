@@ -414,3 +414,34 @@ func TestChaosTimelineRouterLane(t *testing.T) {
 		}
 	}
 }
+
+// TestHedgeTimerSkipsParkedFlight: a hedge timer looks its flight up by
+// request ID and copies only flights that a direct dispatch opened with
+// hedging armed. Here the request goes straight to replica 0 and arms
+// its timer; replica 0 crashes while the other two links are lost, so
+// the failover parks the request on replica 1's dead link. When the old
+// timer fires, replica 2's link is back and would take a copy, but the
+// parked flight is not the timer's to hedge.
+func TestHedgeTimerSkipsParkedFlight(t *testing.T) {
+	rcfg := resilience.DefaultConfig()
+	rcfg.DispatchTimeout = 5 // the parked dispatch waits for its link
+	cfg := Config{Replicas: 3, Policy: RoundRobin, Options: opts(), Resilience: &rcfg}
+	sched := faults.Schedule{Events: []faults.Event{
+		linkLossAt(0.15, 2, 0.3),
+		linkLossAt(0.2, 1, 3),
+		{At: 0.3, Kind: faults.KindReplicaCrash, Replica: 0, Recovery: 2},
+	}}
+	tr := &workload.Trace{Dataset: "azure-code", Requests: []workload.Request{
+		{ID: "r1", Arrival: 0.1, InputTokens: 512, OutputTokens: 200, Dataset: "azure-code"},
+	}}
+	c, res, rl := runResilient(t, cfg, sched, tr)
+	if res.Summary.Requests != 1 || rl.Retried != 1 {
+		t.Fatalf("completed %d, retried %d: want the request failed over once and completed", res.Summary.Requests, rl.Retried)
+	}
+	if len(c.replicas[1].env.Completed()) != 1 {
+		t.Fatalf("replica completions %v: want the parked dispatch served by replica 1", c.Replicas())
+	}
+	if rl.Hedges != 0 {
+		t.Fatalf("%d hedges: the old timer copied a parked dispatch's flight", rl.Hedges)
+	}
+}

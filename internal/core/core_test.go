@@ -151,6 +151,18 @@ func intArg(t *testing.T, e timeline.Event, key string) int {
 	return 0
 }
 
+// floatArg returns e's float argument key, failing the test when absent.
+func floatArg(t *testing.T, e timeline.Event, key string) float64 {
+	t.Helper()
+	for _, a := range e.Args {
+		if a.Key == key && a.Kind == timeline.ArgFloat {
+			return a.F
+		}
+	}
+	t.Fatalf("%s/%s at %v has no float %q arg: %+v", e.Lane, e.Name, e.Start, key, e.Args)
+	return 0
+}
+
 // strArg returns e's string argument key, failing the test when absent.
 func strArg(t *testing.T, e timeline.Event, key string) string {
 	t.Helper()

@@ -29,27 +29,15 @@ func DefaultWatchdog() WatchdogConfig {
 }
 
 // faultState is the per-instance resilience bookkeeping, allocated only
-// when faults are enabled so healthy runs carry no extra state.
+// when faults are enabled so healthy runs carry no extra state. The
+// embedded ledger counts this instance's batch aborts, retries, sheds
+// and recoveries as they happen.
 type faultState struct {
+	metrics.Resilience
 	wcfg WatchdogConfig
 	// bufferFaults fences overlapping buffer-latency restorations
 	// (last-write-wins).
 	bufferFaults int
-
-	aborts     int
-	retried    int
-	shed       int
-	recoveries int
-	// recoveryTime attributes actual elapsed repair time per completed
-	// recovery event (metrics.Resilience.RecoveryTime).
-	recoveryTime units.Seconds
-}
-
-// recover records one completed recovery and attributes its elapsed
-// repair time, so MTTR stays correct when fault windows overlap.
-func (f *faultState) recover(took units.Seconds) {
-	f.recoveries++
-	f.recoveryTime += took
 }
 
 // EnableResilience arms the watchdog and fault bookkeeping. It must be
@@ -110,7 +98,7 @@ func (b *Bullet) onSMDegrade(ev faults.Event) {
 		b.env.Sim.PostAfter(ev.Duration, func() {
 			b.env.GPU.SetSMHealth(ev.FirstSM, ev.NumSMs, 1)
 			b.reprovision()
-			b.faults.recover(ev.Duration)
+			b.faults.Recovered(ev.Duration)
 		})
 	}
 }
@@ -150,11 +138,11 @@ func (b *Bullet) onEngineStall(ev faults.Event) {
 			if b.faults.bufferFaults == token {
 				b.Buffer.SetExtraLatency(0)
 			}
-			b.faults.recover(ev.Stall)
+			b.faults.Recovered(ev.Stall)
 		})
 	case faults.TargetDecode:
 		b.Decode.Stall(ev.Stall)
-		b.env.Sim.PostAfter(ev.Stall, func() { b.faults.recover(ev.Stall) })
+		b.env.Sim.PostAfter(ev.Stall, func() { b.faults.Recovered(ev.Stall) })
 	case faults.TargetPrefill:
 		b.Prefill.Stall(ev.Stall)
 		if ev.Stall > b.faults.wcfg.Timeout && b.Prefill.Running() {
@@ -162,7 +150,7 @@ func (b *Bullet) onEngineStall(ev faults.Event) {
 			b.env.Sim.PostAfter(b.faults.wcfg.Timeout, func() { b.watchdogFire(ep) })
 			return
 		}
-		b.env.Sim.PostAfter(ev.Stall, func() { b.faults.recover(ev.Stall) })
+		b.env.Sim.PostAfter(ev.Stall, func() { b.faults.Recovered(ev.Stall) })
 	default:
 		panic(fmt.Sprintf("core: unknown stall target %q", ev.Target))
 	}
@@ -174,24 +162,24 @@ func (b *Bullet) onEngineStall(ev faults.Event) {
 func (b *Bullet) watchdogFire(ep int) {
 	if b.Prefill.Epoch() != ep || !b.Prefill.Running() || !b.Prefill.Stalled() {
 		// The batch finished, cleared, or another watchdog already acted.
-		b.faults.recover(b.faults.wcfg.Timeout)
+		b.faults.Recovered(b.faults.wcfg.Timeout)
 		return
 	}
 	aborted := b.Prefill.AbortBatch()
-	b.faults.aborts++
+	b.faults.BatchAborts++
 	var keep []*engine.Req
 	shed := 0
 	for _, r := range aborted {
 		if r.Retries > b.faults.wcfg.MaxRetries {
-			b.faults.shed++
+			b.faults.Shed++
 			shed++
 			b.env.Shed(r.W)
 			continue
 		}
-		b.faults.retried++
+		b.faults.Retried++
 		keep = append(keep, r)
 	}
-	b.faults.recover(b.faults.wcfg.Timeout)
+	b.faults.Recovered(b.faults.wcfg.Timeout)
 	if b.tl != nil {
 		b.tl.Instant("watchdog", "abort", b.env.Sim.Now(),
 			timeline.I("aborted", len(aborted)),
@@ -211,11 +199,5 @@ func (b *Bullet) Resilience() metrics.Resilience {
 	if b.faults == nil {
 		return metrics.Resilience{}
 	}
-	return metrics.Resilience{
-		BatchAborts:  b.faults.aborts,
-		Retried:      b.faults.retried,
-		Shed:         b.faults.shed,
-		Recoveries:   b.faults.recoveries,
-		RecoveryTime: b.faults.recoveryTime,
-	}
+	return b.faults.Resilience
 }

@@ -153,7 +153,7 @@ func (b *Bullet) onKVShrink(ev faults.Event) {
 				b.pressure.RecordKVShrink(b.env.Sim.Now(), n, true)
 			}
 			if b.faults != nil {
-				b.faults.recoveries++
+				b.faults.Recovered(ev.Duration)
 			}
 		})
 	}

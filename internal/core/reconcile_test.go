@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -107,6 +108,43 @@ func runGatePoint() *Bullet {
 	inj.Arm()
 	b.RunTrace(workload.Generate(workload.AzureCode, rate, n, seed))
 	return b
+}
+
+// TestKVShrinkRestoresRecordRepairTime: each KV-shrink restore counts
+// one recovery with the shrink's duration as its repair time, so the
+// gate point's RecoveryTime is the summed durations of the shrinks that
+// restored before the run ended (summed in restore order, as the run
+// does) and MTTR needs no other estimate.
+func TestKVShrinkRestoresRecordRepairTime(t *testing.T) {
+	b := runGatePoint()
+	var pending []timeline.Event
+	var want units.Seconds
+	restored := 0
+	for _, e := range b.tl.Events() {
+		switch {
+		case e.Lane == "faults" && e.Name == "kv-shrink":
+			pending = append(pending, e)
+		case e.Lane == "pressure" && e.Name == "kv-restore":
+			// The restore fires the shrink's duration after it.
+			i := slices.IndexFunc(pending, func(s timeline.Event) bool {
+				return s.Start+units.Seconds(floatArg(t, s, "seconds")) == e.Start
+			})
+			if i < 0 {
+				t.Fatalf("kv-restore at %v matches no pending shrink", e.Start)
+			}
+			want += units.Seconds(floatArg(t, pending[i], "seconds"))
+			restored++
+			pending = slices.Delete(pending, i, i+1)
+		}
+	}
+	rl := b.Resilience()
+	if restored == 0 {
+		t.Fatal("no KV shrink restored: the gate point does not exercise the restore")
+	}
+	if rl.Recoveries != restored || rl.RecoveryTime != want {
+		t.Fatalf("%d recoveries over %v, want the %d restored shrinks over %v",
+			rl.Recoveries, rl.RecoveryTime, restored, want)
+	}
 }
 
 // TestCountersMatchTimeline reconciles the two ways a run reports what

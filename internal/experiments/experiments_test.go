@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -313,6 +314,17 @@ func TestTable3Overheads(t *testing.T) {
 		}
 	}
 	_ = RenderTable3(rows)
+}
+
+// TestTable3SnapshotZeroAlloc pins the buffer behind Table 3's
+// "Metadata Snapshot" row at zero allocations, as the engines' own
+// snapshots are: the row times the snapshot the engines take, not
+// allocations they no longer make.
+func TestTable3SnapshotZeroAlloc(t *testing.T) {
+	buf := table3Buffer(sim.New())
+	if got := testing.AllocsPerRun(100, func() { _ = buf.Snapshot() }); got != 0 {
+		t.Fatalf("metadata snapshot: %v allocs/op, want 0", got)
+	}
 }
 
 func TestNewSystemUnknownPanics(t *testing.T) {

@@ -55,23 +55,7 @@ func Table3(iters int, timer func() float64) []Table3Row {
 		TotalLayers: cfg.NumLayers, LayerGroup: 1,
 		NumSMs: spec.NumSMs, Levels: res.Levels(),
 	})
-	buf := engine.NewBuffer(s, units.Seconds(0.21e-3))
-	buf.RegisterPrefill(func() (sched.PrefillStatus, []sched.WaitingReq) {
-		return sched.PrefillStatus{
-			Active: true, Tokens: 4096, LayersDone: 10,
-			Arrivals:    []sim.Time{0, 0, 0},
-			InputTokens: []int{1024, 2048, 1024},
-		}, []sched.WaitingReq{{Arrival: 0, InputTokens: 2048}}
-	})
-	buf.RegisterDecode(func() sched.DecodeStatus {
-		ds := sched.DecodeStatus{Batch: 64, AvgCtx: 1500}
-		for i := 0; i < 64; i++ {
-			ds.Elapsed = append(ds.Elapsed, units.Seconds(0.2))
-			ds.Generated = append(ds.Generated, 8)
-		}
-		return ds
-	})
-	buf.SetAllocation(84, 24)
+	buf := table3Buffer(s)
 	st := buf.Snapshot()
 
 	measure := func(name string, fn func(i int)) Table3Row {
@@ -112,6 +96,31 @@ func Table3(iters int, timer func() float64) []Table3Row {
 			_ = res.Stream(resource.Prefill, levels[i%len(levels)])
 		}),
 	}
+}
+
+// table3Buffer builds the metadata buffer Table 3 snapshots: a running
+// prefill batch, one waiting request and a 64-request decode batch. Its
+// providers return statuses built once here, as the engines' providers
+// fill their own snapshot scratch in place, so a snapshot allocates
+// nothing.
+func table3Buffer(s *sim.Simulation) *engine.Buffer {
+	prefill := sched.PrefillStatus{
+		Active: true, Tokens: 4096, LayersDone: 10,
+		Arrivals:    []sim.Time{0, 0, 0},
+		InputTokens: []int{1024, 2048, 1024},
+	}
+	waiting := []sched.WaitingReq{{Arrival: 0, InputTokens: 2048}}
+	decode := sched.DecodeStatus{Batch: 64, AvgCtx: 1500,
+		Elapsed: make([]units.Seconds, 64), Generated: make([]int, 64)}
+	for i := range decode.Elapsed {
+		decode.Elapsed[i] = 0.2
+		decode.Generated[i] = 8
+	}
+	buf := engine.NewBuffer(s, units.Seconds(0.21e-3))
+	buf.RegisterPrefill(func() (sched.PrefillStatus, []sched.WaitingReq) { return prefill, waiting })
+	buf.RegisterDecode(func() sched.DecodeStatus { return decode })
+	buf.SetAllocation(84, 24)
+	return buf
 }
 
 // RenderTable3 prints the overhead table.

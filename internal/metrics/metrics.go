@@ -399,19 +399,22 @@ func (r *Resilience) Add(o Resilience) {
 	r.LinkFaults += o.LinkFaults
 }
 
-// MTTR returns the mean time to recover: actual attributed repair time
-// per completed recovery. Runs recorded before per-event attribution
-// existed (RecoveryTime zero with recoveries present) fall back to the
-// legacy scheduled-downtime estimate, which overstates MTTR whenever
-// cascading faults fold several scheduled outages into one repair.
+// Recovered records one completed repair and attributes its elapsed
+// repair time, so MTTR stays correct when fault windows overlap.
+func (r *Resilience) Recovered(took units.Seconds) {
+	r.Recoveries++
+	r.RecoveryTime += took
+}
+
+// MTTR returns the mean time to recover: the attributed repair time per
+// completed recovery, zero without one. Every recovery records its time
+// through Recovered, so cascading faults that fold several scheduled
+// outages into one repair count that repair once.
 func (r Resilience) MTTR() units.Seconds {
 	if r.Recoveries == 0 {
 		return 0
 	}
-	if r.RecoveryTime > 0 {
-		return units.Over(r.RecoveryTime, float64(r.Recoveries))
-	}
-	return units.Over(r.Downtime, float64(r.Recoveries))
+	return units.Over(r.RecoveryTime, float64(r.Recoveries))
 }
 
 // Pressure aggregates the memory-pressure subsystem's accounting for one

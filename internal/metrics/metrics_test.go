@@ -148,9 +148,6 @@ func TestResilienceAddAndMTTR(t *testing.T) {
 	if a != want {
 		t.Fatalf("Add = %+v, want %+v", a, want)
 	}
-	if got := a.MTTR(); units.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("MTTR = %v, want 1.5 (legacy scheduled-downtime fallback)", got)
-	}
 	if (Resilience{Downtime: 5}).MTTR() != 0 {
 		t.Fatal("MTTR with zero recoveries should be 0")
 	}
@@ -165,10 +162,10 @@ func TestResilienceMTTRPrefersAttributedTime(t *testing.T) {
 	if got := r.MTTR(); units.Abs(got-2.5) > 1e-12 {
 		t.Fatalf("MTTR = %v, want 2.5 (RecoveryTime/Recoveries)", got)
 	}
-	// Without attribution the legacy estimate overstates: 8/2 = 4.
-	legacy := Resilience{Recoveries: 2, Downtime: 8}
-	if got := legacy.MTTR(); units.Abs(got-4) > 1e-12 {
-		t.Fatalf("legacy MTTR = %v, want 4", got)
+	// Recovered counts one repair with its time.
+	r.Recovered(3.5)
+	if r.Recoveries != 3 || r.RecoveryTime != 8.5 {
+		t.Fatalf("after Recovered(3.5): %d recoveries over %v, want 3 over 8.5s", r.Recoveries, r.RecoveryTime)
 	}
 }
 

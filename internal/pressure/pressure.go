@@ -58,8 +58,8 @@ func (t Tier) String() string {
 // lower priorities meet tighter watermarks and smaller deferral budgets,
 // so under sustained pressure the gate sheds strictly lowest-first. The
 // qos package maps tenant classes onto these levels; priority-unaware
-// callers use Admit, which runs at PrioPremium and therefore behaves
-// exactly as the gate did before priorities existed.
+// callers pass PrioPremium, which behaves exactly as the gate did before
+// priorities existed.
 type Prio int
 
 const (
@@ -245,22 +245,15 @@ func (c *Controller) blocksFor(tokens int) int {
 	return (tokens + bt - 1) / bt
 }
 
-// Admit decides the admission tier for a request needing needTokens of KV
-// (prompt plus full output budget, the engines' lifetime reservation) that
-// has already been deferred deferrals times. It updates the hysteresis
-// latch, counters, and peak occupancy, and emits one timeline instant per
-// decision.
-//
-//bullet:hotpath
-func (c *Controller) Admit(now units.Seconds, id string, needTokens, deferrals int) Tier {
-	return c.AdmitPrio(now, id, needTokens, deferrals, PrioPremium)
-}
-
-// AdmitPrio is Admit with an explicit admission priority: levels below
-// PrioPremium face a watermark tightened by priorityMargin per step and
-// a deferral budget halved per step, so the gate defers and sheds
-// best-effort traffic strictly before standard, and standard strictly
-// before premium. AdmitPrio(..., PrioPremium) ≡ Admit.
+// AdmitPrio decides the admission tier for a request needing needTokens
+// of KV (prompt plus full output budget, the engines' lifetime
+// reservation) that has already been deferred deferrals times. It
+// updates the hysteresis latch, counters, and peak occupancy, and emits
+// one timeline instant per decision. Levels below PrioPremium face a
+// watermark tightened by priorityMargin per step and a deferral budget
+// halved per step, so the gate defers and sheds best-effort traffic
+// strictly before standard, and standard strictly before premium;
+// PrioPremium is the priority-unaware gate.
 //
 //bullet:hotpath
 func (c *Controller) AdmitPrio(now units.Seconds, id string, needTokens, deferrals int, prio Prio) Tier {
@@ -344,26 +337,6 @@ func (c *Controller) deferBudgetAt(cur float64, prio Prio) int {
 		budget /= 2
 	}
 	return budget
-}
-
-// Deficit returns how many blocks must be freed for an allocation of
-// needTokens to both fit physically and land the pool at the low
-// watermark (0 if no relief is needed). Call with needTokens == 0 for the
-// drain deficit of a capacity shrink.
-//
-//bullet:hotpath
-func (c *Controller) Deficit(needTokens int) int {
-	need := c.blocksFor(needTokens)
-	total := c.pool.TotalBlocks()
-	target := int(c.cfg.LowWatermark * float64(total))
-	deficit := c.pool.UsedBlocks() + need - target
-	if short := need - c.pool.FreeBlocks(); short > deficit {
-		deficit = short
-	}
-	if deficit < 0 {
-		deficit = 0
-	}
-	return deficit
 }
 
 // PhysicalDeficit returns the blocks preemption must free before an

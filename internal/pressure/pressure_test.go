@@ -69,7 +69,7 @@ func TestTierStrings(t *testing.T) {
 func TestAdmitBelowHighWatermark(t *testing.T) {
 	c, _ := newController(100, Config{})
 	// Empty pool, 50% projected: admit.
-	if tier := c.Admit(0, "r1", 50*16, 0); tier != TierAdmit {
+	if tier := c.AdmitPrio(0, "r1", 50*16, 0, PrioPremium); tier != TierAdmit {
 		t.Fatalf("tier = %v, want admit", tier)
 	}
 	if c.Pressured() {
@@ -83,7 +83,7 @@ func TestDeferAboveHighWatermarkLatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 85 used + 10 needed = 95% projected > 90% high watermark.
-	if tier := c.Admit(0, "r1", 10*16, 0); tier != TierDefer {
+	if tier := c.AdmitPrio(0, "r1", 10*16, 0, PrioPremium); tier != TierDefer {
 		t.Fatalf("tier = %v, want defer", tier)
 	}
 	if !c.Pressured() {
@@ -91,7 +91,7 @@ func TestDeferAboveHighWatermarkLatches(t *testing.T) {
 	}
 	// Once latched, even a small request that projects between low and
 	// high defers: 85 used, 2 needed → 87% > 80% low watermark.
-	if tier := c.Admit(0, "r2", 2*16, 0); tier != TierDefer {
+	if tier := c.AdmitPrio(0, "r2", 2*16, 0, PrioPremium); tier != TierDefer {
 		t.Fatalf("latched tier = %v, want defer", tier)
 	}
 	if c.Metrics().AdmissionsDeferred != 2 {
@@ -102,12 +102,12 @@ func TestDeferAboveHighWatermarkLatches(t *testing.T) {
 func TestHysteresisClearsBelowLow(t *testing.T) {
 	c, p := newController(100, Config{})
 	held, _ := p.Allocate("held", 85*16, "decode")
-	c.Admit(0, "r1", 10*16, 0) // latch
+	c.AdmitPrio(0, "r1", 10*16, 0, PrioPremium) // latch
 	if !c.Pressured() {
 		t.Fatal("not latched")
 	}
 	p.MustFree(held) // occupancy back to 0 < low watermark
-	if tier := c.Admit(0, "r2", 85*16, 0); tier != TierAdmit {
+	if tier := c.AdmitPrio(0, "r2", 85*16, 0, PrioPremium); tier != TierAdmit {
 		t.Fatalf("tier = %v, want admit after latch cleared", tier)
 	}
 	if c.Pressured() {
@@ -117,7 +117,7 @@ func TestHysteresisClearsBelowLow(t *testing.T) {
 
 func TestShedWhenRequestCanNeverFit(t *testing.T) {
 	c, _ := newController(10, Config{})
-	if tier := c.Admit(0, "big", 11*16, 0); tier != TierShed {
+	if tier := c.AdmitPrio(0, "big", 11*16, 0, PrioPremium); tier != TierShed {
 		t.Fatalf("tier = %v, want shed for request larger than pool", tier)
 	}
 	if c.Metrics().Shed != 1 {
@@ -127,10 +127,10 @@ func TestShedWhenRequestCanNeverFit(t *testing.T) {
 
 func TestShedAfterDeferralBudget(t *testing.T) {
 	c, _ := newController(100, Config{MaxDeferrals: 3})
-	if tier := c.Admit(0, "r", 10*16, 2); tier != TierAdmit {
+	if tier := c.AdmitPrio(0, "r", 10*16, 2, PrioPremium); tier != TierAdmit {
 		t.Fatalf("tier = %v, want admit under budget", tier)
 	}
-	if tier := c.Admit(0, "r", 10*16, 3); tier != TierShed {
+	if tier := c.AdmitPrio(0, "r", 10*16, 3, PrioPremium); tier != TierShed {
 		t.Fatalf("tier = %v, want shed at budget", tier)
 	}
 }
@@ -141,7 +141,7 @@ func TestCriticalOccupancyHalvesDeferralBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 98% occupancy > 97% critical: budget halves to 4.
-	if tier := c.Admit(0, "r", 16, 4); tier != TierShed {
+	if tier := c.AdmitPrio(0, "r", 16, 4, PrioPremium); tier != TierShed {
 		t.Fatalf("tier = %v, want shed with halved budget", tier)
 	}
 }
@@ -153,38 +153,8 @@ func TestDeferWhenPhysicallyFullEvenBelowWatermark(t *testing.T) {
 	held, _ := p.Allocate("held", 50*16, "decode")
 	p.Shrink(50) // all free blocks retired; used 50 of total 50 = 100%
 	_ = held
-	if tier := c.Admit(0, "r", 16, 0); tier != TierDefer {
+	if tier := c.AdmitPrio(0, "r", 16, 0, PrioPremium); tier != TierDefer {
 		t.Fatalf("tier = %v, want defer with zero free blocks", tier)
-	}
-}
-
-func TestDeficit(t *testing.T) {
-	c, p := newController(100, Config{})
-	if _, err := p.Allocate("held", 90*16, "decode"); err != nil {
-		t.Fatal(err)
-	}
-	// Landing at the 80% watermark with 5 more blocks needs 90+5-80 = 15
-	// blocks freed.
-	if d := c.Deficit(5 * 16); d != 15 {
-		t.Fatalf("deficit = %d, want 15", d)
-	}
-	// No pressure: zero deficit.
-	c2, _ := newController(100, Config{})
-	if d := c2.Deficit(5 * 16); d != 0 {
-		t.Fatalf("deficit = %d, want 0 in empty pool", d)
-	}
-}
-
-func TestDeficitCoversPhysicalShortfall(t *testing.T) {
-	// Low watermark alone can under-ask when the allocation is huge.
-	c, p := newController(100, Config{LowWatermark: 0.1, HighWatermark: 0.9, CriticalWatermark: 0.97})
-	if _, err := p.Allocate("held", 60*16, "decode"); err != nil {
-		t.Fatal(err)
-	}
-	// need 70 blocks, only 40 free → physical shortfall 30; watermark
-	// target 10 → watermark deficit 60+70-10 = 120. Max wins.
-	if d := c.Deficit(70 * 16); d != 120 {
-		t.Fatalf("deficit = %d, want 120", d)
 	}
 }
 
@@ -330,7 +300,7 @@ func TestRecordCountersAndTimeline(t *testing.T) {
 	c.RecordShed(units.FromMs(4), "v", "preempt-budget")
 	c.RecordKVShrink(units.FromMs(5), 10, false)
 	c.RecordKVShrink(units.FromMs(6), 10, true)
-	c.Admit(units.FromMs(7), "r", 16, 0)
+	c.AdmitPrio(units.FromMs(7), "r", 16, 0, PrioPremium)
 
 	m := c.Metrics()
 	if m.Preemptions != 1 || m.Recomputes != 1 || m.RecomputedTokens != 800 ||
@@ -366,7 +336,7 @@ func TestNilTimelineIsSilent(t *testing.T) {
 	c.RecordRecovery(0, "v", Retransfer, 10)
 	c.RecordShed(0, "v", "x")
 	c.RecordKVShrink(0, 1, false)
-	if tier := c.Admit(0, "r", 16, 0); tier != TierAdmit {
+	if tier := c.AdmitPrio(0, "r", 16, 0, PrioPremium); tier != TierAdmit {
 		t.Fatalf("tier = %v", tier)
 	}
 	if c.Metrics().Preemptions != 1 {
@@ -412,35 +382,6 @@ func TestDecideUnknownTierUnreachable(t *testing.T) {
 }
 
 // --- priority admission (AdmitPrio) ------------------------------------
-
-func TestAdmitPrioPremiumEqualsAdmit(t *testing.T) {
-	// The legacy entry point must reproduce AdmitPrio at PrioPremium bit
-	// for bit across tiers and latch states.
-	mk := func() (*Controller, *Controller, *kvcache.Pool, *kvcache.Pool) {
-		a, pa := newController(100, Config{MaxDeferrals: 3})
-		b, pb := newController(100, Config{MaxDeferrals: 3})
-		return a, b, pa, pb
-	}
-	a, b, pa, pb := mk()
-	for _, held := range []int{0, 85, 98} {
-		if held > 0 {
-			if _, err := pa.Allocate("h", held*16, "decode"); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pb.Allocate("h", held*16, "decode"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for def := 0; def <= 4; def++ {
-			got := a.Admit(0, "r", 10*16, def)
-			want := b.AdmitPrio(0, "r", 10*16, def, PrioPremium)
-			if got != want {
-				t.Fatalf("held=%d def=%d: Admit=%v AdmitPrio(premium)=%v", held, def, got, want)
-			}
-		}
-		a, b, pa, pb = mk()
-	}
-}
 
 func TestPriorityMarginTightensWatermark(t *testing.T) {
 	// Default high watermark 0.90, margin 0.04: effective limits are
