@@ -20,15 +20,14 @@ step() { printf '\n=== %s ===\n' "$*"; }
 
 # fuzz_table runs one row per fuzz target: go test fuzzes one target per
 # run, so the table is looped like the coverage floors. The rows cover
-# the SM-mask set algebra, the calibration trace parser, the Chrome
-# trace writer, the reader of replay traces from outside the program,
-# the percentile selection against a full sort, and Algorithm 1's
-# decisions against a reference that prices every level.
+# the SM-mask set algebra, the Chrome trace writer, the reader of replay
+# traces from outside the program, the percentile selection against a
+# full sort, and Algorithm 1's decisions against a reference that prices
+# every level.
 fuzz_table() {
     step "fuzz table (5s per target)"
     local targets='
 FuzzSetAlgebra              ./internal/smmask
-FuzzCalibParse              ./internal/calib
 FuzzWriteChrome             ./internal/timeline
 FuzzRead                    ./internal/workload
 FuzzRoundTrip               ./internal/workload

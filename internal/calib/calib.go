@@ -1,36 +1,11 @@
 // Package calib is the calibration harness of the sampled latency
-// backend: it turns per-kernel latency observations — parsed from a
-// profiling trace file or self-collected against the analytic simulator —
-// into the fitted per-operator quantile tables gpusim.SampledBackend
-// draws from (DESIGN.md §15).
-//
-// The trace format is line-oriented:
-//
-//	# comment
-//	op qkv
-//	128 0.000213
-//	256 0.000391
-//	op attn
-//	128 0.000457
-//
-// An `op <name>` line opens a section; each sample line under it carries
-// the operator's token coordinate and one observed latency in seconds.
-// Operators may not be re-opened (duplicate keys are rejected), samples
-// must carry positive token counts and positive finite latencies, and
-// every malformed line is reported with its line number — the parser
-// never panics on hostile input (see FuzzCalibParse).
+// backend: it micro-benchmarks the model's kernels against the analytic
+// simulator (SelfCalibrate) and fits the observations into the
+// per-operator quantile tables gpusim.SampledBackend draws from
+// (DESIGN.md §15).
 package calib
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"math"
-	"strconv"
-	"strings"
-
-	"repro/internal/units"
-)
+import "repro/internal/units"
 
 // Row is one calibration observation: operator op took Latency seconds
 // at size coordinate Tokens.
@@ -38,85 +13,4 @@ type Row struct {
 	Op      string
 	Tokens  int
 	Latency units.Seconds
-}
-
-// maxTraceLine bounds one trace line; longer lines are a parse error,
-// not a silent truncation.
-const maxTraceLine = 1 << 16
-
-// ParseTrace reads calibration rows from a trace in the package's
-// line-oriented format. Errors carry the 1-based line number and the
-// offending content.
-func ParseTrace(r io.Reader) ([]Row, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), maxTraceLine)
-	var rows []Row
-	seen := map[string]bool{}
-	op := ""
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if fields[0] == "op" {
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("calib: line %d: want \"op <name>\", got %q", lineNo, line)
-			}
-			op = fields[1]
-			if seen[op] {
-				return nil, fmt.Errorf("calib: line %d: duplicate operator %q", lineNo, op)
-			}
-			seen[op] = true
-			continue
-		}
-		if op == "" {
-			return nil, fmt.Errorf("calib: line %d: sample %q before any \"op <name>\" header", lineNo, line)
-		}
-		if len(fields) != 2 {
-			return nil, fmt.Errorf("calib: line %d: want \"<tokens> <latency>\", got %q", lineNo, line)
-		}
-		tokens, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("calib: line %d: bad token count %q: %v", lineNo, fields[0], err)
-		}
-		if tokens <= 0 {
-			return nil, fmt.Errorf("calib: line %d: non-positive token count %d", lineNo, tokens)
-		}
-		lat, err := strconv.ParseFloat(fields[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("calib: line %d: bad latency %q: %v", lineNo, fields[1], err)
-		}
-		if math.IsNaN(lat) || math.IsInf(lat, 0) {
-			return nil, fmt.Errorf("calib: line %d: operator %q: non-finite latency %v", lineNo, op, lat)
-		}
-		if lat <= 0 {
-			return nil, fmt.Errorf("calib: line %d: operator %q: non-positive latency %v", lineNo, op, lat)
-		}
-		rows = append(rows, Row{Op: op, Tokens: tokens, Latency: units.Seconds(lat)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("calib: line %d: %v", lineNo+1, err)
-	}
-	return rows, nil
-}
-
-// FormatTrace renders rows back into the trace format ParseTrace reads,
-// grouping samples under sorted operator headers — the round-trip half
-// of the harness, used to persist self-calibrated tables' raw samples.
-func FormatTrace(rows []Row) string {
-	byOp := map[string][]Row{}
-	for _, r := range rows {
-		byOp[r.Op] = append(byOp[r.Op], r)
-	}
-	var sb strings.Builder
-	for _, op := range sortedKeys(byOp) {
-		fmt.Fprintf(&sb, "op %s\n", op)
-		for _, r := range byOp[op] {
-			fmt.Fprintf(&sb, "%d %.9g\n", r.Tokens, r.Latency.Float())
-		}
-	}
-	return sb.String()
 }

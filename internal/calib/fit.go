@@ -8,41 +8,19 @@ import (
 	"repro/internal/units"
 )
 
-// FitOptions shapes the robust quantile fit.
-type FitOptions struct {
-	// RefSMs is the SM count the samples were collected at (required).
-	RefSMs int
-	// Quantiles is the grid size per support (default 5: min, q25,
-	// median, q75, max after winsorizing).
-	Quantiles int
-	// Winsor trims this fraction off each tail before fitting, so a
-	// stray outlier cannot stretch the distribution support. Default
-	// 0.02; must lie in [0, 0.25).
-	Winsor float64
-}
+// quantileLevels is the grid size per support: min, q25, median, q75
+// and max of the samples, with no tail trimmed.
+const quantileLevels = 5
 
-const (
-	defaultQuantiles = 5
-	defaultWinsor    = 0.02
-)
-
-// Fit turns calibration rows into a sampled-backend latency table:
-// per (operator, tokens) bucket it fits a winsorized empirical quantile
-// grid, then enforces monotonicity across token supports per quantile
-// level (isotonic cumulative max) — the invariant that makes sampled
-// latencies monotone non-decreasing in token count at any fixed draw.
-func Fit(rows []Row, opts FitOptions) (*gpusim.LatencyTable, error) {
-	if opts.RefSMs <= 0 {
-		return nil, fmt.Errorf("calib: fit: non-positive RefSMs %d", opts.RefSMs)
-	}
-	if opts.Quantiles == 0 {
-		opts.Quantiles = defaultQuantiles
-	}
-	if opts.Quantiles < 2 {
-		return nil, fmt.Errorf("calib: fit: quantile grid %d too small (need >= 2)", opts.Quantiles)
-	}
-	if opts.Winsor < 0 || opts.Winsor >= 0.25 {
-		return nil, fmt.Errorf("calib: fit: winsor fraction %v outside [0, 0.25)", opts.Winsor)
+// Fit turns calibration rows collected at refSMs SMs into a
+// sampled-backend latency table: per (operator, tokens) bucket it fits
+// an empirical quantile grid, then enforces monotonicity across token
+// supports per quantile level (isotonic cumulative max) — the invariant
+// that makes sampled latencies monotone non-decreasing in token count
+// at any fixed draw.
+func Fit(rows []Row, refSMs int) (*gpusim.LatencyTable, error) {
+	if refSMs <= 0 {
+		return nil, fmt.Errorf("calib: fit: non-positive RefSMs %d", refSMs)
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("calib: fit: no rows")
@@ -67,7 +45,7 @@ func Fit(rows []Row, opts FitOptions) (*gpusim.LatencyTable, error) {
 		byTok[r.Tokens] = append(byTok[r.Tokens], r.Latency.Float())
 	}
 
-	table := &gpusim.LatencyTable{RefSMs: opts.RefSMs, Ops: map[string][]gpusim.OpSupport{}}
+	table := &gpusim.LatencyTable{RefSMs: refSMs, Ops: map[string][]gpusim.OpSupport{}}
 	for _, op := range sortedKeys(buckets) {
 		byTok := buckets[op]
 		toks := make([]int, 0, len(byTok))
@@ -76,20 +54,17 @@ func Fit(rows []Row, opts FitOptions) (*gpusim.LatencyTable, error) {
 		}
 		sort.Ints(toks)
 		supports := make([]gpusim.OpSupport, 0, len(toks))
-		var floor []units.Seconds
+		floor := make([]units.Seconds, quantileLevels)
 		for _, t := range toks {
 			samples := byTok[t]
 			sort.Float64s(samples)
-			grid := make([]units.Seconds, opts.Quantiles)
+			grid := make([]units.Seconds, quantileLevels)
 			for j := range grid {
-				level := opts.Winsor + (1-2*opts.Winsor)*float64(j)/float64(opts.Quantiles-1)
+				level := float64(j) / float64(quantileLevels-1)
 				grid[j] = units.Seconds(empiricalQuantile(samples, level))
 			}
 			// Isotonic step: a larger token bucket may never undercut a
 			// smaller one at the same quantile level.
-			if floor == nil {
-				floor = make([]units.Seconds, opts.Quantiles)
-			}
 			for j := range grid {
 				grid[j] = units.Max(grid[j], floor[j])
 				floor[j] = grid[j]

@@ -71,7 +71,7 @@ func SelfCalibrate(cfg model.Config, spec gpusim.Spec) (*gpusim.LatencyTable, er
 		rows = measure(spec, []gpusim.Kernel{cfg.LMHeadKernel(b, calibTag)}, full, nil, rows)
 	}
 
-	table, err := Fit(rows, FitOptions{RefSMs: spec.NumSMs})
+	table, err := Fit(rows, spec.NumSMs)
 	if err != nil {
 		return nil, fmt.Errorf("calib: self-calibrate %s/%s: %v", cfg.Name, spec.Name, err)
 	}

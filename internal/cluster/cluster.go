@@ -76,9 +76,6 @@ const (
 	// LeastLoaded routes to the replica with the fewest in-flight
 	// tokens (queued + executing input tokens plus decode batch).
 	LeastLoaded Policy = "least-loaded"
-	// JoinShortestQueue routes to the replica with the fewest waiting
-	// requests.
-	JoinShortestQueue Policy = "jsq"
 )
 
 // Config shapes the cluster.
@@ -245,7 +242,7 @@ func New(outer *serving.Env, cfg Config) *Cluster {
 		panic(fmt.Sprintf("cluster: invalid worker count %d", cfg.Workers))
 	}
 	switch cfg.Policy {
-	case RoundRobin, LeastLoaded, JoinShortestQueue:
+	case RoundRobin, LeastLoaded:
 	default:
 		panic(fmt.Sprintf("cluster: unknown policy %q", cfg.Policy))
 	}
@@ -545,17 +542,6 @@ func (c *Cluster) pickWhere(ok func(*replica) bool) *replica {
 			}
 		}
 		return nil
-	case JoinShortestQueue:
-		var best *replica
-		for _, rep := range c.replicas {
-			if !ok(rep) {
-				continue
-			}
-			if best == nil || rep.sys.Prefill.QueueDepth() < best.sys.Prefill.QueueDepth() {
-				best = rep
-			}
-		}
-		return best
 	default: // LeastLoaded
 		var best *replica
 		for _, rep := range c.replicas {

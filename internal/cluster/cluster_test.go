@@ -92,13 +92,6 @@ func TestLeastLoadedBeatsRoundRobinOnSkewedLoad(t *testing.T) {
 	}
 }
 
-func TestJSQPolicyRuns(t *testing.T) {
-	_, res := run(t, Config{Replicas: 2, Policy: JoinShortestQueue, Options: opts()}, 6, 40, 4)
-	if res.Summary.Requests != 40 {
-		t.Fatalf("completed %d", res.Summary.Requests)
-	}
-}
-
 func TestScaleOutIncreasesCapacity(t *testing.T) {
 	// At a rate that saturates one GPU, two replicas must serve with
 	// much lower latency and no worse SLO attainment.

@@ -177,12 +177,6 @@ func oracleRows() []oracleRow {
 			trace: workload.Generate(workload.AzureCode, 10, 80, 11),
 			want:  0xe0a31e9c60826132,
 		},
-		{
-			name:  "healthy-jsq",
-			cfg:   Config{Replicas: 2, Policy: JoinShortestQueue, Options: opts()},
-			trace: workload.Generate(workload.AzureCode, 6, 40, 4),
-			want:  0xc288211d1bd229c7,
-		},
 	}
 }
 

@@ -53,7 +53,8 @@ type heldDispatch struct {
 // running a copy of it (the primary placement plus any hedge copies),
 // each charged the request's input tokens. The first outcome from a
 // member is delivered; later ones only release their replica's load.
-// The flight dissolves when its last member reports or fails over.
+// The flight dissolves when its last member reports, or fails over
+// without the request being placed again (it already won, or it parks).
 type flight struct {
 	req     workload.Request
 	primary *replica
@@ -97,11 +98,14 @@ func (fl *flight) has(rep *replica) bool {
 
 // submit is the router's one admission path: blip hold, token-bucket
 // admission (skipped for re-dispatches, admit=false), health-aware
-// pick, placement, and link-aware dispatch with hedge arming. Callers
+// pick, placement, and link-aware dispatch with hedge arming. A request
+// re-entering from failover keeps its emptied flight; one that parks
+// instead gives it up, since a parked request has no flight. Callers
 // run inside a decision point.
 func (c *Cluster) submit(r workload.Request, admit bool) {
 	now := c.outer.Sim.Now()
 	if now < c.blipUntil {
+		delete(c.flights, r.ID)
 		c.blipHeld = append(c.blipHeld, blipArrival{req: r, admit: admit})
 		return
 	}
@@ -121,6 +125,7 @@ func (c *Cluster) submit(r workload.Request, admit bool) {
 	}
 	rep := c.pick()
 	if rep == nil {
+		delete(c.flights, r.ID)
 		c.deferred = append(c.deferred, r)
 		return
 	}
@@ -133,9 +138,13 @@ func (c *Cluster) submit(r workload.Request, admit bool) {
 		// mutate the breaker (see heldDispatch).
 		protected = c.breakers[rep.slot].Allow(now)
 	}
-	fl := &flight{req: r, primary: rep}
+	fl := c.flights[r.ID]
+	if fl == nil {
+		fl = &flight{req: r}
+		c.flights[r.ID] = fl
+	}
+	fl.primary, fl.hedged = rep, false
 	fl.join(rep)
-	c.flights[r.ID] = fl
 	if c.dispatch(rep, r, protected) && c.armed != nil && c.armed.Hedge.MaxHedges > 0 {
 		c.hedger.NoteDispatch()
 		fl.hedged = true
@@ -289,15 +298,16 @@ func (c *Cluster) armHedge(r workload.Request, attempt int) {
 // still run a copy, nor when the flight already delivered its outcome —
 // Env.Complete is exactly-once, so a re-dispatch would deliver it twice
 // and end the run with another request unserved. Re-entry skips the
-// admission bucket: the request was already admitted.
+// admission bucket (the request was already admitted) and keeps the
+// emptied, unwon flight for submit to reuse.
 func (c *Cluster) failover(rep *replica, w workload.Request) bool {
 	fl := c.flights[w.ID]
 	fl.leave(rep)
 	if len(fl.reps) > 0 {
 		return false
 	}
-	delete(c.flights, w.ID)
 	if fl.won {
+		delete(c.flights, w.ID)
 		return false
 	}
 	c.submit(w, false)

@@ -445,3 +445,35 @@ func TestHedgeTimerSkipsParkedFlight(t *testing.T) {
 		t.Fatalf("%d hedges: the old timer copied a parked dispatch's flight", rl.Hedges)
 	}
 }
+
+// TestTimeoutFailoverKeepsFlight: a dispatch parked on a lost link that
+// times out and re-enters the router keeps its flight record. The one
+// replica's link is lost, so the pick fails open to it, the dispatch
+// parks, and the re-dispatch parks again on the same link.
+func TestTimeoutFailoverKeepsFlight(t *testing.T) {
+	rcfg := resilience.DefaultConfig()
+	cfg := Config{Replicas: 1, Policy: RoundRobin, Options: opts(), Resilience: &rcfg}
+	env := serving.NewEnv(gpusim.A100(), model.Llama31_8B(), "azure-code")
+	c := New(env, cfg)
+	inj := faults.NewInjector(env.Sim, faults.Schedule{Events: []faults.Event{linkLossAt(0.05, 0, 1)}})
+	c.AttachFaults(inj, core.DefaultWatchdog())
+	inj.Arm()
+	var parked, redispatched *flight
+	c.after(0.2, func() { parked = c.flights["r1"] })
+	c.after(0.35, func() {
+		if c.DispatchTimeouts() != 1 {
+			t.Errorf("dispatch timeouts = %d by t=0.35, want 1", c.DispatchTimeouts())
+		}
+		redispatched = c.flights["r1"]
+	})
+	tr := &workload.Trace{Dataset: "azure-code", Requests: []workload.Request{
+		{ID: "r1", Arrival: 0.1, InputTokens: 512, OutputTokens: 50, Dataset: "azure-code"},
+	}}
+	res := env.Run(c, tr)
+	if res.Summary.Requests != 1 {
+		t.Fatalf("completed %d, want 1", res.Summary.Requests)
+	}
+	if parked == nil || redispatched != parked {
+		t.Fatalf("flight %p after the timeout, want the parked dispatch's %p", redispatched, parked)
+	}
+}

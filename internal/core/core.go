@@ -210,9 +210,9 @@ func New(env *serving.Env, opts Options) *Bullet {
 	})
 	buf := engine.NewBuffer(env.Sim, opts.MetadataLatency)
 
-	pcfg := engine.DefaultPrefillConfig(numSMs)
+	pcfg := engine.DefaultPrefillConfig()
 	pcfg.LayerGroup = opts.LayerGroup
-	dcfg := engine.DefaultDecodeConfig(numSMs)
+	dcfg := engine.DefaultDecodeConfig()
 
 	name := string(opts.Mode)
 	switch opts.Mode {
@@ -221,9 +221,7 @@ func New(env *serving.Env, opts Options) *Bullet {
 	case ModeNaive:
 		pcfg.Reorder = false
 		pcfg.SLOAdmission = false
-		pcfg.DynamicSM = false
 		pcfg.FixedSMs = numSMs
-		dcfg.DynamicSM = false
 		dcfg.FixedSMs = numSMs
 		dcfg.AllowPause = false
 	case ModePartitionOnly:
@@ -231,17 +229,14 @@ func New(env *serving.Env, opts Options) *Bullet {
 		pcfg.SLOAdmission = false
 		dcfg.AllowPause = false
 	case ModeSchedulerOnly:
-		pcfg.DynamicSM = false
 		pcfg.FixedSMs = numSMs
-		dcfg.DynamicSM = false
 		dcfg.FixedSMs = numSMs
 	case ModeStatic:
 		if opts.FixedPrefillSMs <= 0 {
 			panic("core: ModeStatic requires FixedPrefillSMs")
 		}
-		pcfg.DynamicSM = false
 		pcfg.FixedSMs = opts.FixedPrefillSMs
-		dcfg.DynamicSM = false
+		dcfg.FixedSMs = numSMs
 		dcfg.AllowPause = false
 		name = fmt.Sprintf("bullet-sm%d", opts.FixedPrefillSMs)
 	default:

@@ -19,9 +19,9 @@ import (
 // DecodeConfig shapes the decode engine. The flags are the ablation
 // switches of §4.5.1.
 type DecodeConfig struct {
-	// DynamicSM applies the scheduler's SM decision; otherwise FixedSMs.
-	DynamicSM bool
-	FixedSMs  int
+	// FixedSMs, when positive, replaces the scheduler's decode SM
+	// decision; 0 applies the scheduler's split.
+	FixedSMs int
 	// AllowPause lets the scheduler delay a decode iteration to rescue
 	// TTFT (Fig. 8 ❷).
 	AllowPause bool
@@ -39,10 +39,8 @@ const (
 )
 
 // DefaultDecodeConfig returns Bullet's full configuration.
-func DefaultDecodeConfig(numSMs int) DecodeConfig {
+func DefaultDecodeConfig() DecodeConfig {
 	return DecodeConfig{
-		DynamicSM:  true,
-		FixedSMs:   numSMs,
 		AllowPause: true,
 		MaxBatch:   256,
 	}
@@ -91,7 +89,7 @@ type DecodeEngine struct {
 // NewDecodeEngine wires a decode engine.
 func NewDecodeEngine(env *serving.Env, res *resource.Manager, schd *sched.Scheduler,
 	est *estimator.Estimator, buf *Buffer, cfg DecodeConfig) *DecodeEngine {
-	if cfg.MaxBatch <= 0 {
+	if cfg.MaxBatch <= 0 || cfg.FixedSMs < 0 {
 		panic(fmt.Sprintf("engine: invalid decode config %+v", cfg))
 	}
 	d := &DecodeEngine{env: env, res: res, schd: schd, est: est, buf: buf, cfg: cfg}
@@ -283,7 +281,7 @@ func (d *DecodeEngine) avgCtx() units.Tokens {
 func (d *DecodeEngine) decide() sched.Decision {
 	st := d.buf.Snapshot()
 	dec := d.schd.Decide(st)
-	if !d.cfg.DynamicSM {
+	if d.cfg.FixedSMs > 0 {
 		dec.DecodeSMs = d.cfg.FixedSMs
 		pm, _ := d.buf.Allocation()
 		if pm > 0 {

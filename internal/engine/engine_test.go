@@ -47,7 +47,7 @@ func newRig(t testing.TB, pcfg PrefillConfig, dcfg DecodeConfig) *rig {
 }
 
 func defaultRig(t testing.TB) *rig {
-	return newRig(t, DefaultPrefillConfig(108), DefaultDecodeConfig(108))
+	return newRig(t, DefaultPrefillConfig(), DefaultDecodeConfig())
 }
 
 func req(id string, arrival units.Seconds, in, out int) workload.Request {
@@ -125,10 +125,10 @@ func TestPrefillBatchesQueuedRequests(t *testing.T) {
 }
 
 func TestReorderPrioritizesTightDeadlines(t *testing.T) {
-	pcfg := DefaultPrefillConfig(108)
+	pcfg := DefaultPrefillConfig()
 	pcfg.MaxBatchReqs = 1 // force one batch per request to observe order
 	pcfg.SLOAdmission = false
-	r := newRig(t, pcfg, DefaultDecodeConfig(108))
+	r := newRig(t, pcfg, DefaultDecodeConfig())
 	// A huge request arrives first, then a tiny one with a much tighter
 	// absolute deadline. With reordering, the tiny one should finish
 	// prefill first despite arriving later.
@@ -153,11 +153,11 @@ func TestReorderPrioritizesTightDeadlines(t *testing.T) {
 }
 
 func TestNoReorderKeepsFCFS(t *testing.T) {
-	pcfg := DefaultPrefillConfig(108)
+	pcfg := DefaultPrefillConfig()
 	pcfg.MaxBatchReqs = 1
 	pcfg.Reorder = false
 	pcfg.SLOAdmission = false
-	r := newRig(t, pcfg, DefaultDecodeConfig(108))
+	r := newRig(t, pcfg, DefaultDecodeConfig())
 	r.env.Sim.Post(0.001, func() {
 		r.prefill.Submit(req("big", 0.001, 16000, 2))
 		r.prefill.Submit(req("big2", 0.001, 16000, 2))
@@ -352,11 +352,9 @@ func TestReqRecordAndCtx(t *testing.T) {
 }
 
 func TestFixedSMEnginesNeverReconfigure(t *testing.T) {
-	pcfg := DefaultPrefillConfig(108)
-	pcfg.DynamicSM = false
+	pcfg := DefaultPrefillConfig()
 	pcfg.FixedSMs = 84
-	dcfg := DefaultDecodeConfig(108)
-	dcfg.DynamicSM = false
+	dcfg := DefaultDecodeConfig()
 	dcfg.FixedSMs = 108
 	dcfg.AllowPause = false
 	r := newRig(t, pcfg, dcfg)
@@ -375,5 +373,33 @@ func TestFixedSMEnginesNeverReconfigure(t *testing.T) {
 	}
 	if r.decode.Pauses() != 0 {
 		t.Fatal("paused with AllowPause=false")
+	}
+}
+
+// TestNegativeFixedSMsRejected: FixedSMs 0 means the scheduler's split
+// and a positive value an override; a negative quota is a configuration
+// error in either engine.
+func TestNegativeFixedSMsRejected(t *testing.T) {
+	pcfg := DefaultPrefillConfig()
+	pcfg.FixedSMs = -1
+	dcfg := DefaultDecodeConfig()
+	dcfg.FixedSMs = -1
+	for _, c := range []struct {
+		name string
+		p    PrefillConfig
+		d    DecodeConfig
+		want string
+	}{
+		{"prefill", pcfg, DefaultDecodeConfig(), "invalid prefill config"},
+		{"decode", DefaultPrefillConfig(), dcfg, "invalid decode config"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want %q", c.name, msg, c.want)
+				}
+			}()
+			newRig(t, c.p, c.d)
+		}()
 	}
 }

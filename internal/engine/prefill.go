@@ -33,27 +33,24 @@ type PrefillConfig struct {
 	// request would push an already-admitted request past its TTFT
 	// deadline (batched requests all see the batch's completion time).
 	SLOAdmission bool
-	// DynamicSM applies the scheduler's SM decision; otherwise FixedSMs
-	// is used (Naive / w-Scheduler ablations, Fig. 13 sensitivity).
-	DynamicSM bool
-	FixedSMs  int
+	// FixedSMs, when positive, replaces the scheduler's prefill SM
+	// decision (Naive / w-Scheduler ablations, Fig. 13 sensitivity); 0
+	// applies the scheduler's split.
+	FixedSMs int
 }
 
 // prefillCycleOverhead is the CPU cost of one scheduling cycle
 // (snapshot + decision + launch), cf. Table 3.
 const prefillCycleOverhead sim.Time = 150e-6
 
-// DefaultPrefillConfig returns Bullet's full configuration for a device
-// with numSMs SMs.
-func DefaultPrefillConfig(numSMs int) PrefillConfig {
+// DefaultPrefillConfig returns Bullet's full configuration.
+func DefaultPrefillConfig() PrefillConfig {
 	return PrefillConfig{
 		LayerGroup:     1,
 		MaxBatchTokens: 16384,
 		MaxBatchReqs:   8,
 		Reorder:        true,
 		SLOAdmission:   true,
-		DynamicSM:      true,
-		FixedSMs:       numSMs,
 	}
 }
 
@@ -127,7 +124,7 @@ type PrefillEngine struct {
 // NewPrefillEngine wires a prefill engine. Call SetDecode before use.
 func NewPrefillEngine(env *serving.Env, res *resource.Manager, schd *sched.Scheduler,
 	est *estimator.Estimator, buf *Buffer, cfg PrefillConfig) *PrefillEngine {
-	if cfg.LayerGroup <= 0 || cfg.MaxBatchReqs <= 0 || cfg.MaxBatchTokens <= 0 {
+	if cfg.LayerGroup <= 0 || cfg.MaxBatchReqs <= 0 || cfg.MaxBatchTokens <= 0 || cfg.FixedSMs < 0 {
 		panic(fmt.Sprintf("engine: invalid prefill config %+v", cfg))
 	}
 	p := &PrefillEngine{env: env, res: res, schd: schd, est: est, buf: buf, cfg: cfg}
@@ -156,9 +153,6 @@ func (p *PrefillEngine) Submit(r workload.Request) {
 		p.tryStart()
 	})
 }
-
-// QueueDepth returns the number of requests waiting for prefill.
-func (p *PrefillEngine) QueueDepth() int { return len(p.waiting) }
 
 // Running reports whether a prefill batch is in flight.
 func (p *PrefillEngine) Running() bool { return p.running }
@@ -511,7 +505,7 @@ func (p *PrefillEngine) armKVWait(attempt int) {
 func (p *PrefillEngine) decide() sched.Decision {
 	st := p.buf.Snapshot()
 	d := p.schd.Decide(st)
-	if !p.cfg.DynamicSM {
+	if p.cfg.FixedSMs > 0 {
 		d.PrefillSMs = p.cfg.FixedSMs
 		_, dm := p.buf.Allocation()
 		if dm > 0 {

@@ -109,20 +109,20 @@ func TestStressBatteryAblations(t *testing.T) {
 		dc   func() DecodeConfig
 	}{
 		{"naive", func() PrefillConfig {
-			p := DefaultPrefillConfig(108)
-			p.Reorder, p.SLOAdmission, p.DynamicSM = false, false, false
+			p := DefaultPrefillConfig()
+			p.Reorder, p.SLOAdmission, p.FixedSMs = false, false, 108
 			return p
 		}, func() DecodeConfig {
-			d := DefaultDecodeConfig(108)
-			d.DynamicSM, d.AllowPause = false, false
+			d := DefaultDecodeConfig()
+			d.FixedSMs, d.AllowPause = 108, false
 			return d
 		}},
 		{"tight-batches", func() PrefillConfig {
-			p := DefaultPrefillConfig(108)
+			p := DefaultPrefillConfig()
 			p.MaxBatchReqs, p.MaxBatchTokens = 1, 24064
 			return p
 		}, func() DecodeConfig {
-			d := DefaultDecodeConfig(108)
+			d := DefaultDecodeConfig()
 			d.MaxBatch = 4
 			return d
 		}},

@@ -286,7 +286,6 @@ func RenderExtPrefixCache(rows []PrefixRow) string {
 // ClusterRow is one point of the scale-out extension study.
 type ClusterRow struct {
 	Replicas      int
-	Policy        string
 	Rate          float64
 	MeanTTFT      float64
 	Throughput    float64
@@ -310,7 +309,7 @@ func ExtClusterN(d workload.Dataset, rate float64, n int, seed int64, workers in
 			Policy: cluster.LeastLoaded, Workers: 1}).Run(workload.Generate(d, rate, n, seed))
 		s := res.Summary
 		return ClusterRow{
-			Replicas: replicas, Policy: string(cluster.LeastLoaded), Rate: rate,
+			Replicas: replicas, Rate: rate,
 			MeanTTFT: s.MeanTTFT.Float(), Throughput: s.Throughput,
 			PerGPUThru: s.Throughput / float64(replicas), SLOAttainment: s.SLOAttainment,
 		}

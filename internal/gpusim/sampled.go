@@ -25,8 +25,8 @@ type OpSupport struct {
 
 // LatencyTable holds fitted per-operator latency distributions for the
 // sampled backend, normalised to solo execution on RefSMs SMs of the
-// profiled device. internal/calib fits tables from trace files or by
-// self-calibration against the analytic model.
+// profiled device. internal/calib fits tables by self-calibration
+// against the analytic model.
 type LatencyTable struct {
 	// RefSMs is the SM count the samples were collected at; the backend
 	// rescales draws to the kernel's actual allocation via the analytic

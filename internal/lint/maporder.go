@@ -225,9 +225,16 @@ func classifyAssign(p *Package, s *ast.AssignStmt) (types.Object, bool) {
 	return nil, false
 }
 
+// sortingFuncs are the sort and slices functions that put a slice in
+// order; any other call (a search, say) leaves it in map order.
+var sortingFuncs = map[string]map[string]bool{
+	"sort":   {"Strings": true, "Ints": true, "Float64s": true, "Sort": true, "Stable": true, "Slice": true, "SliceStable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
 // sortedLater reports whether obj (a slice the range loop appended into)
-// is passed to a sort or slices call in any statement following the loop
-// in an enclosing block.
+// is passed to a sorting call in any statement following the loop in an
+// enclosing block.
 func sortedLater(p *Package, obj types.Object, following [][]ast.Stmt) bool {
 	for _, list := range following {
 		for _, st := range list {
@@ -245,7 +252,7 @@ func sortedLater(p *Package, obj types.Object, following [][]ast.Stmt) bool {
 				if fn == nil || fn.Pkg() == nil {
 					return true
 				}
-				if pp := fn.Pkg().Path(); pp != "sort" && pp != "slices" {
+				if !sortingFuncs[fn.Pkg().Path()][fn.Name()] {
 					return true
 				}
 				for _, arg := range call.Args {

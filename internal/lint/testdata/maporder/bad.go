@@ -4,6 +4,8 @@
 // Go's randomized map iteration order.
 package fixture
 
+import "slices"
+
 type record struct {
 	name string
 	v    float64
@@ -22,6 +24,17 @@ func unsortedCollect(m map[string]int) []string {
 		keys = append(keys, k)
 	}
 	return keys // never sorted: emitted order is random
+}
+
+func searchedNotSorted(m map[string]int, want string) []string {
+	var keys []string
+	for k := range m { // want maporder
+		keys = append(keys, k)
+	}
+	if slices.Contains(keys, want) { // a search, not a sort
+		return keys
+	}
+	return nil
 }
 
 func floatAccumulate(m map[string]float64) float64 {

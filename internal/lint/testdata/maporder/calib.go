@@ -2,8 +2,8 @@
 
 // Pins the maporder contract on the calibration fit: operator tables are
 // maps, so emitting sections or folding quantile floors straight out of
-// range order is a finding; the collect-sort-range idiom the fit and the
-// trace renderer use is the sanctioned shape.
+// range order is a finding; the collect-sort-range idiom the fit uses is
+// the sanctioned shape.
 package fixture
 
 import "sort"

@@ -1,10 +1,9 @@
 //linttest:path repro/internal/calib
 
-// Pins the unitsafe contract on the calibration harness: parsed
-// latencies become units.Seconds exactly once, at the parse boundary, so
-// raw numeric literals at unit-typed call sites and bare-float
-// laundering are findings while boundary constructions and Ms() reads
-// are not.
+// Pins the unitsafe contract on the calibration harness: observed
+// latencies become units.Seconds exactly once, at the boundary, so raw
+// numeric literals at unit-typed call sites and bare-float laundering
+// are findings while boundary constructions and Ms() reads are not.
 package fixture
 
 import "repro/internal/units"

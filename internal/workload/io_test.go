@@ -67,16 +67,6 @@ func TestReadSortsAndFillsDefaults(t *testing.T) {
 	}
 }
 
-func TestGenerateConstant(t *testing.T) {
-	tr := GenerateConstant(AzureCode, 4, 20, 1)
-	for i, r := range tr.Requests {
-		want := units.Seconds(i+1) / 4
-		if units.Abs(r.Arrival-want) > 1e-12 {
-			t.Fatalf("arrival %d = %v, want %v", i, r.Arrival, want)
-		}
-	}
-}
-
 func TestGenerateGammaCV(t *testing.T) {
 	// Empirical CV of inter-arrival gaps should track the requested CV.
 	for _, cv := range []float64{0.5, 1.0, 2.0} {
@@ -123,7 +113,6 @@ func TestGeneratorsPanicOnNonFiniteArgs(t *testing.T) {
 	for name, gen := range map[string]func(){
 		"poisson nan":    func() { Generate(ShareGPT, nan, 10, 1) },
 		"poisson inf":    func() { Generate(ShareGPT, inf, 10, 1) },
-		"constant nan":   func() { GenerateConstant(ShareGPT, nan, 10, 1) },
 		"gamma nan rate": func() { GenerateGamma(ShareGPT, nan, 1, 10, 1) },
 		"gamma nan cv":   func() { GenerateGamma(ShareGPT, 1, nan, 10, 1) },
 		"bursty nan":     func() { GenerateBursty(ShareGPT, 1, nan, 1, 10, 1) },

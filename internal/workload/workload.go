@@ -266,27 +266,6 @@ func GenerateTenantMix(d Dataset, rate float64, n int, seed int64, mix TenantMix
 	return tr
 }
 
-// GenerateConstant produces a trace with deterministic, evenly spaced
-// arrivals at rate req/s (zero arrival jitter — the lowest-variance
-// arrival process, useful to isolate scheduling effects from burstiness).
-func GenerateConstant(d Dataset, rate float64, n int, seed int64) *Trace {
-	if !positive(rate) || n <= 0 {
-		panic(fmt.Sprintf("workload: invalid trace rate=%v n=%d", rate, n))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	tr := &Trace{Dataset: d.Name, Rate: rate, Seed: seed, Requests: make([]Request, n)}
-	for i := 0; i < n; i++ {
-		tr.Requests[i] = Request{
-			ID:           fmt.Sprintf("%s-c%d", d.Name, i),
-			Arrival:      units.Seconds(float64(i+1) / rate),
-			InputTokens:  d.SampleInput(rng),
-			OutputTokens: d.SampleOutput(rng),
-			Dataset:      d.Name,
-		}
-	}
-	return tr
-}
-
 // GenerateGamma produces arrivals with a gamma-distributed inter-arrival
 // time of the given coefficient of variation (cv=1 reduces to Poisson;
 // cv>1 is burstier, cv<1 smoother), following the methodology of
